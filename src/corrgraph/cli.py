@@ -11,7 +11,7 @@ Exit codes
 2  malformed input CSV (message carries the line number)
 3  degenerate data column (message names the column)
 4  correlation model not positive definite
-5  covariance matrix not symmetric / not positive semi-definite
+5  covariance matrix not symmetric / not positive semi-definite / singular
 
 Diagnostics go to stderr, results to stdout.
 """
@@ -28,7 +28,13 @@ import sys
 import numpy as np
 
 from .core import SampleMatrix, empirical_correlation, flat_to_pair
-from .errors import ConfigError, DegenerateInputError, ModelError, NotPositiveDefiniteError
+from .errors import (
+    ConfigError,
+    DegenerateInputError,
+    ModelError,
+    NotPositiveDefiniteError,
+    SingularityError,
+)
 from .procedures import Method, ProcedureKind, run_procedure
 from .quantiles import max_gauss_quantile
 from .simulation import ExperimentConfig, correlation_model, run_experiment, sbm_adjacency
@@ -87,8 +93,10 @@ def _read_samples_csv(path: str) -> SampleMatrix:
             raise _CliError(EXIT_BAD_CSV, f"{path}: line 1: empty file")
         names = tuple(name.strip() for name in header)
         rows = []
+        blank_lines = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
+                blank_lines.append(lineno)
                 continue
             if len(row) != len(names):
                 raise _CliError(
@@ -101,8 +109,16 @@ def _read_samples_csv(path: str) -> SampleMatrix:
                 raise _CliError(EXIT_BAD_CSV, f"{path}: line {lineno}: non-numeric cell")
     if not rows:
         raise _CliError(EXIT_BAD_CSV, f"{path}: line 2: no data rows")
+    data = np.array(rows)
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        lineno = int(np.argmin(finite)) + 2
+        for blank in blank_lines:
+            if blank <= lineno:
+                lineno += 1
+        raise _CliError(EXIT_BAD_CSV, f"{path}: line {lineno}: non-finite cell")
     try:
-        return SampleMatrix(np.array(rows), column_names=names)
+        return SampleMatrix(data, column_names=names)
     except DegenerateInputError as exc:
         raise _CliError(EXIT_DEGENERATE, f"degenerate input: {exc}")
     except ValueError as exc:
@@ -154,10 +170,13 @@ def cmd_test(args) -> int:
     if method is Method.BOOT_RW:
         context = {"samples": samples, "draws": args.draws or 100, "seed": args.seed}
     elif method is Method.MAX_T:
-        if args.fourth_moment:
-            sigma = omega_general(fourth_moments(samples), kind)
-        else:
-            sigma = omega_gaussian(empirical_correlation(samples), kind)
+        try:
+            if args.fourth_moment:
+                sigma = omega_general(fourth_moments(samples), kind)
+            else:
+                sigma = omega_gaussian(empirical_correlation(samples), kind)
+        except SingularityError as exc:
+            raise _CliError(EXIT_BAD_SIGMA, str(exc))
         context = {"sigma": sigma, "draws": args.draws or 1000, "seed": args.seed}
     try:
         result = run_procedure(
@@ -202,7 +221,8 @@ def _write_graph(path: str, fmt: str, result, names, p: int) -> None:
         if fmt == "dot":
             handle.write("graph corrgraph {\n")
             for idx, name in enumerate(names, start=1):
-                handle.write(f'  v{idx} [label="{name}"];\n')
+                label = name.replace("\\", "\\\\").replace('"', '\\"')
+                handle.write(f'  v{idx} [label="{label}"];\n')
             for i, j in edges:
                 handle.write(f"  v{i} -- v{j};\n")
             handle.write("}\n")
@@ -399,7 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--alpha", type=float, default=0.05)
     t.add_argument("--draws", type=int, default=None, help="bootstrap/Monte Carlo draws")
     t.add_argument("--seed", type=int, default=0)
-    t.add_argument("--threads", type=int, default=None)
     t.add_argument("--fourth-moment", action="store_true",
                    help="maxt: plug in the fourth-moment covariance instead of the Gaussian closed form")
     t.add_argument("--output", required=True, help="edge-record CSV path")

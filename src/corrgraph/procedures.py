@@ -30,6 +30,7 @@ import numpy as np
 from .errors import NotPositiveDefiniteError
 from .quantiles import (
     DrawMatrix,
+    _gauss_draws,
     bootstrap_draw_matrix,
     cholesky_psd,
     quantile_from_draws,
@@ -109,8 +110,8 @@ def _gauss_draw_matrix(sigma, draws: int, seed, rng=None) -> DrawMatrix:
     factor, _ = cholesky_psd(values)
     if rng is None:
         rng = make_rng(seed if seed is not None else 0)
-    xi = rng.standard_normal((draws, values.shape[0]))
-    return DrawMatrix(xi @ factor.T, provenance="parametric-gaussian")
+    return DrawMatrix(np.concatenate(list(_gauss_draws(factor, draws, rng))),
+                      provenance="parametric-gaussian")
 
 
 def run_procedure(

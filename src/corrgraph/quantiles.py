@@ -26,7 +26,7 @@ from scipy.special import ndtri
 from .core import SampleMatrix, empirical_correlation, pair_indices, standardize
 from .errors import DegenerateInputError, NotPositiveDefiniteError
 from .rng import make_rng
-from .stats import SATURATION_EPS, StatKind
+from .stats import StatKind, _transform
 
 __all__ = [
     "QuantileEstimate",
@@ -41,6 +41,9 @@ __all__ = [
 
 # Jitter ladder for nearly-PSD matrices, as multiples of the max diagonal.
 _JITTERS = (0.0, 1e-12, 1e-10, 1e-8)
+
+# Entries per block of Gaussian draws (32 MB of float64).
+_BLOCK_ENTRIES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -137,6 +140,11 @@ def _subset_array(subset, m: int) -> np.ndarray:
     return idx
 
 
+def _max_quantile(maxima: np.ndarray, alpha: float) -> float:
+    rank = math.ceil((1.0 - alpha) * maxima.size)
+    return float(np.sort(maxima)[rank - 1])
+
+
 def quantile_from_draws(draw_matrix: DrawMatrix, alpha: float, subset=None) -> float:
     """(1 - alpha)-quantile of the subset-restricted rowwise max-abs draw.
 
@@ -146,9 +154,20 @@ def quantile_from_draws(draw_matrix: DrawMatrix, alpha: float, subset=None) -> f
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     idx = _subset_array(subset, draw_matrix.m)
-    maxima = np.abs(draw_matrix.draws[:, idx]).max(axis=1)
-    rank = math.ceil((1.0 - alpha) * draw_matrix.b)
-    return float(np.sort(maxima)[rank - 1])
+    return _max_quantile(np.abs(draw_matrix.draws[:, idx]).max(axis=1), alpha)
+
+
+def _gauss_draws(factor: np.ndarray, draws: int, rng: np.random.Generator):
+    """Yield ``draws`` rows of xi @ factor.T, xi i.i.d. standard normal, in blocks.
+
+    With factor a Cholesky factor L of Sigma (or rows of one), each row is a
+    draw from N(0, L L^T).  The blocks consume one standard-normal stream in
+    order, so the rows do not depend on the block size.
+    """
+    width = factor.shape[1]
+    rows = max(1, _BLOCK_ENTRIES // max(width, 1))
+    for start in range(0, draws, rows):
+        yield rng.standard_normal((min(rows, draws - start), width)) @ factor.T
 
 
 def max_gauss_quantile(
@@ -163,48 +182,31 @@ def max_gauss_quantile(
 
     Simulates ``draws`` i.i.d. vectors L xi with L from :func:`cholesky_psd`.
     With ``store_draws`` the DrawMatrix is kept on the estimate for
-    step-down subset reuse; without it the rowwise maxima are accumulated in
-    chunks (for very large B the full matrix would not fit in memory).
+    step-down subset reuse; without it only the subset-restricted rowwise
+    maxima are kept, block by block (for very large B the full matrix would
+    not fit in memory).  Both consume the same stream and give the same value.
     """
     if draws < 100:
         raise ValueError(f"need at least 100 draws, got {draws}")
     sigma = np.asarray(sigma, dtype=float)
-    m = sigma.shape[0]
-    idx = _subset_array(subset, m)
+    idx = _subset_array(subset, sigma.shape[0])
     factor, jitter = cholesky_psd(sigma)
     rng = make_rng(seed if seed is not None else 0)
+    dm = None
     if store_draws:
-        xi = rng.standard_normal((draws, m))
-        dm = DrawMatrix(xi @ factor.T, provenance="parametric-gaussian")
+        dm = DrawMatrix(np.concatenate(list(_gauss_draws(factor, draws, rng))),
+                        provenance="parametric-gaussian")
         value = quantile_from_draws(dm, alpha, idx)
-        return QuantileEstimate(
-            value=value,
-            alpha=alpha,
-            draws=draws,
-            subset=tuple(int(v) for v in idx),
-            seed=seed,
-            draw_matrix=dm,
-            jitter=jitter,
-        )
-    # Streaming path: only the subset-restricted maxima are retained.
-    factor_sub = factor[idx, :]
-    maxima = np.empty(draws)
-    chunk = max(1, min(draws, 1 << 22) // max(m, 1))
-    done = 0
-    while done < draws:
-        b = min(chunk, draws - done)
-        xi = rng.standard_normal((b, m))
-        maxima[done : done + b] = np.abs(xi @ factor_sub.T).max(axis=1)
-        done += b
-    rank = math.ceil((1.0 - alpha) * draws)
-    value = float(np.sort(maxima)[rank - 1])
+    else:
+        blocks = _gauss_draws(factor[idx], draws, rng)
+        value = _max_quantile(np.concatenate([np.abs(b).max(axis=1) for b in blocks]), alpha)
     return QuantileEstimate(
         value=value,
         alpha=alpha,
         draws=draws,
         subset=tuple(int(v) for v in idx),
         seed=seed,
-        draw_matrix=None,
+        draw_matrix=dm,
         jitter=jitter,
     )
 
@@ -229,10 +231,11 @@ def bootstrap_draw_matrix(
         raise ValueError(f"need at least 50 bootstrap draws, got {draws}")
     n, p = samples.n, samples.p
     i, j = pair_indices(p)
-    rho_hat = empirical_correlation(samples).pair_values()
     if kind is StatKind.SECOND_ORDER:
         x_full = standardize(samples).data
         z_full_mean = (x_full[:, i] * x_full[:, j]).mean(axis=0)
+    else:
+        t_hat = _transform(empirical_correlation(samples).pair_values(), n, kind)
     if rng is None:
         rng = make_rng(seed if seed is not None else 0)
     rows = np.empty((draws, i.size))
@@ -250,21 +253,7 @@ def bootstrap_draw_matrix(
                     "too many degenerate bootstrap resamples (zero-variance column)"
                 )
             continue
-        corr = (xc.T @ xc) / np.outer(norms, norms)
-        r = np.clip(corr[i, j], -1.0, 1.0)
-        if kind is StatKind.EMPIRICAL:
-            rows[b] = np.sqrt(n) * (r - rho_hat)
-        elif kind is StatKind.STUDENT:
-            rs = np.clip(r, -(1 - SATURATION_EPS), 1 - SATURATION_EPS)
-            rh = np.clip(rho_hat, -(1 - SATURATION_EPS), 1 - SATURATION_EPS)
-            rows[b] = np.sqrt(n - 2) * (
-                rs / np.sqrt(1 - rs * rs) - rh / np.sqrt(1 - rh * rh)
-            )
-        elif kind is StatKind.FISHER:
-            rs = np.clip(r, -(1 - SATURATION_EPS), 1 - SATURATION_EPS)
-            rh = np.clip(rho_hat, -(1 - SATURATION_EPS), 1 - SATURATION_EPS)
-            rows[b] = np.sqrt(n - 3) * (np.arctanh(rs) - np.arctanh(rh))
-        else:  # second order
+        if kind is StatKind.SECOND_ORDER:
             xs = xc / xc.std(axis=0)
             z = xs[:, i] * xs[:, j]
             theta = z.var(axis=0)
@@ -276,6 +265,9 @@ def bootstrap_draw_matrix(
                     )
                 continue
             rows[b] = np.sqrt(n) * (z.mean(axis=0) - z_full_mean) / np.sqrt(theta)
+        else:
+            corr = (xc.T @ xc) / np.outer(norms, norms)
+            rows[b] = _transform(np.clip(corr[i, j], -1.0, 1.0), n, kind) - t_hat
         b += 1
     return DrawMatrix(rows, provenance="nonparametric-bootstrap")
 

@@ -11,10 +11,17 @@ all asymptotically standard normal under the null:
 
 where r is the empirical Pearson correlation of the pair.
 
-The joint asymptotic covariance of each statistic vector is available both
-in Gaussian closed form (:func:`omega_gaussian`, a function of the
+The joint asymptotic covariance Omega of each statistic vector is available
+both in Gaussian closed form (:func:`omega_gaussian`, a function of the
 correlation matrix alone) and as a fourth-moment plug-in valid for
-non-Gaussian data (:func:`fourth_moments` + :func:`omega_general`).
+non-Gaussian data (:func:`fourth_moments` + :func:`omega_general`).  The
+plug-in is Omega = A^T M A: M holds the fourth moments of the pair products
+x_i x_j and the squares x_i^2, and A the influence weights of r_ij (1 on
+x_i x_j, -r_ij/2 on x_i^2 and on x_j^2).  The closed form is one four-index
+formula in rho_ik, rho_il, rho_jk, rho_jl; it is exact for pairs that share
+a variable and for identical pairs, so it needs no special cases.  The
+Student and Fisher covariances rescale the empirical one by the Delta
+method.
 
 The normal CDF/quantile are scipy's ``ndtr``/``ndtri`` (relative accuracy
 well below 1e-12 over the ranges used here).
@@ -144,8 +151,14 @@ class FourthMoments:
         return self.corr.shape[0]
 
 
-def _saturate(rho: np.ndarray) -> np.ndarray:
-    return np.clip(rho, -(1.0 - SATURATION_EPS), 1.0 - SATURATION_EPS)
+def _transform(rho: np.ndarray, n: int, kind: StatKind) -> np.ndarray:
+    """Statistic of an empirical, Student or Fisher kind from correlations rho."""
+    if kind is StatKind.EMPIRICAL:
+        return np.sqrt(n) * rho
+    r = np.clip(rho, -(1.0 - SATURATION_EPS), 1.0 - SATURATION_EPS)
+    if kind is StatKind.STUDENT:
+        return np.sqrt(n - 2) * r / np.sqrt(1.0 - r * r)
+    return np.sqrt(n - 3) * np.arctanh(r)
 
 
 def statistic(samples: SampleMatrix, kind: StatKind) -> StatVector:
@@ -157,15 +170,7 @@ def statistic(samples: SampleMatrix, kind: StatKind) -> StatVector:
     if kind is StatKind.SECOND_ORDER:
         return _second_order_statistic(samples)
     rho = empirical_correlation(samples).pair_values()
-    if kind is StatKind.EMPIRICAL:
-        values = np.sqrt(n) * rho
-    elif kind is StatKind.STUDENT:
-        r = _saturate(rho)
-        values = np.sqrt(n - 2) * r / np.sqrt(1.0 - r * r)
-    else:  # Fisher
-        r = _saturate(rho)
-        values = np.sqrt(n - 3) * np.arctanh(r)
-    return StatVector(kind=kind, values=values, n=n)
+    return StatVector(kind=kind, values=_transform(rho, n, kind), n=n)
 
 
 def _second_order_statistic(samples: SampleMatrix) -> StatVector:
@@ -191,140 +196,62 @@ def p_values(stats: StatVector) -> PValueVector:
 
 
 # ---------------------------------------------------------------------------
-# Gaussian closed-form covariances
+# Pair covariances
 # ---------------------------------------------------------------------------
-
-def _omega_empirical_gaussian(gamma: np.ndarray) -> np.ndarray:
-    """Closed-form Omega for the empirical-correlation vector, Gaussian data.
-
-    Entries dispatch on how many variables the two pairs share: the same
-    pair, exactly one shared variable, or none.  The one-shared-variable
-    rule is applied after mapping the pair-of-pairs onto the representative
-    pattern (shared, b), (shared, c), which is valid because the covariance
-    is symmetric in within-pair order.
-    """
-    p = gamma.shape[0]
-    i, j = pair_indices(p)
-    r = gamma[i, j]
-    m = r.size
-
-    i1, j1 = i[:, None], j[:, None]
-    i2, j2 = i[None, :], j[None, :]
-    r1 = r[:, None] * np.ones((1, m))
-    r2 = r[None, :] * np.ones((m, 1))
-
-    omega = np.empty((m, m))
-
-    # No shared variable: general four-index formula with (i,j,k,l).
-    ii, jj = np.broadcast_to(i1, (m, m)), np.broadcast_to(j1, (m, m))
-    kk, ll = np.broadcast_to(i2, (m, m)), np.broadcast_to(j2, (m, m))
-    r_ik = gamma[ii, kk]
-    r_il = gamma[ii, ll]
-    r_jk = gamma[jj, kk]
-    r_jl = gamma[jj, ll]
-    omega[:] = (
-        0.5 * r1 * r2 * (r_ik**2 + r_il**2 + r_jk**2 + r_jl**2)
-        + r_ik * r_jl
-        + r_il * r_jk
-        - r_ik * r_jk * r2
-        - r1 * r_ik * r_il
-        - r1 * r_jk * r_jl
-        - r_il * r_jl * r2
-    )
-
-    # Exactly one shared variable: map onto (shared, b), (shared, c) and use
-    # the representative formula, which needs only rho(pair1), rho(pair2) and
-    # the correlation between the two non-shared variables b, c.
-    for mask, b, c in (
-        ((ii == kk) & (jj != ll), jj, ll),
-        ((jj == ll) & (ii != kk), ii, kk),
-        (jj == kk, ii, ll),
-        (ii == ll, jj, kk),
-    ):
-        if not mask.any():
-            continue
-        rbc = gamma[b[mask], c[mask]]
-        ra, rb = r1[mask], r2[mask]
-        omega[mask] = (
-            -0.5 * ra * rb * (1.0 - ra * ra - rb * rb - rbc * rbc)
-            + rbc * (1.0 - ra * ra - rb * rb)
-        )
-
-    # Same pair.
-    diag_idx = np.arange(m)
-    omega[diag_idx, diag_idx] = (1.0 - r * r) ** 2
-    return omega
-
-
-def _omega_second_order_gaussian(gamma: np.ndarray) -> np.ndarray:
-    """Closed-form Omega for the second-order statistic, Gaussian data.
-
-    Numerator is the centered cross-moment rho_ik rho_jl + rho_il rho_jk,
-    so the diagonal is exactly 1 for every pair (the statistic is
-    self-normalized).
-    """
-    p = gamma.shape[0]
-    i, j = pair_indices(p)
-    r = gamma[i, j]
-    m = r.size
-    ii = np.broadcast_to(i[:, None], (m, m))
-    jj = np.broadcast_to(j[:, None], (m, m))
-    kk = np.broadcast_to(i[None, :], (m, m))
-    ll = np.broadcast_to(j[None, :], (m, m))
-    num = gamma[ii, kk] * gamma[jj, ll] + gamma[ii, ll] * gamma[jj, kk]
-    scale = np.sqrt(1.0 + r * r)
-    return num / np.outer(scale, scale)
-
 
 def omega_gaussian(gamma: CorrelationMatrix, kind: StatKind) -> PairCovariance:
     """Asymptotic m x m covariance of a statistic vector for Gaussian data.
 
-    Student/Fisher kinds require all |rho_ij| < 1 strictly (the Delta-method
-    rescaling is singular at unit correlation).
+    Entry (ij, kl) is a polynomial in rho_ij, rho_kl and the four cross
+    correlations rho_ik, rho_il, rho_jk, rho_jl.  Student/Fisher kinds
+    require all |rho_ij| < 1 strictly (the Delta-method rescaling is
+    singular at unit correlation).
     """
     kind = StatKind(kind)
     g = gamma.values
-    r = gamma.pair_values()
+    i, j = pair_indices(gamma.p)
+    r = g[i, j]
+    r_ik, r_il, r_jl = g[np.ix_(i, i)], g[np.ix_(i, j)], g[np.ix_(j, j)]
+    r_jk = r_il.T  # gamma is exactly symmetric
+    omega = r_ik * r_jl + r_il * r_jk
     if kind is StatKind.SECOND_ORDER:
-        return PairCovariance(
-            _omega_second_order_gaussian(g), kind=kind, source="gaussian-closed-form"
-        )
-    if kind in (StatKind.STUDENT, StatKind.FISHER) and np.any(np.abs(r) >= 1.0):
-        raise SingularityError(
-            "unit correlation: Student/Fisher covariance is singular"
-        )
-    omega = _omega_empirical_gaussian(g)
-    omega = _rescale(omega, r, r, kind)
+        # Self-normalized: the centered cross-moment over sqrt(1 + rho^2)
+        # per pair, so the diagonal is exactly 1.
+        scale = np.sqrt(1.0 + r * r)
+        omega /= np.outer(scale, scale)
+    else:
+        r1, r2 = r[:, None], r[None, :]
+        omega += 0.5 * r1 * r2 * (r_ik**2 + r_il**2 + r_jk**2 + r_jl**2)
+        omega -= r1 * (r_ik * r_il + r_jk * r_jl)
+        omega -= r2 * (r_ik * r_jk + r_il * r_jl)
+        omega = _rescale(omega, r, kind)
     return PairCovariance(omega, kind=kind, source="gaussian-closed-form")
 
 
-def _rescale(omega: np.ndarray, r1: np.ndarray, r2: np.ndarray, kind: StatKind) -> np.ndarray:
+def _rescale(omega: np.ndarray, r: np.ndarray, kind: StatKind) -> np.ndarray:
+    """Delta-method covariance of the Student/Fisher transforms of r, in place."""
     if kind is StatKind.EMPIRICAL:
         return omega
-    d1 = 1.0 - r1 * r1
-    d2 = 1.0 - r2 * r2
-    if kind is StatKind.STUDENT:
-        return omega / np.outer(d1, d2) ** 1.5
-    if kind is StatKind.FISHER:
-        return omega / np.outer(d1, d2)
-    raise ValueError(f"no rescaling for kind {kind}")
+    if np.any(np.abs(r) >= 1.0):
+        raise SingularityError("unit correlation: Student/Fisher covariance is singular")
+    d = np.outer(1.0 - r * r, 1.0 - r * r)
+    omega /= d**1.5 if kind is StatKind.STUDENT else d
+    return omega
 
-
-# ---------------------------------------------------------------------------
-# Fourth-moment plug-in covariances (non-Gaussian data)
-# ---------------------------------------------------------------------------
 
 def fourth_moments(samples: SampleMatrix) -> FourthMoments:
     """Plug-in standardized fourth cross-moments of the sample columns.
 
-    Averages products of four centered columns (divisor n), normalized by
-    the product of the four standard deviations; equivalently, averages of
-    products of four standardized columns.
+    Averages products of four standardized columns (divisor n): the Gram
+    matrix of the n x p^2 matrix of pairwise column products, over n.
     """
     x = standardize(samples).data
-    tensor = np.einsum("ni,nj,nk,nl->ijkl", x, x, x, x) / samples.n
+    n, p = x.shape
+    y = (x[:, :, None] * x[:, None, :]).reshape(n, p * p)
+    tensor = y.T @ y
+    tensor /= n
     corr = empirical_correlation(samples).values
-    return FourthMoments(tensor=tensor, corr=corr)
+    return FourthMoments(tensor=tensor.reshape(p, p, p, p), corr=corr)
 
 
 def isserlis_fourth_moments(gamma: CorrelationMatrix) -> FourthMoments:
@@ -343,46 +270,37 @@ def isserlis_fourth_moments(gamma: CorrelationMatrix) -> FourthMoments:
 
 
 def omega_general(moments: FourthMoments, kind: StatKind) -> PairCovariance:
-    """Asymptotic covariance from fourth moments (general distributions)."""
+    """Asymptotic covariance from fourth moments (general distributions).
+
+    Omega = A^T M A, with M the moments of the pair products x_i x_j and
+    the squares x_i^2, and A the influence weights of r_ij: 1 on x_i x_j and
+    -r_ij/2 on x_i^2 and x_j^2.  The second-order kind uses the centered
+    pair-product moments, scaled by their variances.
+    """
     kind = StatKind(kind)
     p = moments.p
-    t = moments.tensor
-    g = moments.corr
     i, j = pair_indices(p)
-    r = g[i, j]
-    m = r.size
-    ii = np.broadcast_to(i[:, None], (m, m))
-    jj = np.broadcast_to(j[:, None], (m, m))
-    kk = np.broadcast_to(i[None, :], (m, m))
-    ll = np.broadcast_to(j[None, :], (m, m))
+    r = moments.corr[i, j]
+    t = moments.tensor.reshape(p * p, p * p)
+    pairs, squares = i * p + j, np.arange(p) * (p + 1)
+    omega = t[np.ix_(pairs, pairs)]
 
     if kind is StatKind.SECOND_ORDER:
-        var2 = t[i, j, i, j] - r * r
+        omega -= np.outer(r, r)
+        var2 = np.diag(omega)
         if np.any(var2 <= 0.0):
             raise SingularityError(
                 "nonpositive second-order variance term rho_ijij - rho_ij^2"
             )
-        num = t[ii, jj, kk, ll] - np.outer(r, r)
-        return PairCovariance(
-            num / np.sqrt(np.outer(var2, var2)),
-            kind=kind,
-            source="fourth-moment-plugin",
-        )
+        omega /= np.sqrt(np.outer(var2, var2))
+        return PairCovariance(omega, kind=kind, source="fourth-moment-plugin")
 
-    r1 = r[:, None]
-    r2 = r[None, :]
-    omega = (
-        t[ii, jj, kk, ll]
-        + 0.25 * r1 * r2 * (
-            t[ii, ii, kk, kk] + t[ii, ii, ll, ll] + t[jj, jj, kk, kk] + t[jj, jj, ll, ll]
-        )
-        - 0.5 * r1 * (t[ii, ii, kk, ll] + t[jj, jj, kk, ll])
-        - 0.5 * r2 * (t[ii, jj, kk, kk] + t[ii, jj, ll, ll])
-    )
-    if kind in (StatKind.STUDENT, StatKind.FISHER):
-        if np.any(np.abs(r) >= 1.0):
-            raise SingularityError(
-                "unit correlation: Student/Fisher covariance is singular"
-            )
-        omega = _rescale(omega, r, r, kind)
-    return PairCovariance(omega, kind=kind, source="fourth-moment-plugin")
+    # With A = [I; a], Omega = M_pp + h + h^T, h = M_ps a + a^T M_ss a / 2.
+    a = np.zeros((p, r.size))
+    cols = np.arange(r.size)
+    a[i, cols] = a[j, cols] = -0.5 * r
+    half = t[np.ix_(pairs, squares)] @ a
+    half += 0.5 * (a.T @ (t[np.ix_(squares, squares)] @ a))
+    omega += half
+    omega += half.T
+    return PairCovariance(_rescale(omega, r, kind), kind=kind, source="fourth-moment-plugin")

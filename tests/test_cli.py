@@ -110,6 +110,40 @@ class TestTestCommand:
         assert run(["test", "--input", str(bad), "--stat", "empirical",
                     "--method", "bonferroni", "--output", str(tmp_path / "o.csv")]) == 2
 
+    def test_non_finite_cell_reports_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        # Line 3 is blank; the nan cell is on line 5 of the file.
+        bad.write_text("a,b\n1.0,2.0\n\n3.0,1.0\n4.0,nan\n5.0,6.0\n")
+        code = run(["test", "--input", str(bad), "--stat", "empirical",
+                    "--method", "bonferroni", "--output", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert "line 5" in capsys.readouterr().err
+
+    def test_singular_covariance_exits_five(self, tmp_path, capsys):
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(40, 2))
+        path = tmp_path / "dup.csv"
+        lines = ["a,b,a2"] + [f"{u:.17g},{v:.17g},{u:.17g}" for u, v in x]
+        path.write_text("\n".join(lines) + "\n")
+        code = run(["test", "--input", str(path), "--stat", "fisher", "--method", "maxt",
+                    "--output", str(tmp_path / "o.csv")])
+        assert code == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "singular" in err
+
+    def test_dot_labels_escaped(self, tmp_path):
+        rng = np.random.default_rng(6)
+        path = tmp_path / "names.csv"
+        lines = ['"a""x",b\\y'] + [f"{u:.17g},{v:.17g}" for u, v in rng.normal(size=(20, 2))]
+        path.write_text("\n".join(lines) + "\n")
+        dot = tmp_path / "graph.dot"
+        assert run(["test", "--input", str(path), "--stat", "fisher", "--method", "sidak",
+                    "--output", str(tmp_path / "o.csv"), "--graph-output", str(dot),
+                    "--graph-format", "dot"]) == 0
+        text = dot.read_text()
+        assert 'v1 [label="a\\"x"];' in text
+        assert 'v2 [label="b\\\\y"];' in text
+
     def test_degenerate_column_named(self, tmp_path, capsys):
         bad = tmp_path / "degen.csv"
         rows = ["height,const"] + [f"{v},5.0" for v in range(10)]
