@@ -170,6 +170,7 @@ def cmd_test(args) -> int:
     if method is Method.BOOT_RW:
         context = {"samples": samples, "draws": args.draws or 100, "seed": args.seed}
     elif method is Method.MAX_T:
+        _check_covariance_memory(samples, args.fourth_moment)
         try:
             if args.fourth_moment:
                 sigma = omega_general(fourth_moments(samples), kind)
@@ -213,6 +214,28 @@ def cmd_test(args) -> int:
         f"procedure={result.procedure.label} alpha={args.alpha}"
     )
     return EXIT_OK
+
+
+def _check_covariance_memory(samples: SampleMatrix, fourth_moment: bool) -> None:
+    """Fail fast when the max-T pair covariance cannot fit in physical memory.
+
+    The peak is about 7 m^2 floats (the m x m gathers of ``omega_gaussian``),
+    plus the p^4 moment tensor and its n x p^2 factor with the fourth-moment
+    plug-in.
+    """
+    m, n, p = samples.m, samples.n, samples.p
+    floats = 7 * m * m + (p**4 + n * p * p if fourth_moment else 0)
+    try:
+        available = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):
+        return
+    if 8 * floats > available:
+        raise _CliError(
+            EXIT_USAGE,
+            f"maxt needs about {8 * floats / 1e9:.1f} GB for the m={m} pair covariance, "
+            f"more than the {available / 1e9:.1f} GB of physical memory; "
+            "use --method sidak or bootrw",
+        )
 
 
 def _write_graph(path: str, fmt: str, result, names, p: int) -> None:

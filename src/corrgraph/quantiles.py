@@ -6,7 +6,13 @@ vectors whose rowwise sup-norm is the max statistic:
 - :func:`max_gauss_quantile` draws from N_m(0, Sigma) (parametric route,
   Sigma a plug-in or oracle pair covariance);
 - :func:`bootstrap_max_quantile` recomputes centered statistics on
-  nonparametric resamples of the data.
+  nonparametric resamples of the data.  The B resamples come from one
+  ``integers(0, n, (B, n))`` draw, which yields the same indices, in order, as
+  B successive draws of n.  Their count weights W (B x n) make every resample
+  moment a GEMM of W against the standardized sample, with no loop over
+  resamples.  A resample whose column variance is at most ``_DEGENERATE``
+  times the full-sample variance (or, for the second-order kind, whose theta
+  is at most ``_DEGENERATE``) is redrawn from the same stream.
 
 Both return the empirical (1 - alpha)-quantile as the order statistic of
 rank ceil((1 - alpha) B), a conservative right-continuous convention.
@@ -23,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .core import SampleMatrix, empirical_correlation, pair_indices, standardize
+from .core import SampleMatrix, empirical_correlation, standardize
 from .errors import DegenerateInputError, NotPositiveDefiniteError
 from .rng import make_rng
 from .stats import StatKind, _transform
@@ -44,6 +50,10 @@ _JITTERS = (0.0, 1e-12, 1e-10, 1e-8)
 
 # Entries per block of Gaussian draws (32 MB of float64).
 _BLOCK_ENTRIES = 1 << 22
+
+# A bootstrap resample is degenerate when a column variance, relative to the
+# full-sample variance, or a second-order theta is at most this value.
+_DEGENERATE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -222,53 +232,53 @@ def bootstrap_draw_matrix(
 
     Each resample takes n rows i.i.d. with replacement; the statistic is
     centered at the full-sample estimate (Romano-Wolf convention) so the
-    resampled law approximates the null law of the statistic.  Degenerate
-    resamples (a zero-variance column) are redrawn; more than B redraws
-    raise DegenerateInputError.
+    resampled law approximates the null law of the statistic.  The moments of
+    all resamples are GEMMs of their count weights W against the standardized
+    sample, one pair block x_c x_{c+1..p} at a time.  Degenerate resamples
+    (see ``_DEGENERATE``) are redrawn from the same stream after the batch;
+    more than B redraws raise DegenerateInputError.
     """
     kind = StatKind(kind)
     if draws < 50:
         raise ValueError(f"need at least 50 bootstrap draws, got {draws}")
     n, p = samples.n, samples.p
-    i, j = pair_indices(p)
-    if kind is StatKind.SECOND_ORDER:
-        x_full = standardize(samples).data
-        z_full_mean = (x_full[:, i] * x_full[:, j]).mean(axis=0)
-    else:
+    # Standardized on the full sample, resample means are O(n^-1/2): E[x^2] - mu^2 cannot cancel.
+    x = standardize(samples).data
+    if kind is not StatKind.SECOND_ORDER:
         t_hat = _transform(empirical_correlation(samples).pair_values(), n, kind)
     if rng is None:
         rng = make_rng(seed if seed is not None else 0)
-    rows = np.empty((draws, i.size))
-    redraws = 0
-    b = 0
-    while b < draws:
-        take = rng.integers(0, n, size=n)
-        x = samples.data[take]
-        xc = x - x.mean(axis=0)
-        norms = np.sqrt(np.einsum("ij,ij->j", xc, xc))
-        if np.any(norms <= 0.0):
-            redraws += 1
-            if redraws > draws:
-                raise DegenerateInputError(
-                    "too many degenerate bootstrap resamples (zero-variance column)"
-                )
-            continue
-        if kind is StatKind.SECOND_ORDER:
-            xs = xc / xc.std(axis=0)
-            z = xs[:, i] * xs[:, j]
-            theta = z.var(axis=0)
-            if np.any(theta <= 0.0):
-                redraws += 1
-                if redraws > draws:
-                    raise DegenerateInputError(
-                        "too many degenerate bootstrap resamples (zero theta)"
-                    )
+    rows = np.empty((draws, samples.m))
+    todo, redraws = np.arange(draws), 0
+    while todo.size:
+        take = rng.integers(0, n, size=(todo.size, n))
+        take += n * np.arange(todo.size)[:, None]
+        w = np.bincount(take.ravel(), minlength=take.size).reshape(take.shape) / n
+        mu, m2 = np.split(w @ np.hstack([x, x * x]), 2, axis=1)
+        var = m2 - mu * mu
+        bad = np.any(var <= _DEGENERATE, axis=1)
+        inv_sd = 1.0 / np.sqrt(np.maximum(var, _DEGENERATE))
+        for c in range(p - 1):
+            lo, hi = c * (2 * p - c - 1) // 2, (c + 1) * (2 * p - c - 2) // 2
+            xc, rest, mc, mr = x[:, c : c + 1], x[:, c + 1 :], mu[:, c : c + 1], mu[:, c + 1 :]
+            z = xc * rest
+            scale = inv_sd[:, c : c + 1] * inv_sd[:, c + 1 :]
+            if kind is not StatKind.SECOND_ORDER:
+                rows[todo, lo:hi] = _transform((w @ z - mc * mr) * scale, n, kind) - t_hat[lo:hi]
                 continue
-            rows[b] = np.sqrt(n) * (z.mean(axis=0) - z_full_mean) / np.sqrt(theta)
-        else:
-            corr = (xc.T @ xc) / np.outer(norms, norms)
-            rows[b] = _transform(np.clip(corr[i, j], -1.0, 1.0), n, kind) - t_hat
-        b += 1
+            e_z, e_cz, e_zr, e_zz = np.split(w @ np.hstack([z, xc * z, z * rest, z * z]), 4, 1)
+            r = (e_z - mc * mr) * scale
+            # theta = E[(x_c - mu_c)^2 (x_r - mu_r)^2] / (v_c v_r) - r^2, from raw moments.
+            fourth = e_zz - 2.0 * (mr * e_cz + mc * e_zr) + mc * mr * (4.0 * e_z - 3.0 * mc * mr)
+            fourth += mr * mr * m2[:, c : c + 1] + mc * mc * m2[:, c + 1 :]
+            theta = fourth * scale * scale - r * r
+            bad |= np.any(theta <= _DEGENERATE, axis=1)
+            theta = np.maximum(theta, _DEGENERATE)
+            rows[todo, lo:hi] = np.sqrt(n) * (r - z.mean(axis=0)) / np.sqrt(theta)
+        todo = todo[bad]
+        redraws += todo.size
+        if redraws > draws:
+            raise DegenerateInputError("too many degenerate bootstrap resamples")
     return DrawMatrix(rows, provenance="nonparametric-bootstrap")
 
 

@@ -144,6 +144,18 @@ class TestTestCommand:
         assert 'v1 [label="a\\"x"];' in text
         assert 'v2 [label="b\\\\y"];' in text
 
+    def test_oversized_maxt_fails_fast(self, tmp_path, capsys):
+        # p=2000 gives m ~ 2e6 pairs: the m x m covariance needs ~200 TB.
+        path = tmp_path / "wide.csv"
+        data = np.random.default_rng(4).normal(size=(6, 2000))
+        np.savetxt(path, data, delimiter=",", comments="",
+                   header=",".join(f"v{c}" for c in range(2000)))
+        assert main(["test", "--input", str(path), "--stat", "fisher", "--method", "maxt",
+                     "--output", str(tmp_path / "o.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: maxt needs about") and " GB " in err
+        assert not (tmp_path / "o.csv").exists()
+
     def test_degenerate_column_named(self, tmp_path, capsys):
         bad = tmp_path / "degen.csv"
         rows = ["height,const"] + [f"{v},5.0" for v in range(10)]

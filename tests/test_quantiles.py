@@ -16,10 +16,46 @@ from corrgraph import (
     bootstrap_draw_matrix,
     bootstrap_max_quantile,
     cholesky_psd,
+    make_rng,
     max_gauss_quantile,
     quantile_from_draws,
     sidak_threshold,
 )
+from corrgraph.core import empirical_correlation, pair_indices, standardize
+from corrgraph.stats import _transform
+
+
+def loop_bootstrap_draws(samples, kind, draws, rng):
+    """Reference bootstrap: one gather, centring and p x p GEMM per resample.
+
+    Degenerate resamples (a zero-variance column, or a zero second-order
+    theta) are skipped and the next indices of the stream are used instead.
+    """
+    n, p = samples.n, samples.p
+    i, j = pair_indices(p)
+    if kind is StatKind.SECOND_ORDER:
+        x_full = standardize(samples).data
+        z_full_mean = (x_full[:, i] * x_full[:, j]).mean(axis=0)
+    else:
+        t_hat = _transform(empirical_correlation(samples).pair_values(), n, kind)
+    rows = []
+    while len(rows) < draws:
+        x = samples.data[rng.integers(0, n, size=n)]
+        xc = x - x.mean(axis=0)
+        norms = np.sqrt(np.einsum("ij,ij->j", xc, xc))
+        if np.any(norms <= 0.0):
+            continue
+        if kind is StatKind.SECOND_ORDER:
+            xs = xc / xc.std(axis=0)
+            z = xs[:, i] * xs[:, j]
+            theta = z.var(axis=0)
+            if np.any(theta <= 0.0):
+                continue
+            rows.append(np.sqrt(n) * (z.mean(axis=0) - z_full_mean) / np.sqrt(theta))
+        else:
+            corr = (xc.T @ xc) / np.outer(norms, norms)
+            rows.append(_transform(np.clip(corr[i, j], -1.0, 1.0), n, kind) - t_hat)
+    return np.array(rows)
 
 
 class TestClosedFormThresholds:
@@ -173,6 +209,40 @@ class TestBootstrap:
 
         with pytest.raises(DegenerateInputError):
             bootstrap_draw_matrix(samples, StatKind.EMPIRICAL, 50, rng=StuckRng())
+
+    @pytest.mark.parametrize("kind", list(StatKind))
+    @pytest.mark.parametrize("n,p", [(59, 4), (60, 4), (500, 26)])
+    def test_matches_per_resample_loop(self, kind, n, p):
+        data = np.random.default_rng(n * p).normal(size=(n, p)) @ (np.eye(p) + 0.2)
+        samples = SampleMatrix(data)
+        got = bootstrap_draw_matrix(samples, kind, 100, seed=9).draws
+        want = loop_bootstrap_draws(samples, kind, 100, make_rng(9))
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", list(StatKind))
+    def test_degenerate_row_redrawn_from_stream(self, samples, kind):
+        class FirstRowStuck:
+            """A real stream whose first resample repeats one row."""
+
+            def __init__(self):
+                self.rng = make_rng(11)
+                self.sizes = []
+
+            def integers(self, low, high, size):
+                out = self.rng.integers(low, high, size=size)
+                if not self.sizes:
+                    out[0] = 0
+                self.sizes.append(size)
+                return out
+
+        rng = FirstRowStuck()
+        got = bootstrap_draw_matrix(samples, kind, 60, rng=rng).draws
+        assert rng.sizes == [(60, samples.n), (1, samples.n)]
+        assert np.all(np.isfinite(got))
+        # The stream's 61st resample replaces row 0; rows 1..59 are unchanged.
+        want = loop_bootstrap_draws(samples, kind, 61, make_rng(11))
+        np.testing.assert_allclose(got[1:], want[1:60], rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(got[0], want[60], rtol=0.0, atol=1e-12)
 
     def test_max_quantile_wrapper(self, samples):
         est = bootstrap_max_quantile(samples, StatKind.FISHER, 0.05, 100, seed=8)
