@@ -33,15 +33,11 @@ from .procedures import (
     is_mtp2_gaussian_abs,
     random_correlation_matrix,
     run_procedure,
-    single_step,
-    step_down,
 )
 from .quantiles import (
     DrawMatrix,
     QuantileEstimate,
-    bonferroni_threshold,
     bootstrap_draw_matrix,
-    bootstrap_max_quantile,
     cholesky_psd,
     max_gauss_quantile,
     quantile_from_draws,
@@ -99,9 +95,7 @@ __all__ = [
     "StatKind",
     "StatVector",
     "bh_fdr",
-    "bonferroni_threshold",
     "bootstrap_draw_matrix",
-    "bootstrap_max_quantile",
     "cholesky_psd",
     "correlation_model",
     "empirical_correlation",
@@ -125,8 +119,6 @@ __all__ = [
     "sample_gaussian",
     "sbm_adjacency",
     "sidak_threshold",
-    "single_step",
     "standardize",
     "statistic",
-    "step_down",
 ]

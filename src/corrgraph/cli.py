@@ -9,7 +9,7 @@ Exit codes
 0  success
 1  invalid flags or configuration
 2  malformed input CSV (message carries the line number)
-3  degenerate data column (message names the column)
+3  degenerate data column (message names the column) or bootstrap resamples
 4  correlation model not positive definite
 5  covariance matrix not symmetric / not positive semi-definite / singular
 
@@ -35,8 +35,16 @@ from .errors import (
     NotPositiveDefiniteError,
     SingularityError,
 )
-from .procedures import Method, ProcedureKind, run_procedure
-from .quantiles import max_gauss_quantile
+from .procedures import (
+    DEFAULT_BOOTSTRAP_DRAWS,
+    DEFAULT_MAXT_DRAWS,
+    Method,
+    ProcedureKind,
+    _gauss_draw_matrix,
+    run_procedure,
+)
+from .quantiles import bootstrap_draw_matrix, max_gauss_quantile
+from .rng import make_rng
 from .simulation import ExperimentConfig, correlation_model, run_experiment, sbm_adjacency
 from .stats import StatKind, fourth_moments, omega_gaussian, omega_general, p_values, statistic
 
@@ -67,16 +75,6 @@ class _CliError(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
-
-
-def _default_threads() -> int:
-    env = os.environ.get("CORRGRAPH_THREADS")
-    if env is None:
-        return 1
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
 
 
 def _read_samples_csv(path: str) -> SampleMatrix:
@@ -166,25 +164,28 @@ def cmd_test(args) -> int:
     except ValueError as exc:
         raise _CliError(EXIT_USAGE, str(exc))
 
-    context = {}
-    if method is Method.BOOT_RW:
-        context = {"samples": samples, "draws": args.draws or 100, "seed": args.seed}
-    elif method is Method.MAX_T:
-        _check_covariance_memory(samples, args.fourth_moment)
-        try:
+    draw_matrix = None
+    try:
+        if method is Method.BOOT_RW:
+            draws = DEFAULT_BOOTSTRAP_DRAWS if args.draws is None else args.draws
+            draw_matrix = bootstrap_draw_matrix(samples, kind, draws, seed=args.seed)
+        elif method is Method.MAX_T:
+            _check_covariance_memory(samples, args.fourth_moment)
             if args.fourth_moment:
                 sigma = omega_general(fourth_moments(samples), kind)
             else:
                 sigma = omega_gaussian(empirical_correlation(samples), kind)
-        except SingularityError as exc:
-            raise _CliError(EXIT_BAD_SIGMA, str(exc))
-        context = {"sigma": sigma, "draws": args.draws or 1000, "seed": args.seed}
-    try:
+            draws = DEFAULT_MAXT_DRAWS if args.draws is None else args.draws
+            draw_matrix = _gauss_draw_matrix(sigma, draws, make_rng(args.seed))
         result = run_procedure(
-            stats, args.alpha, ProcedureKind(method, stepdown=args.step_down), **context
+            stats, args.alpha, ProcedureKind(method, stepdown=args.step_down), draw_matrix
         )
-    except NotPositiveDefiniteError as exc:
+    except DegenerateInputError as exc:
+        raise _CliError(EXIT_DEGENERATE, f"degenerate input: {exc}")
+    except (NotPositiveDefiniteError, SingularityError) as exc:
         raise _CliError(EXIT_BAD_SIGMA, str(exc))
+    except ValueError as exc:
+        raise _CliError(EXIT_USAGE, str(exc))
 
     names = samples.column_names or tuple(str(c + 1) for c in range(samples.p))
     pvals = p_values(stats).values
@@ -408,9 +409,7 @@ def cmd_quantile(args) -> int:
     if sigma.shape[0] != sigma.shape[1] or not np.allclose(sigma, sigma.T, atol=1e-8):
         raise _CliError(EXIT_BAD_SIGMA, f"{args.sigma}: matrix is not symmetric")
     try:
-        estimate = max_gauss_quantile(
-            sigma, args.alpha, args.draws, seed=args.seed, store_draws=False
-        )
+        estimate = max_gauss_quantile(sigma, args.alpha, args.draws, seed=args.seed)
     except NotPositiveDefiniteError as exc:
         raise _CliError(EXIT_BAD_SIGMA, f"{args.sigma}: {exc}")
     except ValueError as exc:
@@ -484,8 +483,6 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors; the CLI contract reserves 2 for
         # malformed CSVs, so remap.
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    if getattr(args, "threads", None) is None and hasattr(args, "threads"):
-        args.threads = _default_threads()
     try:
         return args.func(args)
     except _CliError as exc:

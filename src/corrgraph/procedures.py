@@ -13,9 +13,12 @@ Five FWER-controlling rules are supported, each with a step-down variant:
 Ties follow the printed rules: non-strict for the p-value rule
 (p <= alpha/m), strict for statistic rules (|T| > t).
 
-The step-down loop re-applies the rule to the surviving index set until a
-fixpoint; resampled quantiles are re-evaluated on the surviving subset from
-the single DrawMatrix materialized up front, so the per-iteration thresholds
+:func:`run_procedure` is the one entry point for all five.  The resampled
+rules read their threshold from a ``DrawMatrix`` the caller builds first
+(:func:`~corrgraph.quantiles.bootstrap_draw_matrix` or
+:func:`_gauss_draw_matrix`).  The step-down loop re-applies the rule to the
+surviving index set until a fixpoint; resampled quantiles are re-read on the
+surviving subset from that one DrawMatrix, so the per-iteration thresholds
 are exactly decreasing and the loop is deterministic.
 """
 
@@ -28,23 +31,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPositiveDefiniteError
-from .quantiles import (
-    DrawMatrix,
-    _gauss_draws,
-    bootstrap_draw_matrix,
-    cholesky_psd,
-    quantile_from_draws,
-    sidak_threshold,
-)
+from .quantiles import DrawMatrix, _gauss_draws, cholesky_psd, quantile_from_draws, sidak_threshold
 from .stats import PairCovariance, PValueVector, StatVector, p_values
-from .rng import make_rng
 
 __all__ = [
     "Method",
     "ProcedureKind",
     "RejectionSet",
-    "single_step",
-    "step_down",
     "run_procedure",
     "bh_fdr",
     "is_mtp2_gaussian_abs",
@@ -105,11 +98,10 @@ class RejectionSet:
         return out
 
 
-def _gauss_draw_matrix(sigma, draws: int, seed, rng=None) -> DrawMatrix:
-    values = sigma.values if isinstance(sigma, PairCovariance) else np.asarray(sigma, float)
+def _gauss_draw_matrix(sigma, draws: int, rng: np.random.Generator) -> DrawMatrix:
+    """``draws`` rows from N(0, sigma), sigma an m x m pair covariance."""
+    values = sigma.values if isinstance(sigma, PairCovariance) else sigma
     factor, _ = cholesky_psd(values)
-    if rng is None:
-        rng = make_rng(seed if seed is not None else 0)
     return DrawMatrix(np.concatenate(list(_gauss_draws(factor, draws, rng))),
                       provenance="parametric-gaussian")
 
@@ -118,19 +110,13 @@ def run_procedure(
     stats: StatVector,
     alpha: float,
     procedure: ProcedureKind,
-    *,
-    samples=None,
-    sigma=None,
-    draws: int | None = None,
-    seed: int | None = 0,
     draw_matrix: DrawMatrix | None = None,
 ) -> RejectionSet:
     """Apply a procedure (single-step or step-down) to a statistic vector.
 
-    ``bootrw`` needs ``samples`` (the raw data to resample); ``maxt`` and
-    ``oracle-maxt`` need ``sigma`` (an m x m pair covariance).  A
-    pre-materialized ``draw_matrix`` may be passed to share randomness
-    across calls.
+    ``bootrw``, ``maxt`` and ``oracle-maxt`` read their threshold from
+    ``draw_matrix``, B resampled statistic vectors of width m; Bonferroni and
+    Sidak need none.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
@@ -140,19 +126,9 @@ def run_procedure(
     t_abs = np.abs(stats.values)
     m = t_abs.size
     pvals = p_values(stats)
-
-    dm = draw_matrix
-    if method is Method.BOOT_RW and dm is None:
-        if samples is None:
-            raise ValueError("bootrw requires the sample matrix")
-        dm = bootstrap_draw_matrix(
-            samples, stats.kind, draws or DEFAULT_BOOTSTRAP_DRAWS, seed=seed
-        )
-    elif method in (Method.MAX_T, Method.ORACLE_MAX_T) and dm is None:
-        if sigma is None:
-            raise ValueError(f"{method.value} requires a pair covariance")
-        dm = _gauss_draw_matrix(sigma, draws or DEFAULT_MAXT_DRAWS, seed)
-    if dm is not None and dm.m != m:
+    if draw_matrix is None and method not in (Method.BONFERRONI, Method.SIDAK):
+        raise ValueError(f"{method.value} requires a draw matrix")
+    if draw_matrix is not None and draw_matrix.m != m:
         raise ValueError("draw matrix width does not match statistic vector")
 
     alive = np.ones(m, dtype=bool)
@@ -169,7 +145,7 @@ def run_procedure(
             thr = sidak_threshold(alpha, subset.size)
             newly = subset[t_abs[subset] > thr]
         else:
-            thr = quantile_from_draws(dm, alpha, subset)
+            thr = quantile_from_draws(draw_matrix, alpha, subset)
             newly = subset[t_abs[subset] > thr]
         thresholds.append(float(thr))
         pair_thr[subset] = thr
@@ -191,16 +167,6 @@ def run_procedure(
         pvalues=pvals,
         pair_thresholds=pair_thr,
     )
-
-
-def single_step(stats: StatVector, alpha: float, method: Method, **context) -> RejectionSet:
-    """One common threshold applied to all m tests simultaneously."""
-    return run_procedure(stats, alpha, ProcedureKind(method, stepdown=False), **context)
-
-
-def step_down(stats: StatVector, alpha: float, method: Method, **context) -> RejectionSet:
-    """Iterate the procedure on the surviving hypotheses until fixpoint."""
-    return run_procedure(stats, alpha, ProcedureKind(method, stepdown=True), **context)
 
 
 def bh_fdr(pvalues: PValueVector, alpha: float) -> RejectionSet:

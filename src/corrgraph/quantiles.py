@@ -1,11 +1,12 @@
 """Rejection thresholds: Sidak constants and resampled max-statistic quantiles.
 
-Two Monte Carlo routes produce a ``DrawMatrix`` of B simulated statistic
-vectors whose rowwise sup-norm is the max statistic:
+A ``DrawMatrix`` holds B simulated statistic vectors whose rowwise sup-norm
+is the max statistic.  Two Monte Carlo routes fill one:
 
-- :func:`max_gauss_quantile` draws from N_m(0, Sigma) (parametric route,
-  Sigma a plug-in or oracle pair covariance);
-- :func:`bootstrap_max_quantile` recomputes centered statistics on
+- ``procedures._gauss_draw_matrix`` draws from N_m(0, Sigma) (parametric
+  route, Sigma a plug-in or oracle pair covariance) in blocks from
+  :func:`_gauss_draws`;
+- :func:`bootstrap_draw_matrix` recomputes centered statistics on
   nonparametric resamples of the data.  The B resamples come from one
   ``integers(0, n, (B, n))`` draw, which yields the same indices, in order, as
   B successive draws of n.  Their count weights W (B x n) make every resample
@@ -14,11 +15,13 @@ vectors whose rowwise sup-norm is the max statistic:
   times the full-sample variance (or, for the second-order kind, whose theta
   is at most ``_DEGENERATE``) is redrawn from the same stream.
 
-Both return the empirical (1 - alpha)-quantile as the order statistic of
-rank ceil((1 - alpha) B), a conservative right-continuous convention.
-Step-down procedures re-evaluate the quantile on shrinking pair subsets from
-the *same* stored DrawMatrix, which makes subset monotonicity exact (not
-just statistical) and the step-down iteration deterministic.
+:func:`quantile_from_draws` reads the empirical (1 - alpha)-quantile as the
+order statistic of rank ceil((1 - alpha) B), a conservative right-continuous
+convention.  Step-down procedures re-read it on shrinking pair subsets of the
+*same* DrawMatrix, which makes subset monotonicity exact (not just
+statistical) and the step-down iteration deterministic.
+:func:`max_gauss_quantile` streams the Gaussian blocks and keeps only their
+rowwise maxima, for a single threshold at a B too large to store.
 """
 
 from __future__ import annotations
@@ -38,10 +41,9 @@ __all__ = [
     "QuantileEstimate",
     "DrawMatrix",
     "sidak_threshold",
-    "bonferroni_threshold",
     "cholesky_psd",
     "max_gauss_quantile",
-    "bootstrap_max_quantile",
+    "bootstrap_draw_matrix",
     "quantile_from_draws",
 ]
 
@@ -50,6 +52,10 @@ _JITTERS = (0.0, 1e-12, 1e-10, 1e-8)
 
 # Entries per block of Gaussian draws (32 MB of float64).
 _BLOCK_ENTRIES = 1 << 22
+
+# Smallest accepted draw counts: bootstrap resamples and Gaussian draws.
+_MIN_BOOTSTRAP_DRAWS = 50
+_MIN_GAUSS_DRAWS = 100
 
 # A bootstrap resample is degenerate when a column variance, relative to the
 # full-sample variance, or a second-order theta is at most this value.
@@ -60,19 +66,23 @@ _DEGENERATE = 1e-10
 class DrawMatrix:
     """B x m matrix of simulated/resampled statistic vectors.
 
-    provenance is "parametric-gaussian" or "nonparametric-bootstrap".
+    provenance is "parametric-gaussian" or "nonparametric-bootstrap".  A
+    float64 ndarray that owns its data is taken over, not copied: it is
+    marked read-only in place.  Any other input is copied first.
     """
 
     draws: np.ndarray
     provenance: str
 
     def __post_init__(self):
-        draws = np.asarray(self.draws, dtype=float)
+        draws = self.draws
+        if not (isinstance(draws, np.ndarray) and draws.dtype == np.float64
+                and draws.flags.owndata):
+            draws = np.array(draws, dtype=float)
         if draws.ndim != 2 or draws.shape[0] < 1:
             raise ValueError("draw matrix must be B x m with B >= 1")
-        if not np.all(np.isfinite(draws)):
+        if not np.isfinite(draws).all():
             raise ValueError("draw matrix contains non-finite entries")
-        draws = draws.copy()
         draws.flags.writeable = False
         object.__setattr__(self, "draws", draws)
 
@@ -92,15 +102,8 @@ class QuantileEstimate:
     value: float
     alpha: float
     draws: int
-    subset: tuple[int, ...]
     seed: int | None
-    draw_matrix: DrawMatrix | None = None
-    jitter: float | None = None
-
-
-def bonferroni_threshold(alpha: float, m: int) -> float:
-    """Two-sided statistic threshold equivalent to p <= alpha/m."""
-    return float(-ndtri(alpha / (2 * m)))
+    jitter: float
 
 
 def sidak_threshold(alpha: float, m: int) -> float:
@@ -142,7 +145,7 @@ def cholesky_psd(sigma: np.ndarray) -> tuple[np.ndarray, float]:
 def _subset_array(subset, m: int) -> np.ndarray:
     if subset is None:
         return np.arange(m)
-    idx = np.asarray(sorted(set(int(s) for s in subset)), dtype=int)
+    idx = np.unique(np.asarray(subset, dtype=int))
     if idx.size == 0:
         raise ValueError("subset must be non-empty")
     if idx[0] < 0 or idx[-1] >= m:
@@ -151,8 +154,10 @@ def _subset_array(subset, m: int) -> np.ndarray:
 
 
 def _max_quantile(maxima: np.ndarray, alpha: float) -> float:
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     rank = math.ceil((1.0 - alpha) * maxima.size)
-    return float(np.sort(maxima)[rank - 1])
+    return float(np.partition(maxima, rank - 1)[rank - 1])
 
 
 def quantile_from_draws(draw_matrix: DrawMatrix, alpha: float, subset=None) -> float:
@@ -161,64 +166,39 @@ def quantile_from_draws(draw_matrix: DrawMatrix, alpha: float, subset=None) -> f
     Order statistic of rank ceil((1 - alpha) B).  Reusing one DrawMatrix
     across nested subsets makes the result exactly monotone in the subset.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     idx = _subset_array(subset, draw_matrix.m)
     return _max_quantile(np.abs(draw_matrix.draws[:, idx]).max(axis=1), alpha)
 
 
 def _gauss_draws(factor: np.ndarray, draws: int, rng: np.random.Generator):
-    """Yield ``draws`` rows of xi @ factor.T, xi i.i.d. standard normal, in blocks.
+    """Blocks of xi @ factor.T, ``draws`` rows in all, xi i.i.d. standard normal.
 
-    With factor a Cholesky factor L of Sigma (or rows of one), each row is a
+    With factor a Cholesky factor L of Sigma, each row is a
     draw from N(0, L L^T).  The blocks consume one standard-normal stream in
     order, so the rows do not depend on the block size.
     """
+    if draws < _MIN_GAUSS_DRAWS:
+        raise ValueError(f"need at least {_MIN_GAUSS_DRAWS} draws, got {draws}")
     width = factor.shape[1]
     rows = max(1, _BLOCK_ENTRIES // max(width, 1))
-    for start in range(0, draws, rows):
-        yield rng.standard_normal((min(rows, draws - start), width)) @ factor.T
+    return (rng.standard_normal((min(rows, draws - start), width)) @ factor.T
+            for start in range(0, draws, rows))
 
 
 def max_gauss_quantile(
-    sigma: np.ndarray,
-    alpha: float,
-    draws: int,
-    subset=None,
-    seed: int | None = 0,
-    store_draws: bool = True,
+    sigma: np.ndarray, alpha: float, draws: int, seed: int | None = 0
 ) -> QuantileEstimate:
     """Monte Carlo (1-alpha)-quantile of the sup-norm of N_m(0, Sigma).
 
-    Simulates ``draws`` i.i.d. vectors L xi with L from :func:`cholesky_psd`.
-    With ``store_draws`` the DrawMatrix is kept on the estimate for
-    step-down subset reuse; without it only the subset-restricted rowwise
-    maxima are kept, block by block (for very large B the full matrix would
-    not fit in memory).  Both consume the same stream and give the same value.
+    Simulates ``draws`` i.i.d. vectors L xi with L from :func:`cholesky_psd`,
+    keeping only their rowwise maxima block by block, so B is not limited by
+    the memory of a B x m matrix.
     """
-    if draws < 100:
-        raise ValueError(f"need at least 100 draws, got {draws}")
-    sigma = np.asarray(sigma, dtype=float)
-    idx = _subset_array(subset, sigma.shape[0])
     factor, jitter = cholesky_psd(sigma)
     rng = make_rng(seed if seed is not None else 0)
-    dm = None
-    if store_draws:
-        dm = DrawMatrix(np.concatenate(list(_gauss_draws(factor, draws, rng))),
-                        provenance="parametric-gaussian")
-        value = quantile_from_draws(dm, alpha, idx)
-    else:
-        blocks = _gauss_draws(factor[idx], draws, rng)
-        value = _max_quantile(np.concatenate([np.abs(b).max(axis=1) for b in blocks]), alpha)
-    return QuantileEstimate(
-        value=value,
-        alpha=alpha,
-        draws=draws,
-        subset=tuple(int(v) for v in idx),
-        seed=seed,
-        draw_matrix=dm,
-        jitter=jitter,
-    )
+    blocks = _gauss_draws(factor, draws, rng)
+    value = _max_quantile(np.concatenate([np.abs(b).max(axis=1) for b in blocks]), alpha)
+    return QuantileEstimate(value=value, alpha=alpha, draws=draws, seed=seed, jitter=jitter)
 
 
 def bootstrap_draw_matrix(
@@ -239,8 +219,8 @@ def bootstrap_draw_matrix(
     more than B redraws raise DegenerateInputError.
     """
     kind = StatKind(kind)
-    if draws < 50:
-        raise ValueError(f"need at least 50 bootstrap draws, got {draws}")
+    if draws < _MIN_BOOTSTRAP_DRAWS:
+        raise ValueError(f"need at least {_MIN_BOOTSTRAP_DRAWS} bootstrap draws, got {draws}")
     n, p = samples.n, samples.p
     # Standardized on the full sample, resample means are O(n^-1/2): E[x^2] - mu^2 cannot cancel.
     x = standardize(samples).data
@@ -280,25 +260,3 @@ def bootstrap_draw_matrix(
         if redraws > draws:
             raise DegenerateInputError("too many degenerate bootstrap resamples")
     return DrawMatrix(rows, provenance="nonparametric-bootstrap")
-
-
-def bootstrap_max_quantile(
-    samples: SampleMatrix,
-    kind: StatKind,
-    alpha: float,
-    draws: int,
-    subset=None,
-    seed: int | None = 0,
-) -> QuantileEstimate:
-    """Romano-Wolf bootstrap (1-alpha)-quantile of the max centered statistic."""
-    dm = bootstrap_draw_matrix(samples, kind, draws, seed=seed)
-    idx = _subset_array(subset, dm.m)
-    value = quantile_from_draws(dm, alpha, idx)
-    return QuantileEstimate(
-        value=value,
-        alpha=alpha,
-        draws=draws,
-        subset=tuple(int(v) for v in idx),
-        seed=seed,
-        draw_matrix=dm,
-    )

@@ -32,7 +32,7 @@ from .procedures import (
     _gauss_draw_matrix,
     run_procedure,
 )
-from .quantiles import bootstrap_draw_matrix
+from .quantiles import _MIN_BOOTSTRAP_DRAWS, _MIN_GAUSS_DRAWS, bootstrap_draw_matrix
 from .rng import make_rng
 from .stats import StatKind, omega_gaussian, statistic
 
@@ -121,8 +121,8 @@ def sbm_adjacency(
     rng: np.random.Generator | None = None,
 ) -> AdjacencyMatrix:
     """Two-community SBM adjacency draw; each unordered pair drawn once."""
-    if p % 2 != 0:
-        raise ConfigError(f"SBM requires an even node count, got p={p}")
+    if p % 2 != 0 or p < 2:
+        raise ConfigError(f"SBM requires an even node count p >= 2, got p={p}")
     for name, value in (("p_intra", p_intra), ("p_inter", p_inter)):
         if not 0.0 <= value <= 1.0:
             raise ConfigError(f"{name} must be in [0, 1], got {value}")
@@ -246,6 +246,12 @@ class ExperimentConfig:
                 raise ConfigError("p_inter values must be in [0, 1]")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
+        if any(pk.method is Method.BH for pk in self.procedures):
+            raise ConfigError("procedures: bh is not an FWER procedure")
+        if self.bootrw_draws < _MIN_BOOTSTRAP_DRAWS:
+            raise ConfigError(f"bootrw_draws must be >= {_MIN_BOOTSTRAP_DRAWS}")
+        if self.maxt_draws < _MIN_GAUSS_DRAWS:
+            raise ConfigError(f"maxt_draws must be >= {_MIN_GAUSS_DRAWS}")
 
 
 @dataclass(frozen=True)
@@ -315,11 +321,11 @@ def _replicate_work(config, model_cache, pi_idx, rho_idx, n_idx, r):
                 dm_maxt = None
                 if need_maxt:
                     sigma_hat = omega_gaussian(empirical_correlation(data), kind)
-                    dm_maxt = _gauss_draw_matrix(sigma_hat, config.maxt_draws, None, rng=qrng)
+                    dm_maxt = _gauss_draw_matrix(sigma_hat, config.maxt_draws, qrng)
                 dm_oracle = None
                 if need_oracle:
                     sigma_true = omega_gaussian(model.gamma, kind)
-                    dm_oracle = _gauss_draw_matrix(sigma_true, config.maxt_draws, None, rng=qrng)
+                    dm_oracle = _gauss_draw_matrix(sigma_true, config.maxt_draws, qrng)
                 for k_idx, pk in enumerate(config.procedures):
                     dm = {
                         Method.BOOT_RW: dm_boot,

@@ -129,7 +129,7 @@ def test_criterion_02_identity_collapse():
 def test_criterion_03_gauss_quantile_matches_sidak():
     worst = 0.0
     for m in (1, 10, 325):
-        est = max_gauss_quantile(np.eye(m), 0.05, 200_000, seed=3, store_draws=False)
+        est = max_gauss_quantile(np.eye(m), 0.05, 200_000, seed=3)
         worst = max(worst, abs(est.value - sidak_threshold(0.05, m)))
     report(3, worst < 0.02, f"max |MC quantile - Sidak| = {worst:.4f} (< 0.02), m in {{1,10,325}}")
 
@@ -154,10 +154,10 @@ def test_criterion_04_holm_equivalence():
                 holm.add(int(idx))
             else:
                 break
-        from corrgraph import StatVector, step_down
+        from corrgraph import StatVector
 
         sv = StatVector(StatKind.EMPIRICAL, norm.ppf(1 - p / 2), 100)
-        got = step_down(sv, 0.05, Method.BONFERRONI).rejected
+        got = run_procedure(sv, 0.05, ProcedureKind(Method.BONFERRONI, True)).rejected
         if got != holm:
             mismatches += 1
     report(4, mismatches == 0, f"{mismatches} mismatches with Holm in 10000 random vectors")

@@ -168,6 +168,33 @@ class TestTestCommand:
     def test_unknown_flag_exits_one(self):
         assert run(["test", "--nope"]) == 1
 
+    @pytest.mark.parametrize("flags", [
+        ["--method", "sidak", "--alpha", "1.5"],
+        ["--method", "sidak", "--alpha", "0"],
+        ["--method", "bootrw", "--draws", "10"],
+        ["--method", "bootrw", "--draws", "0"],
+        ["--method", "bootrw", "--draws", "-3"],
+        ["--method", "maxt", "--draws", "5"],
+    ])
+    def test_bad_flag_values_exit_one(self, tmp_path, data_csv, capsys, flags):
+        path, _ = data_csv
+        out = tmp_path / "o.csv"
+        assert run(["test", "--input", path, "--stat", "fisher", *flags,
+                    "--output", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+    def test_degenerate_resamples_exit_three(self, tmp_path, capsys):
+        # Columns b and c are nonzero on one row each, so most resamples miss
+        # one of those rows and have a zero-variance column.
+        rows = ["a,b,c"] + [f"{v:.17g},{int(k == 0)},{int(k == 1)}"
+                            for k, v in enumerate(np.random.default_rng(2).normal(size=40))]
+        path = tmp_path / "spiky.csv"
+        path.write_text("\n".join(rows) + "\n")
+        assert run(["test", "--input", str(path), "--stat", "empirical", "--method", "bootrw",
+                    "--output", str(tmp_path / "o.csv")]) == 3
+        assert capsys.readouterr().err.startswith("error: degenerate input:")
+
 
 class TestSimulateCommand:
     def make_config(self, tmp_path, **extra):
@@ -248,6 +275,31 @@ class TestSimulateCommand:
         assert (tmp_path / "from_config.csv").exists()
 
 
+    @pytest.mark.parametrize("extra", [
+        {"procedures": [{"method": "bh"}]},
+        {"procedures": [{"method": "bootrw"}], "bootrw_draws": 10},
+        {"procedures": [{"method": "maxt"}], "maxt_draws": 50},
+    ])
+    def test_bad_config_values_exit_one(self, tmp_path, capsys, extra):
+        cfg = self.make_config(tmp_path, **extra)
+        out = tmp_path / "m.csv"
+        assert run(["simulate", "--config", cfg, "--output", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+    def test_threads_flag_then_config_then_one(self, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setattr("corrgraph.cli.run_experiment", lambda cfg: seen.append(cfg) or [])
+        monkeypatch.setenv("CORRGRAPH_THREADS", "3")
+        out = str(tmp_path / "m.csv")
+        assert run(["simulate", "--config", self.make_config(tmp_path, threads=4),
+                    "--output", out]) == 0
+        assert run(["simulate", "--config", self.make_config(tmp_path, threads=4),
+                    "--output", out, "--threads", "2"]) == 0
+        assert run(["simulate", "--config", self.make_config(tmp_path), "--output", out]) == 0
+        assert [cfg.threads for cfg in seen] == [4, 2, 1]
+
+
 class TestModelCommand:
     def test_writes_matrices(self, tmp_path, capsys):
         stem = str(tmp_path / "model")
@@ -271,6 +323,12 @@ class TestModelCommand:
         assert run(["model", "--p", "7", "--p-intra", "0.5", "--p-inter", "0.1",
                     "--rho", "0.1", "--output", str(tmp_path / "m")]) == 1
 
+    @pytest.mark.parametrize("p", ["0", "-2"])
+    def test_empty_model_exit_one(self, tmp_path, capsys, p):
+        assert run(["model", "--p", p, "--p-intra", "0.5", "--p-inter", "0.1",
+                    "--rho", "0.1", "--output", str(tmp_path / "m")]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestQuantileCommand:
     def test_identity(self, tmp_path, capsys):
@@ -290,3 +348,11 @@ class TestQuantileCommand:
         sigma = tmp_path / "sigma.csv"
         sigma.write_text("1.0,2.0\n2.0,1.0\n")
         assert run(["quantile", "--sigma", str(sigma), "--draws", "200"]) == 5
+
+    @pytest.mark.parametrize("alpha", ["2", "0", "-0.5"])
+    def test_bad_alpha_exit_one(self, tmp_path, capsys, alpha):
+        sigma = tmp_path / "sigma.csv"
+        np.savetxt(sigma, np.eye(3), delimiter=",")
+        assert run(["quantile", "--sigma", str(sigma), "--alpha", alpha, "--draws", "200"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "alpha" in err

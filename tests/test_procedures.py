@@ -16,13 +16,14 @@ from corrgraph import (
     StatKind,
     StatVector,
     bh_fdr,
+    bootstrap_draw_matrix,
     is_mtp2_gaussian_abs,
+    make_rng,
     random_correlation_matrix,
     run_procedure,
     sidak_threshold,
-    single_step,
-    step_down,
 )
+from corrgraph.procedures import _gauss_draw_matrix
 
 
 def stats_from_pvalues(pvals):
@@ -40,7 +41,7 @@ class TestSingleStep:
     def test_bonferroni_nonstrict_tie(self):
         # p exactly alpha/m is rejected (non-strict comparison).
         sv = stats_from_pvalues([0.05 / 3, 0.5, 0.9])
-        rs = single_step(sv, 0.05, Method.BONFERRONI)
+        rs = run_procedure(sv, 0.05, ProcedureKind(Method.BONFERRONI))
         assert rs.rejected == {0}
         assert rs.thresholds == (pytest.approx(0.05 / 3),)
         assert rs.pair_thresholds == pytest.approx([0.05 / 3] * 3)
@@ -48,14 +49,13 @@ class TestSingleStep:
     def test_sidak_strict_tie(self):
         thr = sidak_threshold(0.05, 2)
         sv = StatVector(StatKind.EMPIRICAL, np.array([thr, thr + 1e-9]), 100)
-        rs = single_step(sv, 0.05, Method.SIDAK)
+        rs = run_procedure(sv, 0.05, ProcedureKind(Method.SIDAK))
         assert rs.rejected == {1}
 
     def test_maxt_identity_close_to_sidak(self):
         sv = stats_from_pvalues([1e-6, 0.2, 0.04, 0.8])
-        rs = run_procedure(
-            sv, 0.05, ProcedureKind(Method.MAX_T), sigma=np.eye(4), draws=50000, seed=2
-        )
+        dm = _gauss_draw_matrix(np.eye(4), 50000, make_rng(2))
+        rs = run_procedure(sv, 0.05, ProcedureKind(Method.MAX_T), draw_matrix=dm)
         assert rs.thresholds[0] == pytest.approx(sidak_threshold(0.05, 4), abs=0.03)
         assert 0 in rs.rejected
 
@@ -67,9 +67,8 @@ class TestSingleStep:
         from corrgraph import statistic
 
         sv = statistic(samples, StatKind.EMPIRICAL)
-        rs = run_procedure(
-            sv, 0.05, ProcedureKind(Method.BOOT_RW), samples=samples, draws=200, seed=1
-        )
+        dm = bootstrap_draw_matrix(samples, StatKind.EMPIRICAL, 200, seed=1)
+        rs = run_procedure(sv, 0.05, ProcedureKind(Method.BOOT_RW), draw_matrix=dm)
         assert 0 in rs.rejected  # the planted (1,2) edge
 
     def test_required_context(self):
@@ -87,15 +86,8 @@ class TestSingleStep:
             run_procedure(sv, 0.05, ProcedureKind(Method.MAX_T), draw_matrix=dm)
 
     def test_not_pd_sigma_raises(self):
-        sv = stats_from_pvalues([0.01, 0.5])
         with pytest.raises(NotPositiveDefiniteError):
-            run_procedure(
-                sv,
-                0.05,
-                ProcedureKind(Method.MAX_T),
-                sigma=np.array([[1.0, 2.0], [2.0, 1.0]]),
-                draws=200,
-            )
+            _gauss_draw_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]), 200, make_rng(0))
 
 
 def holm_oracle(pvals, alpha):
@@ -117,7 +109,7 @@ class TestStepDown:
     @given(pvalue_vectors, st.floats(0.01, 0.2))
     def test_stepdown_bonferroni_is_holm(self, pvals, alpha):
         sv = stats_from_pvalues(pvals)
-        rs = step_down(sv, alpha, Method.BONFERRONI)
+        rs = run_procedure(sv, alpha, ProcedureKind(Method.BONFERRONI, True))
         assert rs.rejected == holm_oracle(rs.pvalues.values, alpha)
 
     @settings(max_examples=60)
@@ -125,8 +117,8 @@ class TestStepDown:
     def test_stepdown_contains_single_step(self, pvals, alpha):
         sv = stats_from_pvalues(pvals)
         for method in (Method.BONFERRONI, Method.SIDAK):
-            ss = single_step(sv, alpha, method)
-            sd = step_down(sv, alpha, method)
+            ss = run_procedure(sv, alpha, ProcedureKind(method))
+            sd = run_procedure(sv, alpha, ProcedureKind(method, True))
             assert ss.rejected <= sd.rejected
 
     @settings(max_examples=60)
@@ -150,8 +142,8 @@ class TestStepDown:
     def test_monotone_in_alpha(self, pvals, alpha, bump):
         sv = stats_from_pvalues(pvals)
         for method in (Method.BONFERRONI, Method.SIDAK):
-            lo = step_down(sv, alpha, method)
-            hi = step_down(sv, min(alpha + bump, 0.99), method)
+            lo = run_procedure(sv, alpha, ProcedureKind(method, True))
+            hi = run_procedure(sv, min(alpha + bump, 0.99), ProcedureKind(method, True))
             assert lo.rejected <= hi.rejected
 
     def test_stepdown_resampled_shares_one_draw_matrix(self):
@@ -167,7 +159,7 @@ class TestStepDown:
 
     def test_iterations_and_pair_thresholds(self):
         sv = stats_from_pvalues([1e-8, 0.013, 0.04, 0.9])
-        rs = step_down(sv, 0.05, Method.BONFERRONI)
+        rs = run_procedure(sv, 0.05, ProcedureKind(Method.BONFERRONI, True))
         # 0.05/4 rejects #0; 0.05/3 rejects #1; 0.05/2 fails on 0.04.
         assert rs.rejected == {0, 1}
         assert rs.iterations == 3
@@ -176,15 +168,17 @@ class TestStepDown:
 
     def test_all_rejected_terminates(self):
         sv = stats_from_pvalues([1e-10, 1e-9, 1e-8])
-        rs = step_down(sv, 0.05, Method.SIDAK)
+        rs = run_procedure(sv, 0.05, ProcedureKind(Method.SIDAK, True))
         assert rs.rejected == {0, 1, 2}
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(5)
         sv = StatVector(StatKind.EMPIRICAL, rng.normal(size=6) * 2.0, 50)
-        kw = dict(sigma=np.eye(6), draws=500, seed=11)
-        a = run_procedure(sv, 0.05, ProcedureKind(Method.MAX_T, True), **kw)
-        b = run_procedure(sv, 0.05, ProcedureKind(Method.MAX_T, True), **kw)
+        a, b = (
+            run_procedure(sv, 0.05, ProcedureKind(Method.MAX_T, True),
+                          draw_matrix=_gauss_draw_matrix(np.eye(6), 500, make_rng(11)))
+            for _ in range(2)
+        )
         assert a.rejected == b.rejected and a.thresholds == b.thresholds
 
 
@@ -223,7 +217,7 @@ class TestBH:
     @given(pvalue_vectors, st.floats(0.01, 0.2))
     def test_contains_bonferroni(self, pvals, alpha):
         sv = stats_from_pvalues(pvals)
-        bon = single_step(sv, alpha, Method.BONFERRONI)
+        bon = run_procedure(sv, alpha, ProcedureKind(Method.BONFERRONI))
         bh = bh_fdr(bon.pvalues, alpha)
         assert bon.rejected <= bh.rejected
 

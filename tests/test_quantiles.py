@@ -12,9 +12,7 @@ from corrgraph import (
     NotPositiveDefiniteError,
     SampleMatrix,
     StatKind,
-    bonferroni_threshold,
     bootstrap_draw_matrix,
-    bootstrap_max_quantile,
     cholesky_psd,
     make_rng,
     max_gauss_quantile,
@@ -60,10 +58,6 @@ def loop_bootstrap_draws(samples, kind, draws, rng):
 
 class TestClosedFormThresholds:
     def test_values_against_norm_ppf(self):
-        assert bonferroni_threshold(0.05, 1) == pytest.approx(norm.ppf(1 - 0.025), rel=1e-12)
-        assert bonferroni_threshold(0.05, 10) == pytest.approx(
-            norm.ppf(1 - 0.0025), rel=1e-12
-        )
         m = 325
         want = norm.ppf(0.5 * (1 - 0.05) ** (1 / m) + 0.5)
         assert sidak_threshold(0.05, m) == pytest.approx(want, rel=1e-12)
@@ -74,7 +68,7 @@ class TestClosedFormThresholds:
     @given(st.floats(0.001, 0.5), st.integers(1, 1000))
     def test_sidak_below_bonferroni(self, alpha, m):
         # Sidak is exact under independence, Bonferroni conservative.
-        assert sidak_threshold(alpha, m) <= bonferroni_threshold(alpha, m) + 1e-12
+        assert sidak_threshold(alpha, m) <= norm.isf(alpha / (2 * m)) + 1e-12
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
@@ -146,18 +140,20 @@ class TestQuantileFromDraws:
         with pytest.raises(ValueError):
             quantile_from_draws(dm, 1.5)
 
+    @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.1, 0.37])
+    def test_matches_sorted_order_statistic(self, alpha):
+        rng = np.random.default_rng(21)
+        dm = DrawMatrix(rng.normal(size=(333, 12)), provenance="parametric-gaussian")
+        subset = [7, 2, 2, 11, 0, 7]
+        maxima = np.abs(dm.draws[:, sorted(set(subset))]).max(axis=1)
+        want = np.sort(maxima)[int(np.ceil((1 - alpha) * 333)) - 1]
+        assert quantile_from_draws(dm, alpha, subset) == want
+
 
 class TestMaxGaussQuantile:
     def test_scalar_case_matches_normal_quantile(self):
         est = max_gauss_quantile(np.eye(1), 0.05, 40000, seed=3)
         assert est.value == pytest.approx(norm.ppf(0.975), abs=0.03)
-
-    def test_streaming_equals_stored(self):
-        sigma = np.array([[1.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 1.0]])
-        a = max_gauss_quantile(sigma, 0.1, 5000, seed=9, store_draws=True)
-        b = max_gauss_quantile(sigma, 0.1, 5000, seed=9, store_draws=False)
-        assert a.value == b.value
-        assert a.draw_matrix is not None and b.draw_matrix is None
 
     def test_deterministic_in_seed(self):
         sigma = np.eye(4)
@@ -244,13 +240,18 @@ class TestBootstrap:
         np.testing.assert_allclose(got[1:], want[1:60], rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(got[0], want[60], rtol=0.0, atol=1e-12)
 
-    def test_max_quantile_wrapper(self, samples):
-        est = bootstrap_max_quantile(samples, StatKind.FISHER, 0.05, 100, seed=8)
-        assert est.value > 0.0
-        assert est.draws == 100
-        assert est.subset == tuple(range(samples.m))
-        dm = est.draw_matrix
-        assert est.value == quantile_from_draws(dm, 0.05)
+
+def test_draw_matrix_takes_fresh_array():
+    fresh = np.random.default_rng(1).normal(size=(50, 6))
+    dm = DrawMatrix(fresh, provenance="parametric-gaussian")
+    assert np.shares_memory(dm.draws, fresh)
+    assert not fresh.flags.writeable and not dm.draws.flags.writeable
+    # A view or a non-float64 array is not the matrix's own: it is copied.
+    base = np.ones((50, 12))
+    for other in (base[:, ::2], np.ones((50, 6), dtype=np.float32)):
+        dm = DrawMatrix(other, provenance="parametric-gaussian")
+        assert not np.shares_memory(dm.draws, other) and other.flags.writeable
+        assert not dm.draws.flags.writeable
 
 
 def test_draw_matrix_validation():
