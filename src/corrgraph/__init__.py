@@ -62,7 +62,6 @@ from .stats import (
     StatKind,
     StatVector,
     fourth_moments,
-    isserlis_fourth_moments,
     omega_gaussian,
     omega_general,
     p_values,
@@ -102,7 +101,6 @@ __all__ = [
     "flat_to_pair",
     "fourth_moments",
     "is_mtp2_gaussian_abs",
-    "isserlis_fourth_moments",
     "make_rng",
     "max_gauss_quantile",
     "num_pairs",

@@ -20,10 +20,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import enum
 import json
 import math
 import os
 import sys
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -45,7 +47,13 @@ from .procedures import (
 )
 from .quantiles import bootstrap_draw_matrix, max_gauss_quantile
 from .rng import make_rng
-from .simulation import ExperimentConfig, correlation_model, run_experiment, sbm_adjacency
+from .simulation import (
+    ExperimentConfig,
+    MetricsRow,
+    correlation_model,
+    run_experiment,
+    sbm_adjacency,
+)
 from .stats import StatKind, fourth_moments, omega_gaussian, omega_general, p_values, statistic
 
 CONFIG_SCHEMA = "corrgraph-config-v1"
@@ -139,6 +147,8 @@ def _write_matrix_csv(path: str, matrix: np.ndarray) -> None:
 
 
 def _fmt(value) -> str:
+    if isinstance(value, enum.Enum):
+        return str(value.value)
     if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
@@ -154,6 +164,10 @@ def _fmt(value) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_test(args) -> int:
+    if args.fourth_moment and args.method != "maxt":
+        raise _CliError(EXIT_USAGE, "--fourth-moment applies only to --method maxt")
+    if args.draws is not None and args.method not in ("bootrw", "maxt"):
+        raise _CliError(EXIT_USAGE, "--draws applies only to --method bootrw or maxt")
     samples = _read_samples_csv(args.input)
     kind = _STAT_FLAGS[args.stat]
     method = _METHOD_FLAGS[args.method]
@@ -220,12 +234,13 @@ def cmd_test(args) -> int:
 def _check_covariance_memory(samples: SampleMatrix, fourth_moment: bool) -> None:
     """Fail fast when the max-T pair covariance cannot fit in physical memory.
 
-    The peak is about 7 m^2 floats (the m x m gathers of ``omega_gaussian``),
-    plus the p^4 moment tensor and its n x p^2 factor with the fourth-moment
-    plug-in.
+    Estimates from tracemalloc peaks: 7 m^2 floats for ``omega_gaussian``
+    (its m x m gathers); 3 m^2 + 4 n m for the fourth-moment plug-in (Omega,
+    its jittered copy and the Cholesky factor; the n x m influence matrix and
+    its build temporaries, measured at about 3.2 n m).
     """
-    m, n, p = samples.m, samples.n, samples.p
-    floats = 7 * m * m + (p**4 + n * p * p if fourth_moment else 0)
+    m, n = samples.m, samples.n
+    floats = 3 * m * m + 4 * n * m if fourth_moment else 7 * m * m
     try:
         available = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, OSError, ValueError):
@@ -259,24 +274,7 @@ def _write_graph(path: str, fmt: str, result, names, p: int) -> None:
 # corrgraph simulate
 # ---------------------------------------------------------------------------
 
-_CONFIG_KEYS = {
-    "schema",
-    "p",
-    "p_intra",
-    "p_inter",
-    "rho",
-    "n",
-    "stats",
-    "procedures",
-    "alpha",
-    "replicates",
-    "bootrw_draws",
-    "maxt_draws",
-    "seed",
-    "threads",
-    "adjacency_per_replicate",
-    "output",
-}
+_CONFIG_KEYS = {field.name for field in fields(ExperimentConfig)} | {"schema", "output"}
 
 
 def load_config(path: str) -> tuple[ExperimentConfig, str | None]:
@@ -330,8 +328,6 @@ def cmd_simulate(args) -> int:
     if args.reps is not None:
         overrides["replicates"] = args.reps
     if overrides:
-        from dataclasses import replace
-
         config = replace(config, **overrides)
     output = args.output or config_output
     if not output:
@@ -340,43 +336,12 @@ def cmd_simulate(args) -> int:
         rows = run_experiment(config)
     except ModelError as exc:
         raise _CliError(EXIT_NOT_PD, str(exc))
+    columns = [field.name for field in fields(MetricsRow)]
     with open(output, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(
-            [
-                "stat",
-                "method",
-                "stepdown",
-                "n",
-                "p_inter",
-                "rho",
-                "replicates",
-                "fwer",
-                "fwer_se",
-                "power",
-                "power_se",
-                "fdp",
-                "fdp_se",
-            ]
-        )
+        writer.writerow(columns)
         for row in rows:
-            writer.writerow(
-                [
-                    row.stat.value,
-                    row.method.value,
-                    int(row.stepdown),
-                    row.n,
-                    _fmt(row.p_inter),
-                    _fmt(row.rho),
-                    row.replicates,
-                    _fmt(row.fwer),
-                    _fmt(row.fwer_se),
-                    _fmt(row.power),
-                    _fmt(row.power_se),
-                    _fmt(row.fdp),
-                    _fmt(row.fdp_se),
-                ]
-            )
+            writer.writerow([_fmt(getattr(row, name)) for name in columns])
     print(f"wrote {len(rows)} metric rows to {output}")
     return EXIT_OK
 
@@ -406,8 +371,6 @@ def cmd_model(args) -> int:
 
 def cmd_quantile(args) -> int:
     sigma = _read_matrix_csv(args.sigma, EXIT_BAD_SIGMA)
-    if sigma.shape[0] != sigma.shape[1] or not np.allclose(sigma, sigma.T, atol=1e-8):
-        raise _CliError(EXIT_BAD_SIGMA, f"{args.sigma}: matrix is not symmetric")
     try:
         estimate = max_gauss_quantile(sigma, args.alpha, args.draws, seed=args.seed)
     except NotPositiveDefiniteError as exc:

@@ -151,6 +151,13 @@ class CorrelationMatrix:
         return self.values[i, j]
 
 
+def _owned_array(values) -> np.ndarray:
+    """``values`` itself if it is a float64 ndarray that owns its data, else a copy."""
+    if isinstance(values, np.ndarray) and values.dtype == np.float64 and values.flags.owndata:
+        return values
+    return np.array(values, dtype=float)
+
+
 def empirical_correlation(samples: SampleMatrix) -> CorrelationMatrix:
     """Pearson correlation matrix of the sample columns.
 

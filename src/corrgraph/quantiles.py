@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .core import SampleMatrix, empirical_correlation, standardize
+from .core import SampleMatrix, _owned_array, empirical_correlation, standardize
 from .errors import DegenerateInputError, NotPositiveDefiniteError
 from .rng import make_rng
 from .stats import StatKind, _transform
@@ -52,6 +52,9 @@ _JITTERS = (0.0, 1e-12, 1e-10, 1e-8)
 
 # Entries per block of Gaussian draws (32 MB of float64).
 _BLOCK_ENTRIES = 1 << 22
+
+# Entries per row block of the symmetry check in cholesky_psd (512 kB).
+_CHECK_ENTRIES = 1 << 16
 
 # Smallest accepted draw counts: bootstrap resamples and Gaussian draws.
 _MIN_BOOTSTRAP_DRAWS = 50
@@ -75,10 +78,7 @@ class DrawMatrix:
     provenance: str
 
     def __post_init__(self):
-        draws = self.draws
-        if not (isinstance(draws, np.ndarray) and draws.dtype == np.float64
-                and draws.flags.owndata):
-            draws = np.array(draws, dtype=float)
+        draws = _owned_array(self.draws)
         if draws.ndim != 2 or draws.shape[0] < 1:
             raise ValueError("draw matrix must be B x m with B >= 1")
         if not np.isfinite(draws).all():
@@ -121,20 +121,30 @@ def cholesky_psd(sigma: np.ndarray) -> tuple[np.ndarray, float]:
     Returns (L, eps) with L L^T = sigma + eps I, where eps is the smallest
     rung of the jitter ladder (multiples of the max diagonal) at which
     factorization succeeds.  Raises NotPositiveDefiniteError if even the
-    largest jitter fails.
+    largest jitter fails.  Sigma itself is factored at jitter 0; a positive
+    jitter goes on the diagonal of one copy.  The symmetry check compares row
+    blocks with column blocks, so no m x m temporary is built.
     """
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
         raise NotPositiveDefiniteError("matrix is not square")
-    if not np.allclose(sigma, sigma.T, atol=1e-8):
+    m = sigma.shape[0]
+    rows = max(1, _CHECK_ENTRIES // max(m, 1))
+    if not all(np.allclose(sigma[a : a + rows], sigma[:, a : a + rows].T, atol=1e-8)
+               for a in range(0, m, rows)):
         raise NotPositiveDefiniteError("matrix is not symmetric")
-    scale = float(np.max(np.diag(sigma))) if sigma.size else 1.0
+    diag = sigma.diagonal()
+    scale = float(np.max(diag)) if sigma.size else 1.0
     if scale <= 0.0:
         scale = 1.0
+    work = sigma
     for jitter in _JITTERS:
+        if jitter:
+            if work is sigma:
+                work = sigma.copy()
+            np.fill_diagonal(work, diag + jitter * scale)
         try:
-            factor = np.linalg.cholesky(sigma + (jitter * scale) * np.eye(sigma.shape[0]))
-            return factor, jitter * scale
+            return np.linalg.cholesky(work), jitter * scale
         except np.linalg.LinAlgError:
             continue
     raise NotPositiveDefiniteError(

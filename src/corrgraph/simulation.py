@@ -244,6 +244,8 @@ class ExperimentConfig:
         for v in self.p_inter:
             if not 0.0 <= v <= 1.0:
                 raise ConfigError("p_inter values must be in [0, 1]")
+        if any(v < 4 for v in self.n):
+            raise ConfigError("n values must be >= 4")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
         if any(pk.method is Method.BH for pk in self.procedures):

@@ -15,13 +15,13 @@ The joint asymptotic covariance Omega of each statistic vector is available
 both in Gaussian closed form (:func:`omega_gaussian`, a function of the
 correlation matrix alone) and as a fourth-moment plug-in valid for
 non-Gaussian data (:func:`fourth_moments` + :func:`omega_general`).  The
-plug-in is Omega = A^T M A: M holds the fourth moments of the pair products
-x_i x_j and the squares x_i^2, and A the influence weights of r_ij (1 on
-x_i x_j, -r_ij/2 on x_i^2 and on x_j^2).  The closed form is one four-index
-formula in rho_ik, rho_il, rho_jk, rho_jl; it is exact for pairs that share
-a variable and for identical pairs, so it needs no special cases.  The
-Student and Fisher covariances rescale the empirical one by the Delta
-method.
+plug-in is Omega = Psi^T Psi / n, one GEMM on the n x m matrix of the
+influence values of r_ij at each observation, x_i x_j - r_ij (x_i^2 + x_j^2)/2
+on the standardized columns; no p^4 moment array is formed.  The closed form
+is one four-index formula in rho_ik, rho_il, rho_jk, rho_jl; it is exact for
+pairs that share a variable and for identical pairs, so it needs no special
+cases.  The Student and Fisher covariances rescale the empirical one by the
+Delta method.
 
 The normal CDF/quantile are scipy's ``ndtr``/``ndtri`` (relative accuracy
 well below 1e-12 over the ranges used here).
@@ -35,7 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .core import CorrelationMatrix, SampleMatrix, empirical_correlation, pair_indices, standardize
+from .core import CorrelationMatrix, SampleMatrix, _owned_array, empirical_correlation
+from .core import pair_indices, standardize
 from .errors import DegenerateInputError, SingularityError
 
 __all__ = [
@@ -106,17 +107,20 @@ class PValueVector:
 
 @dataclass(frozen=True)
 class PairCovariance:
-    """m x m asymptotic covariance of a statistic vector, in pair order."""
+    """m x m asymptotic covariance of a statistic vector, in pair order.
+
+    A float64 ndarray that owns its data is taken over, not copied: it is
+    marked read-only in place.  Any other input is copied first.
+    """
 
     values: np.ndarray
     kind: StatKind
     source: str  # "gaussian-closed-form" | "fourth-moment-plugin" | "oracle"
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        values = _owned_array(self.values)
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise ValueError("pair covariance must be square")
-        values = values.copy()
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
@@ -127,23 +131,21 @@ class PairCovariance:
 
 @dataclass(frozen=True)
 class FourthMoments:
-    """Standardized fourth cross-moments rho_{ijkl} plus the correlations.
+    """Standardized sample ``x`` (n x p, divisor n) plus the correlations.
 
-    ``tensor[i, j, k, l]`` is the expectation of the product of the four
-    standardized (mean 0, variance 1) variables; symmetric under any
-    permutation of the indexes.
+    The plug-in fourth moment rho_{ijkl} is the column mean of
+    x_i x_j x_k x_l; it is never formed as a p^4 array.
     """
 
-    tensor: np.ndarray
+    x: np.ndarray
     corr: np.ndarray
 
     def __post_init__(self):
-        tensor = np.asarray(self.tensor, dtype=float)
+        x = np.asarray(self.x, dtype=float)
         corr = np.asarray(self.corr, dtype=float)
-        p = corr.shape[0]
-        if tensor.shape != (p, p, p, p):
-            raise ValueError("fourth-moment tensor shape does not match corr")
-        object.__setattr__(self, "tensor", tensor)
+        if x.ndim != 2 or corr.shape != (x.shape[1], x.shape[1]):
+            raise ValueError("standardized sample shape does not match corr")
+        object.__setattr__(self, "x", x)
         object.__setattr__(self, "corr", corr)
 
     @property
@@ -234,73 +236,46 @@ def _rescale(omega: np.ndarray, r: np.ndarray, kind: StatKind) -> np.ndarray:
         return omega
     if np.any(np.abs(r) >= 1.0):
         raise SingularityError("unit correlation: Student/Fisher covariance is singular")
-    d = np.outer(1.0 - r * r, 1.0 - r * r)
-    omega /= d**1.5 if kind is StatKind.STUDENT else d
+    d = 1.0 - r * r
+    if kind is StatKind.STUDENT:
+        d **= 1.5
+    omega /= d[:, None]
+    omega /= d
     return omega
 
 
 def fourth_moments(samples: SampleMatrix) -> FourthMoments:
-    """Plug-in standardized fourth cross-moments of the sample columns.
-
-    Averages products of four standardized columns (divisor n): the Gram
-    matrix of the n x p^2 matrix of pairwise column products, over n.
-    """
-    x = standardize(samples).data
-    n, p = x.shape
-    y = (x[:, :, None] * x[:, None, :]).reshape(n, p * p)
-    tensor = y.T @ y
-    tensor /= n
-    corr = empirical_correlation(samples).values
-    return FourthMoments(tensor=tensor.reshape(p, p, p, p), corr=corr)
-
-
-def isserlis_fourth_moments(gamma: CorrelationMatrix) -> FourthMoments:
-    """Exact Gaussian fourth moments from a correlation matrix.
-
-    rho_{ijkl} = rho_ij rho_kl + rho_ik rho_jl + rho_il rho_jk.  Used as an
-    analytic oracle linking :func:`omega_general` to :func:`omega_gaussian`.
-    """
-    g = gamma.values
-    tensor = (
-        np.einsum("ij,kl->ijkl", g, g)
-        + np.einsum("ik,jl->ijkl", g, g)
-        + np.einsum("il,jk->ijkl", g, g)
-    )
-    return FourthMoments(tensor=tensor, corr=g.copy())
+    """Plug-in fourth moments: the standardized sample and its correlations."""
+    return FourthMoments(x=standardize(samples).data, corr=empirical_correlation(samples).values)
 
 
 def omega_general(moments: FourthMoments, kind: StatKind) -> PairCovariance:
     """Asymptotic covariance from fourth moments (general distributions).
 
-    Omega = A^T M A, with M the moments of the pair products x_i x_j and
-    the squares x_i^2, and A the influence weights of r_ij: 1 on x_i x_j and
-    -r_ij/2 on x_i^2 and x_j^2.  The second-order kind uses the centered
-    pair-product moments, scaled by their variances.
+    Omega = Psi^T Psi / n, with Psi the n x m influence values of r_ij:
+    Psi_ij = x_i x_j - r_ij (x_i^2 + x_j^2) / 2 on the standardized columns,
+    then the Delta-method rescaling for Student/Fisher.  The second-order kind
+    uses the centered pair products x_i x_j - r_ij, each scaled to unit
+    variance.
     """
     kind = StatKind(kind)
-    p = moments.p
-    i, j = pair_indices(p)
+    x = moments.x
+    i, j = pair_indices(moments.p)
     r = moments.corr[i, j]
-    t = moments.tensor.reshape(p * p, p * p)
-    pairs, squares = i * p + j, np.arange(p) * (p + 1)
-    omega = t[np.ix_(pairs, pairs)]
-
+    psi = x[:, i]
+    psi *= x[:, j]
     if kind is StatKind.SECOND_ORDER:
-        omega -= np.outer(r, r)
-        var2 = np.diag(omega)
+        psi -= r
+        var2 = np.einsum("ij,ij->j", psi, psi) / x.shape[0]
         if np.any(var2 <= 0.0):
-            raise SingularityError(
-                "nonpositive second-order variance term rho_ijij - rho_ij^2"
-            )
-        omega /= np.sqrt(np.outer(var2, var2))
-        return PairCovariance(omega, kind=kind, source="fourth-moment-plugin")
-
-    # With A = [I; a], Omega = M_pp + h + h^T, h = M_ps a + a^T M_ss a / 2.
-    a = np.zeros((p, r.size))
-    cols = np.arange(r.size)
-    a[i, cols] = a[j, cols] = -0.5 * r
-    half = t[np.ix_(pairs, squares)] @ a
-    half += 0.5 * (a.T @ (t[np.ix_(squares, squares)] @ a))
-    omega += half
-    omega += half.T
-    return PairCovariance(_rescale(omega, r, kind), kind=kind, source="fourth-moment-plugin")
+            raise SingularityError("nonpositive second-order variance term rho_ijij - rho_ij^2")
+        psi /= np.sqrt(var2)
+    else:
+        sq = x * x
+        psi -= 0.5 * r * sq[:, i]
+        psi -= 0.5 * r * sq[:, j]
+    omega = psi.T @ psi
+    omega /= x.shape[0]
+    if kind is not StatKind.SECOND_ORDER:
+        omega = _rescale(omega, r, kind)
+    return PairCovariance(omega, kind=kind, source="fourth-moment-plugin")

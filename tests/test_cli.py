@@ -6,7 +6,14 @@ import json
 import numpy as np
 import pytest
 
-from corrgraph import correlation_model, sample_gaussian, sbm_adjacency
+from corrgraph import (
+    Method,
+    MetricsRow,
+    StatKind,
+    correlation_model,
+    sample_gaussian,
+    sbm_adjacency,
+)
 from corrgraph.cli import main
 
 
@@ -56,9 +63,10 @@ class TestTestCommand:
     def test_all_methods_run(self, tmp_path, data_csv, method):
         path, _ = data_csv
         out = tmp_path / f"{method}.csv"
+        draws = ["--draws", "100"] if method in ("bootrw", "maxt") else []
         code = run(
             ["test", "--input", path, "--stat", "student", "--method", method,
-             "--draws", "100", "--seed", "1", "--output", str(out)]
+             *draws, "--seed", "1", "--output", str(out)]
         )
         assert code == 0 and out.exists()
 
@@ -175,6 +183,10 @@ class TestTestCommand:
         ["--method", "bootrw", "--draws", "0"],
         ["--method", "bootrw", "--draws", "-3"],
         ["--method", "maxt", "--draws", "5"],
+        ["--method", "sidak", "--fourth-moment"],
+        ["--method", "bootrw", "--fourth-moment"],
+        ["--method", "bonferroni", "--draws", "100"],
+        ["--method", "sidak", "--draws", "1000"],
     ])
     def test_bad_flag_values_exit_one(self, tmp_path, data_csv, capsys, flags):
         path, _ = data_csv
@@ -224,10 +236,21 @@ class TestSimulateCommand:
         row = rows[0]
         assert list(row) == [
             "stat", "method", "stepdown", "n", "p_inter", "rho", "replicates",
-            "fwer", "fwer_se", "power", "power_se", "fdp", "fdp_se",
+            "fwer", "fwer_se", "power", "power_se", "fdp", "fdp_se", "failed_replicates",
         ]
         assert row["stat"] == "fisher" and row["stepdown"] == "1"
         assert 0.0 <= float(row["fwer"]) <= 1.0
+
+    def test_failed_replicates_written(self, tmp_path, monkeypatch):
+        row = MetricsRow(StatKind.FISHER, Method.SIDAK, True, 60, 0.2, 0.3, 4,
+                         0.0, 0.0, 1.0, 0.0, 0.0, 0.0, failed_replicates=2)
+        monkeypatch.setattr("corrgraph.cli.run_experiment", lambda cfg: [row])
+        out = tmp_path / "metrics.csv"
+        assert run(["simulate", "--config", self.make_config(tmp_path),
+                    "--output", str(out)]) == 0
+        with open(out, newline="") as fh:
+            (written,) = list(csv.DictReader(fh))
+        assert written["replicates"] == "4" and written["failed_replicates"] == "2"
 
     def test_nan_power_written_empty(self, tmp_path):
         cfg = self.make_config(tmp_path, p_intra=0.0, p_inter=[0.0], replicates=4)
@@ -279,6 +302,8 @@ class TestSimulateCommand:
         {"procedures": [{"method": "bh"}]},
         {"procedures": [{"method": "bootrw"}], "bootrw_draws": 10},
         {"procedures": [{"method": "maxt"}], "maxt_draws": 50},
+        {"n": [3]},
+        {"n": [60, 1]},
     ])
     def test_bad_config_values_exit_one(self, tmp_path, capsys, extra):
         cfg = self.make_config(tmp_path, **extra)

@@ -1,5 +1,7 @@
 """Thresholds, Cholesky with jitter, and Monte Carlo / bootstrap quantiles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -100,6 +102,36 @@ class TestCholeskyPsd:
             cholesky_psd(np.array([[1.0, 0.9], [0.1, 1.0]]))
         with pytest.raises(NotPositiveDefiniteError):
             cholesky_psd(np.array([[1.0, 2.0], [2.0, 1.0]]))  # indefinite
+
+    def test_asymmetry_found_in_any_row_block(self):
+        # The check compares row blocks with column blocks; put the one
+        # asymmetric entry far from the first block, on either side.
+        for a, b in ((1999, 3), (3, 1999)):
+            sigma = np.eye(2000)
+            sigma[a, b] = 1e-3
+            with pytest.raises(NotPositiveDefiniteError, match="symmetric"):
+                cholesky_psd(sigma)
+
+    def test_jitter_goes_on_a_copy(self):
+        g = np.random.default_rng(5).normal(size=(60, 20))
+        sigma = g @ g.T  # rank 20
+        before = sigma.copy()
+        factor, eps = cholesky_psd(sigma)
+        assert eps > 0.0
+        assert np.array_equal(sigma, before)
+        assert np.array_equal(factor, np.linalg.cholesky(sigma + eps * np.eye(60)))
+
+    def test_peak_memory_is_the_factor(self):
+        g = np.random.default_rng(6).normal(size=(2016, 40))
+        sigma = g @ g.T / 40 + np.eye(2016)
+        tracemalloc.start()
+        try:
+            factor, eps = cholesky_psd(sigma)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert eps == 0.0
+        assert peak < 1.3 * factor.nbytes
 
 
 class TestQuantileFromDraws:

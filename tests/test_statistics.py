@@ -1,9 +1,10 @@
 """Test statistics, p-values, and the asymptotic pair covariances.
 
 The covariance tests compare the vectorized implementations against slow
-scalar oracles written directly from the entrywise formulas, plus an
-analytic cross-check routing the Gaussian case through the fourth-moment
-formula with exact Gaussian moments.
+scalar oracles written directly from the entrywise formulas.  The
+fourth-moment plug-in is checked against an oracle that builds the p^4 moment
+tensor and evaluates Omega = A^T M A on it; fed the exact Gaussian (Isserlis)
+moments, that oracle reproduces the closed form.
 """
 
 import itertools
@@ -18,19 +19,22 @@ from scipy.stats import norm
 from corrgraph import (
     CorrelationMatrix,
     DegenerateInputError,
+    PairCovariance,
     SampleMatrix,
     SingularityError,
     StatKind,
     StatVector,
+    empirical_correlation,
     flat_to_pair,
     fourth_moments,
-    isserlis_fourth_moments,
     num_pairs,
     omega_gaussian,
     omega_general,
     p_values,
+    standardize,
     statistic,
 )
+from corrgraph.core import pair_indices
 
 ALL_KINDS = list(StatKind)
 
@@ -232,26 +236,78 @@ class TestOmegaGaussian:
         omega_gaussian(gamma, StatKind.EMPIRICAL)  # fine
 
 
+# ---------------------------------------------------------------------------
+# fourth-moment oracle: the p^4 tensor and Omega = A^T M A
+# ---------------------------------------------------------------------------
+
+def isserlis_tensor(gamma):
+    """Exact Gaussian fourth moments rho_ijkl = rho_ij rho_kl + rho_ik rho_jl + rho_il rho_jk."""
+    g = gamma.values
+    return (
+        np.einsum("ij,kl->ijkl", g, g)
+        + np.einsum("ik,jl->ijkl", g, g)
+        + np.einsum("il,jk->ijkl", g, g)
+    )
+
+
+def sample_tensor(samples):
+    """Plug-in fourth moments: Gram matrix of the n x p^2 pair products, over n."""
+    x = standardize(samples).data
+    n, p = x.shape
+    y = (x[:, :, None] * x[:, None, :]).reshape(n, p * p)
+    return (y.T @ y / n).reshape(p, p, p, p)
+
+
+def omega_from_tensor(tensor, corr, kind):
+    """Omega = A^T M A on the moments M of the pair products and the squares.
+
+    A holds the influence weights of r_ij: 1 on x_i x_j and -r_ij/2 on x_i^2
+    and x_j^2.  Second-order: the centered pair-product moments, scaled by
+    their variances.
+    """
+    p = corr.shape[0]
+    i, j = pair_indices(p)
+    r = corr[i, j]
+    t = tensor.reshape(p * p, p * p)
+    pairs, squares = i * p + j, np.arange(p) * (p + 1)
+    omega = t[np.ix_(pairs, pairs)]
+    if kind is StatKind.SECOND_ORDER:
+        omega -= np.outer(r, r)
+        var2 = np.diag(omega)
+        return omega / np.sqrt(np.outer(var2, var2))
+    a = np.zeros((p, r.size))
+    cols = np.arange(r.size)
+    a[i, cols] = a[j, cols] = -0.5 * r
+    a_full = np.vstack([np.eye(r.size), a])
+    m_full = t[np.ix_(np.concatenate([pairs, squares]), np.concatenate([pairs, squares]))]
+    omega = a_full.T @ m_full @ a_full
+    d = np.outer(1.0 - r * r, 1.0 - r * r)
+    if kind is StatKind.STUDENT:
+        omega /= d**1.5
+    elif kind is StatKind.FISHER:
+        omega /= d
+    return omega
+
+
 class TestFourthMomentRoute:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_gaussian_moments_reproduce_closed_form(self, kind):
         gamma = random_pd_correlation(5, 42)
-        via_moments = omega_general(isserlis_fourth_moments(gamma), kind).values
+        via_moments = omega_from_tensor(isserlis_tensor(gamma), gamma.values, kind)
         closed = omega_gaussian(gamma, kind).values
         assert np.allclose(via_moments, closed, atol=1e-10)
 
     def test_sample_moments_match_bruteforce(self):
         rng = np.random.default_rng(9)
         s = SampleMatrix(rng.normal(size=(12, 3)))
-        fm = fourth_moments(s)
+        tensor = sample_tensor(s)
         x = (s.data - s.data.mean(0)) / s.data.std(0)
         for idx in itertools.product(range(3), repeat=4):
             want = np.mean(x[:, idx[0]] * x[:, idx[1]] * x[:, idx[2]] * x[:, idx[3]])
-            assert fm.tensor[idx] == pytest.approx(want, rel=1e-10)
+            assert tensor[idx] == pytest.approx(want, rel=1e-10)
 
     def test_tensor_symmetry(self):
-        fm = isserlis_fourth_moments(random_pd_correlation(4, 3))
-        t = fm.tensor
+        t = isserlis_tensor(random_pd_correlation(4, 3))
         assert np.allclose(t, np.transpose(t, (1, 0, 2, 3)))
         assert np.allclose(t, np.transpose(t, (2, 3, 0, 1)))
         assert np.allclose(t, np.transpose(t, (0, 1, 3, 2)))
@@ -266,6 +322,25 @@ class TestFourthMomentRoute:
         assert np.max(np.abs(plug - truth)) < 0.1
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("n,p", [(60, 5), (200, 12), (500, 26)])
+def test_omega_general_matches_tensor_oracle(kind, n, p):
+    rng = np.random.default_rng(n + p)
+    samples = SampleMatrix(rng.standard_t(5, size=(n, p)) @ (np.eye(p) + 0.3))
+    got = omega_general(fourth_moments(samples), kind).values
+    want = omega_from_tensor(sample_tensor(samples), empirical_correlation(samples).values, kind)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_second_order_plugin_zero_variance_raises():
+    # Column b = a on 16 +-1 signs: the column norms are 4, so r = 1 exactly,
+    # and the pair product is 1 = r on every row.
+    signs = np.array([1.0, -1.0] * 8)
+    data = np.column_stack([signs, signs, np.random.default_rng(8).normal(size=16)])
+    with pytest.raises(SingularityError):
+        omega_general(fourth_moments(SampleMatrix(data)), StatKind.SECOND_ORDER)
+
+
 def test_second_order_degenerate_pair_raises():
     # Two balanced +-1 columns make Z constant: theta = 0 for that pair.
     rng = np.random.default_rng(21)
@@ -274,3 +349,16 @@ def test_second_order_degenerate_pair_raises():
     data = np.column_stack([signs, -signs, rng.normal(size=30)])
     with pytest.raises(DegenerateInputError):
         statistic(SampleMatrix(data), StatKind.SECOND_ORDER)
+
+
+def test_pair_covariance_takes_fresh_array():
+    fresh = np.eye(3)
+    cov = PairCovariance(fresh, kind=StatKind.EMPIRICAL, source="oracle")
+    assert np.shares_memory(cov.values, fresh)
+    assert not fresh.flags.writeable and not cov.values.flags.writeable
+    # A view or a non-float64 array is not the covariance's own: it is copied.
+    base = np.eye(6)
+    for other in (base[::2, ::2], np.eye(3, dtype=np.float32)):
+        cov = PairCovariance(other, kind=StatKind.EMPIRICAL, source="oracle")
+        assert not np.shares_memory(cov.values, other) and other.flags.writeable
+        assert not cov.values.flags.writeable
