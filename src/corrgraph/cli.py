@@ -4,6 +4,12 @@ All interchange is CSV; the simulate command is driven by a JSON config
 document (schema tag ``corrgraph-config-v1``, unknown keys rejected).
 Variable indexes are 1-based in every user-facing file, 0-based internally.
 
+``test`` parses the data CSV body with one ``np.loadtxt`` call; a row-by-row
+scanner runs only when that parse fails or its result is suspect, to find
+the first bad line (or to accept what ``float`` reads and ``loadtxt`` does
+not).  The edge CSV and the graph are written from the ``pair_indices``
+arrays, one formatting pass per chunk of rows.
+
 Exit codes
 ----------
 0  success
@@ -21,15 +27,17 @@ from __future__ import annotations
 import argparse
 import csv
 import enum
+import io
 import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
 
-from .core import SampleMatrix, empirical_correlation, flat_to_pair
+from .core import SampleMatrix, empirical_correlation, pair_indices
 from .errors import (
     ConfigError,
     DegenerateInputError,
@@ -54,7 +62,7 @@ from .simulation import (
     run_experiment,
     sbm_adjacency,
 )
-from .stats import StatKind, fourth_moments, omega_gaussian, omega_general, p_values, statistic
+from .stats import StatKind, fourth_moments, omega_gaussian, omega_general, statistic
 
 CONFIG_SCHEMA = "corrgraph-config-v1"
 
@@ -64,6 +72,10 @@ EXIT_BAD_CSV = 2
 EXIT_DEGENERATE = 3
 EXIT_NOT_PD = 4
 EXIT_BAD_SIGMA = 5
+
+# Edge-record rows formatted and written per chunk: about 2 MB of strings,
+# and no faster with more (tracemalloc and wall time at p=1000).
+_CHUNK_ROWS = 1 << 12
 
 _STAT_FLAGS = {
     "empirical": StatKind.EMPIRICAL,
@@ -86,12 +98,47 @@ class _CliError(Exception):
 
 
 def _read_samples_csv(path: str) -> SampleMatrix:
-    """Read an n x p data CSV: header row of variable names, float cells."""
+    """Read an n x p data CSV: header row of variable names, float cells.
+
+    The body is parsed in one ``np.loadtxt`` call.  When that call raises,
+    returns no rows or the wrong width, or leaves a non-finite cell,
+    :func:`_scan_samples_csv` reads the file again row by row, and its
+    verdict stands: the data, or the error with its line number.
+    """
     try:
         handle = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise _CliError(EXIT_BAD_CSV, f"cannot open {path}: {exc}")
+    data = None
     with handle:
+        header = next(csv.reader(handle), None)
+        if header is not None:
+            names = tuple(name.strip() for name in header)
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # loadtxt warns on an empty body
+                    data = np.loadtxt(handle, delimiter=",", comments=None, ndmin=2)
+            except ValueError:
+                pass
+    if data is None or data.shape[0] == 0 or data.shape[1] != len(names) \
+            or not np.isfinite(data).all():
+        names, data = _scan_samples_csv(path)
+    try:
+        return SampleMatrix(data, column_names=names)
+    except DegenerateInputError as exc:
+        raise _CliError(EXIT_DEGENERATE, f"degenerate input: {exc}")
+    except ValueError as exc:
+        raise _CliError(EXIT_BAD_CSV, f"{path}: {exc}")
+
+
+def _scan_samples_csv(path: str) -> tuple[tuple[str, ...], np.ndarray]:
+    """Row-by-row reader: the names and data, or the first bad line as exit 2.
+
+    Lines are counted as CSV records from the header on, blank ones
+    included.  Cells are read with ``float``, so it also accepts what
+    ``np.loadtxt`` refuses, such as ``1_0`` or a quoted number.
+    """
+    with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
@@ -123,12 +170,7 @@ def _read_samples_csv(path: str) -> SampleMatrix:
             if blank <= lineno:
                 lineno += 1
         raise _CliError(EXIT_BAD_CSV, f"{path}: line {lineno}: non-finite cell")
-    try:
-        return SampleMatrix(data, column_names=names)
-    except DegenerateInputError as exc:
-        raise _CliError(EXIT_DEGENERATE, f"degenerate input: {exc}")
-    except ValueError as exc:
-        raise _CliError(EXIT_BAD_CSV, f"{path}: {exc}")
+    return names, data
 
 
 def _read_matrix_csv(path: str, code: int) -> np.ndarray:
@@ -141,9 +183,22 @@ def _read_matrix_csv(path: str, code: int) -> np.ndarray:
 
 
 def _write_matrix_csv(path: str, matrix: np.ndarray) -> None:
+    matrix = np.asarray(matrix)
+    width = matrix.shape[1]
+    cells = _format_cells(matrix.ravel())
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        for row in np.asarray(matrix):
-            handle.write(",".join(_fmt(v) for v in row) + "\n")
+        handle.write("".join(",".join(cells[k : k + width]) + "\n"
+                             for k in range(0, len(cells), width)))
+
+
+def _format_cells(values: np.ndarray) -> list[str]:
+    """:func:`_fmt` of every entry of a 1-d bool, integer or float array."""
+    if values.dtype.kind in "biu":
+        return [str(int(v)) for v in values.tolist()]
+    cells = [format(v, ".10g") for v in values.tolist()]
+    for k in np.flatnonzero(np.isnan(values)).tolist():
+        cells[k] = ""
+    return cells
 
 
 def _fmt(value) -> str:
@@ -171,6 +226,10 @@ def cmd_test(args) -> int:
     samples = _read_samples_csv(args.input)
     kind = _STAT_FLAGS[args.stat]
     method = _METHOD_FLAGS[args.method]
+    draws = args.draws
+    if draws is None:
+        draws = DEFAULT_MAXT_DRAWS if method is Method.MAX_T else DEFAULT_BOOTSTRAP_DRAWS
+    _check_draw_memory(samples, method, draws, args.fourth_moment)
     try:
         stats = statistic(samples, kind)
     except DegenerateInputError as exc:
@@ -181,15 +240,12 @@ def cmd_test(args) -> int:
     draw_matrix = None
     try:
         if method is Method.BOOT_RW:
-            draws = DEFAULT_BOOTSTRAP_DRAWS if args.draws is None else args.draws
             draw_matrix = bootstrap_draw_matrix(samples, kind, draws, seed=args.seed)
         elif method is Method.MAX_T:
-            _check_covariance_memory(samples, args.fourth_moment)
             if args.fourth_moment:
                 sigma = omega_general(fourth_moments(samples), kind)
             else:
                 sigma = omega_gaussian(empirical_correlation(samples), kind)
-            draws = DEFAULT_MAXT_DRAWS if args.draws is None else args.draws
             draw_matrix = _gauss_draw_matrix(sigma, draws, make_rng(args.seed))
         result = run_procedure(
             stats, args.alpha, ProcedureKind(method, stepdown=args.step_down), draw_matrix
@@ -202,28 +258,11 @@ def cmd_test(args) -> int:
         raise _CliError(EXIT_USAGE, str(exc))
 
     names = samples.column_names or tuple(str(c + 1) for c in range(samples.p))
-    pvals = p_values(stats).values
-    with open(args.output, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ["i", "j", "name_i", "name_j", "statistic", "p_value", "threshold", "rejected"]
-        )
-        for flat in range(samples.m):
-            i, j = flat_to_pair(flat, samples.p)
-            writer.writerow(
-                [
-                    i,
-                    j,
-                    names[i - 1],
-                    names[j - 1],
-                    _fmt(stats.values[flat]),
-                    _fmt(pvals[flat]),
-                    _fmt(result.pair_thresholds[flat]),
-                    int(flat in result.rejected),
-                ]
-            )
+    mask = result.mask()
+    _write_edges(args.output, names, stats.values, result.pvalues.values,
+                 result.pair_thresholds, mask)
     if args.graph_output:
-        _write_graph(args.graph_output, args.graph_format, result, names, samples.p)
+        _write_graph(args.graph_output, args.graph_format, mask, names)
     print(
         f"m={samples.m} rejected={len(result.rejected)} "
         f"procedure={result.procedure.label} alpha={args.alpha}"
@@ -231,16 +270,27 @@ def cmd_test(args) -> int:
     return EXIT_OK
 
 
-def _check_covariance_memory(samples: SampleMatrix, fourth_moment: bool) -> None:
-    """Fail fast when the max-T pair covariance cannot fit in physical memory.
+def _check_draw_memory(samples: SampleMatrix, method: Method, draws: int,
+                       fourth_moment: bool) -> None:
+    """Fail fast when a resampled method's arrays cannot fit in physical memory.
 
-    Estimates from tracemalloc peaks: 7 m^2 floats for ``omega_gaussian``
-    (its m x m gathers); 3 m^2 + 4 n m for the fourth-moment plug-in (Omega,
-    its jittered copy and the Cholesky factor; the n x m influence matrix and
-    its build temporaries, measured at about 3.2 n m).
+    Both count the B x m draws, filled in place.  ``bootrw`` adds the B x n
+    count weights with their index matrix and its bincount (3 B n).  ``maxt``
+    adds its pair covariance, estimated from tracemalloc peaks: 7 m^2 floats
+    for ``omega_gaussian`` (its m x m gathers); 3 m^2 + 4 n m for the
+    fourth-moment plug-in (Omega, its jittered copy and the Cholesky factor;
+    the n x m influence matrix and its build temporaries, measured at about
+    3.2 n m).
     """
     m, n = samples.m, samples.n
-    floats = 3 * m * m + 4 * n * m if fourth_moment else 7 * m * m
+    if method is Method.BOOT_RW:
+        floats = draws * (m + 3 * n)
+        what, instead = f"the {draws} x m={m} bootstrap draws", "fewer --draws or --method sidak"
+    elif method is Method.MAX_T:
+        floats = draws * m + (3 * m * m + 4 * n * m if fourth_moment else 7 * m * m)
+        what, instead = f"the m={m} pair covariance", "--method sidak or bootrw"
+    else:
+        return
     try:
         available = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, OSError, ValueError):
@@ -248,14 +298,38 @@ def _check_covariance_memory(samples: SampleMatrix, fourth_moment: bool) -> None
     if 8 * floats > available:
         raise _CliError(
             EXIT_USAGE,
-            f"maxt needs about {8 * floats / 1e9:.1f} GB for the m={m} pair covariance, "
-            f"more than the {available / 1e9:.1f} GB of physical memory; "
-            "use --method sidak or bootrw",
+            f"{method.value} needs about {8 * floats / 1e9:.1f} GB for {what}, "
+            f"more than the {available / 1e9:.1f} GB of physical memory; use {instead}",
         )
 
 
-def _write_graph(path: str, fmt: str, result, names, p: int) -> None:
-    edges = [flat_to_pair(flat, p) for flat in sorted(result.rejected)]
+def _write_edges(path: str, names, stat_values, pvalues, thresholds, mask) -> None:
+    """The edge-record CSV: one row per pair in flat order, ``_CHUNK_ROWS`` rows per write."""
+    quoted = [_csv_field(name) for name in names]
+    first, second = pair_indices(len(names))
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        handle.write("i,j,name_i,name_j,statistic,p_value,threshold,rejected\r\n")
+        for a in range(0, first.size, _CHUNK_ROWS):
+            b = a + _CHUNK_ROWS
+            rows = zip(first[a:b].tolist(), second[a:b].tolist(),
+                       _format_cells(stat_values[a:b]), _format_cells(pvalues[a:b]),
+                       _format_cells(thresholds[a:b]), mask[a:b].tolist())
+            handle.write("".join(
+                f"{i + 1},{j + 1},{quoted[i]},{quoted[j]},{t},{pv},{thr},{r:d}\r\n"
+                for i, j, t, pv, thr, r in rows
+            ))
+
+
+def _csv_field(value: str) -> str:
+    """``value`` as ``csv.writer`` writes it as one field among several in a row."""
+    buffer = io.StringIO()
+    csv.writer(buffer).writerow(["", value])
+    return buffer.getvalue()[1:-2]
+
+
+def _write_graph(path: str, fmt: str, mask: np.ndarray, names) -> None:
+    first, second = pair_indices(len(names))
+    edges = zip((first[mask] + 1).tolist(), (second[mask] + 1).tolist())
     with open(path, "w", encoding="utf-8") as handle:
         if fmt == "dot":
             handle.write("graph corrgraph {\n")

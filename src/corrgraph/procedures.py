@@ -102,8 +102,10 @@ def _gauss_draw_matrix(sigma, draws: int, rng: np.random.Generator) -> DrawMatri
     """``draws`` rows from N(0, sigma), sigma an m x m pair covariance."""
     values = sigma.values if isinstance(sigma, PairCovariance) else sigma
     factor, _ = cholesky_psd(values)
-    return DrawMatrix(np.concatenate(list(_gauss_draws(factor, draws, rng))),
-                      provenance="parametric-gaussian")
+    rows = np.empty((max(draws, 0), factor.shape[1]))
+    for _block in _gauss_draws(factor, draws, rng, out=rows):
+        pass  # each block is already in its rows
+    return DrawMatrix(rows, provenance="parametric-gaussian")
 
 
 def run_procedure(

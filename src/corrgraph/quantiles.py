@@ -180,18 +180,21 @@ def quantile_from_draws(draw_matrix: DrawMatrix, alpha: float, subset=None) -> f
     return _max_quantile(np.abs(draw_matrix.draws[:, idx]).max(axis=1), alpha)
 
 
-def _gauss_draws(factor: np.ndarray, draws: int, rng: np.random.Generator):
+def _gauss_draws(factor: np.ndarray, draws: int, rng: np.random.Generator, out=None):
     """Blocks of xi @ factor.T, ``draws`` rows in all, xi i.i.d. standard normal.
 
     With factor a Cholesky factor L of Sigma, each row is a
     draw from N(0, L L^T).  The blocks consume one standard-normal stream in
-    order, so the rows do not depend on the block size.
+    order, so xi does not depend on the block size; the GEMM's last-bit
+    rounding can, so ``_BLOCK_ENTRIES`` is part of the seed contract.  With
+    ``out``, a ``draws`` x m array, each block is written into its rows.
     """
     if draws < _MIN_GAUSS_DRAWS:
         raise ValueError(f"need at least {_MIN_GAUSS_DRAWS} draws, got {draws}")
     width = factor.shape[1]
     rows = max(1, _BLOCK_ENTRIES // max(width, 1))
-    return (rng.standard_normal((min(rows, draws - start), width)) @ factor.T
+    return (np.matmul(rng.standard_normal((min(rows, draws - start), width)), factor.T,
+                      out=None if out is None else out[start : start + rows])
             for start in range(0, draws, rows))
 
 

@@ -2,17 +2,28 @@
 
 import csv
 import json
+import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrgraph import (
+    DegenerateInputError,
     Method,
     MetricsRow,
+    ProcedureKind,
+    SampleMatrix,
     StatKind,
+    cli,
     correlation_model,
+    flat_to_pair,
+    run_procedure,
     sample_gaussian,
     sbm_adjacency,
+    statistic,
 )
 from corrgraph.cli import main
 
@@ -33,6 +44,106 @@ def data_csv(tmp_path):
 
 def run(argv):
     return main(argv)
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the row-by-row reader and the per-pair writers that the CLI used
+# before the bulk parse and the vectorized writers.
+# ---------------------------------------------------------------------------
+
+def oracle_read_samples_csv(path):
+    """SampleMatrix of a data CSV read with csv.reader and float(), or cli._CliError."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise cli._CliError(2, f"{path}: line 1: empty file")
+        names = tuple(name.strip() for name in header)
+        rows = []
+        blank_lines = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                blank_lines.append(lineno)
+                continue
+            if len(row) != len(names):
+                raise cli._CliError(
+                    2, f"{path}: line {lineno}: expected {len(names)} fields, got {len(row)}"
+                )
+            try:
+                rows.append([float(cell) for cell in row])
+            except ValueError:
+                raise cli._CliError(2, f"{path}: line {lineno}: non-numeric cell")
+    if not rows:
+        raise cli._CliError(2, f"{path}: line 2: no data rows")
+    data = np.array(rows)
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        lineno = int(np.argmin(finite)) + 2
+        for blank in blank_lines:
+            if blank <= lineno:
+                lineno += 1
+        raise cli._CliError(2, f"{path}: line {lineno}: non-finite cell")
+    try:
+        return SampleMatrix(data, column_names=names)
+    except DegenerateInputError as exc:
+        raise cli._CliError(3, f"degenerate input: {exc}")
+    except ValueError as exc:
+        raise cli._CliError(2, f"{path}: {exc}")
+
+
+def oracle_fmt(value):
+    if isinstance(value, (bool, np.bool_)):
+        return "1" if value else "0"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    v = float(value)
+    return "" if math.isnan(v) else format(v, ".10g")
+
+
+def oracle_write_edges(path, names, statistic_values, pvalues, thresholds, rejected):
+    p = len(names)
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(
+            ["i", "j", "name_i", "name_j", "statistic", "p_value", "threshold", "rejected"]
+        )
+        for flat in range(p * (p - 1) // 2):
+            i, j = flat_to_pair(flat, p)
+            writer.writerow([i, j, names[i - 1], names[j - 1], oracle_fmt(statistic_values[flat]),
+                             oracle_fmt(pvalues[flat]), oracle_fmt(thresholds[flat]),
+                             int(flat in rejected)])
+
+
+def oracle_write_graph(path, fmt, rejected, names):
+    edges = [flat_to_pair(flat, len(names)) for flat in sorted(rejected)]
+    with open(path, "w", encoding="utf-8") as handle:
+        if fmt == "dot":
+            handle.write("graph corrgraph {\n")
+            for idx, name in enumerate(names, start=1):
+                label = name.replace("\\", "\\\\").replace('"', '\\"')
+                handle.write(f'  v{idx} [label="{label}"];\n')
+            for i, j in edges:
+                handle.write(f"  v{i} -- v{j};\n")
+            handle.write("}\n")
+        else:
+            for i, j in edges:
+                handle.write(f"{names[i - 1]}\t{names[j - 1]}\n")
+
+
+def oracle_write_matrix_csv(path, matrix):
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        for row in np.asarray(matrix):
+            handle.write(",".join(oracle_fmt(v) for v in row) + "\n")
+
+
+def read_outcome(reader, path):
+    """(exit code, stderr line, names, data) of one reader on one file."""
+    try:
+        samples = reader(path)
+    except cli._CliError as exc:
+        return exc.code, f"error: {exc}", None, None
+    return 0, "", samples.column_names, samples.data
 
 
 class TestTestCommand:
@@ -164,6 +275,18 @@ class TestTestCommand:
         assert err.startswith("error: maxt needs about") and " GB " in err
         assert not (tmp_path / "o.csv").exists()
 
+    def test_oversized_bootrw_fails_fast(self, tmp_path, capsys):
+        # 5000 resamples of m ~ 2e6 pairs: the draw matrix alone needs ~80 GB.
+        path = tmp_path / "wide.csv"
+        data = np.random.default_rng(4).normal(size=(6, 2000))
+        np.savetxt(path, data, delimiter=",", comments="",
+                   header=",".join(f"v{c}" for c in range(2000)))
+        assert main(["test", "--input", str(path), "--stat", "fisher", "--method", "bootrw",
+                     "--draws", "5000", "--output", str(tmp_path / "o.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bootrw needs about") and " GB " in err
+        assert not (tmp_path / "o.csv").exists()
+
     def test_degenerate_column_named(self, tmp_path, capsys):
         bad = tmp_path / "degen.csv"
         rows = ["height,const"] + [f"{v},5.0" for v in range(10)]
@@ -206,6 +329,148 @@ class TestTestCommand:
         assert run(["test", "--input", str(path), "--stat", "empirical", "--method", "bootrw",
                     "--output", str(tmp_path / "o.csv")]) == 3
         assert capsys.readouterr().err.startswith("error: degenerate input:")
+
+
+NAMES = ["a", "b c", '"x,y"', '"q""r"', "é", "v1", ""]
+NUMBERS = st.floats(-1e6, 1e6).flatmap(
+    lambda v: st.sampled_from([repr(v), f"{v:.17g}", f"{v:.3f}", f" {v:g} "])
+)
+ODD_CELLS = st.sampled_from(
+    ["1_0", '"4.5"', "nan", "inf", "-inf", "1e5000", "x", "", "+.5", "0x1", "\xa01"]
+)
+
+
+@st.composite
+def csv_texts(draw):
+    """Data CSV text with blank, whitespace-only, ragged and odd-cell lines."""
+    width = draw(st.integers(1, 4))
+    lines = [",".join(draw(st.lists(st.sampled_from(NAMES), min_size=width, max_size=width)))]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["row", "row", "row", "odd", "ragged", "blank", "space"]))
+        if kind == "blank":
+            lines.append("")
+        elif kind == "space":
+            lines.append(draw(st.sampled_from([" ", "\t", "  \t"])))
+        else:
+            size = width if kind != "ragged" else draw(st.integers(1, 5).filter(lambda k: k != width))
+            cells = draw(st.lists(NUMBERS, min_size=size, max_size=size))
+            if kind == "odd":
+                cells[draw(st.integers(0, size - 1))] = draw(ODD_CELLS)
+            lines.append(",".join(cells))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines) + (eol if draw(st.booleans()) else "")
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("reader")
+
+
+class TestReaderOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(text=csv_texts())
+    def test_matches_row_scanner(self, scratch, text):
+        path = scratch / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        code, err, names, data = read_outcome(cli._read_samples_csv, str(path))
+        want_code, want_err, want_names, want_data = read_outcome(oracle_read_samples_csv, str(path))
+        assert (code, err, names) == (want_code, want_err, want_names)
+        if want_data is not None:
+            assert data.tobytes() == want_data.tobytes()
+
+    @pytest.mark.parametrize("text, code, message", [
+        ("", 2, "line 1: empty file"),
+        ("a,b\n", 2, "line 2: no data rows"),
+        ("a,b\n\n\n", 2, "line 2: no data rows"),
+        ("a,b\n1,2\n  \n3,4\n", 2, "line 3: expected 2 fields, got 1"),
+        ("a\n  \n1\n2\n", 2, "line 2: non-numeric cell"),
+        ("a,b\n1,2\n3,4,5\n", 2, "line 3: expected 2 fields, got 3"),
+        ("a,b\r\n1,2\r\n\r\n3,inf\r\n", 2, "line 4: non-finite cell"),
+        ("a,b,c\n1,2\n3,4\n", 2, "line 2: expected 3 fields, got 2"),
+    ])
+    def test_error_lines(self, tmp_path, text, code, message):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(text.encode("utf-8"))
+        got = read_outcome(cli._read_samples_csv, str(path))
+        assert got[:2] == (code, f"error: {path}: {message}")
+        assert got[:2] == read_outcome(oracle_read_samples_csv, str(path))[:2]
+
+    def test_scanner_accepts_what_loadtxt_refuses(self, tmp_path):
+        path = tmp_path / "odd.csv"
+        path.write_text('"x,y",b\n1_0,"4.5"\n2,3\n', encoding="utf-8")
+        samples = cli._read_samples_csv(str(path))
+        assert samples.column_names == ("x,y", "b")
+        assert samples.data.tolist() == [[10.0, 4.5], [2.0, 3.0]]
+
+
+TRICKY_NAMES = ['a"b', "c,d", "e\\f", "g h", "ñ-ü", '"', "p\nq"]
+
+
+class TestWriterOracle:
+    def test_edges_and_graphs_match(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_CHUNK_ROWS", 4)  # 21 pairs: six chunks
+        rng = np.random.default_rng(8)
+        m = 21
+        values = rng.normal(size=(3, m)) * 10.0 ** rng.integers(-300, 300, size=(3, m))
+        values[0, [2, 5]] = np.nan
+        values[1, 7] = np.inf
+        values[2, [0, 9]] = [-np.inf, -0.0]
+        mask = rng.random(m) < 0.4
+        rejected = frozenset(np.flatnonzero(mask).tolist())
+        cli._write_edges(str(tmp_path / "e.csv"), TRICKY_NAMES, *values, mask)
+        oracle_write_edges(str(tmp_path / "o.csv"), TRICKY_NAMES, *values, rejected)
+        assert (tmp_path / "e.csv").read_bytes() == (tmp_path / "o.csv").read_bytes()
+        for fmt in ("dot", "edgelist"):
+            cli._write_graph(str(tmp_path / f"g.{fmt}"), fmt, mask, TRICKY_NAMES)
+            oracle_write_graph(str(tmp_path / f"o.{fmt}"), fmt, rejected, TRICKY_NAMES)
+            assert (tmp_path / f"g.{fmt}").read_bytes() == (tmp_path / f"o.{fmt}").read_bytes()
+
+    def test_cli_outputs_match(self, tmp_path):
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(120, 6))
+        x[:, 1] += x[:, 0]
+        x[:, 4] -= 0.8 * x[:, 2]
+        names = ['a"b', "c,d", "e\\f", "g h", "ñ-ü", "x"]
+        path = tmp_path / "data.csv"
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(names)
+            writer.writerows([[f"{v:.17g}" for v in row] for row in x])
+        samples = oracle_read_samples_csv(str(path))
+        assert samples.column_names == tuple(names)
+        stats = statistic(samples, StatKind.FISHER)
+        result = run_procedure(stats, 0.05, ProcedureKind(Method.SIDAK, stepdown=True))
+        assert result.rejected
+        oracle_write_edges(str(tmp_path / "o.csv"), names, stats.values, result.pvalues.values,
+                           result.pair_thresholds, result.rejected)
+        for fmt in ("dot", "edgelist"):
+            assert run(["test", "--input", str(path), "--stat", "fisher", "--method", "sidak",
+                        "--step-down", "--output", str(tmp_path / "e.csv"),
+                        "--graph-output", str(tmp_path / f"g.{fmt}"),
+                        "--graph-format", fmt]) == 0
+            assert (tmp_path / "e.csv").read_bytes() == (tmp_path / "o.csv").read_bytes()
+            oracle_write_graph(str(tmp_path / f"o.{fmt}"), fmt, result.rejected, names)
+            assert (tmp_path / f"g.{fmt}").read_bytes() == (tmp_path / f"o.{fmt}").read_bytes()
+
+    def test_no_flat_to_pair_calls(self, tmp_path, data_csv, monkeypatch):
+        calls = []
+
+        def spy(flat, p):
+            calls.append(flat)
+            return flat_to_pair(flat, p)
+
+        for name, module in list(sys.modules.items()):
+            if name == "corrgraph" or name.startswith("corrgraph."):
+                for attr, value in list(vars(module).items()):
+                    if value is flat_to_pair:
+                        monkeypatch.setattr(module, attr, spy)
+        path, _ = data_csv
+        for fmt in ("dot", "edgelist"):
+            assert run(["test", "--input", path, "--stat", "fisher", "--method", "sidak",
+                        "--step-down", "--output", str(tmp_path / "e.csv"),
+                        "--graph-output", str(tmp_path / "g"), "--graph-format", fmt]) == 0
+        assert (tmp_path / "g").read_text()
+        assert calls == []
 
 
 class TestSimulateCommand:
@@ -336,6 +601,15 @@ class TestModelCommand:
         gamma = np.loadtxt(stem + ".gamma.csv", delimiter=",")
         assert adj.shape == (8, 8) and gamma.shape == (8, 8)
         assert np.allclose(gamma, np.eye(8) + 0.2 * adj)
+
+    def test_matrices_match_oracle(self, tmp_path):
+        assert run(["model", "--p", "60", "--p-intra", "0.5", "--p-inter", "0.05",
+                    "--rho", "0.1", "--seed", "3", "--output", str(tmp_path / "model")]) == 0
+        adjacency = sbm_adjacency(60, 0.5, 0.05, seed=3)
+        oracle_write_matrix_csv(str(tmp_path / "a.csv"), adjacency.values)
+        oracle_write_matrix_csv(str(tmp_path / "g.csv"), correlation_model(adjacency, 0.1).gamma.values)
+        assert (tmp_path / "model.adjacency.csv").read_bytes() == (tmp_path / "a.csv").read_bytes()
+        assert (tmp_path / "model.gamma.csv").read_bytes() == (tmp_path / "g.csv").read_bytes()
 
     def test_infeasible_rho_exit_four(self, tmp_path, capsys):
         # Complete bipartite K_{4,4}: lambda_min = -4, bound 0.25.

@@ -1,5 +1,7 @@
 """Single-step and step-down procedures, BH, and the MTP2 check."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -23,6 +25,7 @@ from corrgraph import (
     run_procedure,
     sidak_threshold,
 )
+from corrgraph import procedures, quantiles
 from corrgraph.procedures import _gauss_draw_matrix
 
 
@@ -88,6 +91,44 @@ class TestSingleStep:
     def test_not_pd_sigma_raises(self):
         with pytest.raises(NotPositiveDefiniteError):
             _gauss_draw_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]), 200, make_rng(0))
+
+
+def concatenated_gauss_draws(factor, draws, rng, block_rows):
+    """Reference: Gaussian blocks of ``block_rows`` rows drawn one by one, then concatenated."""
+    width = factor.shape[1]
+    return np.concatenate([rng.standard_normal((min(block_rows, draws - a), width)) @ factor.T
+                           for a in range(0, draws, block_rows)])
+
+
+class TestGaussDrawMatrix:
+    @pytest.mark.parametrize("entries", [None, 1000])
+    def test_bit_identical_to_concatenated_blocks(self, monkeypatch, entries):
+        if entries is not None:
+            monkeypatch.setattr(quantiles, "_BLOCK_ENTRIES", entries)  # 22 rows: 23 blocks
+        sigma = random_correlation_matrix(45, make_rng(3))
+        factor, _ = quantiles.cholesky_psd(sigma)
+        got = _gauss_draw_matrix(sigma, 500, make_rng(5)).draws
+        want = concatenated_gauss_draws(factor, 500, make_rng(5), quantiles._BLOCK_ENTRIES // 45)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_draws_held_once(self, monkeypatch):
+        # With 2 MB blocks (130 rows at m = 2016) the peak is the B x m draws
+        # plus one block of standard normals; concatenated blocks hold the
+        # draws twice.  At the default 32 MB these draws are a single block,
+        # whose normals are as large as the draws.
+        m, draws = 2016, 1000
+        factor = np.tril(np.random.default_rng(7).normal(size=(m, m)))
+        monkeypatch.setattr(procedures, "cholesky_psd", lambda values: (factor, 0.0))
+        monkeypatch.setattr(quantiles, "_BLOCK_ENTRIES", 1 << 18)
+        rng = make_rng(1)
+        tracemalloc.start()
+        try:
+            dm = _gauss_draw_matrix(factor, draws, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dm.draws.shape == (draws, m)
+        assert peak < 1.3 * dm.draws.nbytes
 
 
 def holm_oracle(pvals, alpha):
