@@ -62,7 +62,7 @@ from .simulation import (
     run_experiment,
     sbm_adjacency,
 )
-from .stats import StatKind, fourth_moments, omega_gaussian, omega_general, statistic
+from .stats import StatKind, statistic
 
 CONFIG_SCHEMA = "corrgraph-config-v1"
 
@@ -229,7 +229,7 @@ def cmd_test(args) -> int:
     draws = args.draws
     if draws is None:
         draws = DEFAULT_MAXT_DRAWS if method is Method.MAX_T else DEFAULT_BOOTSTRAP_DRAWS
-    _check_draw_memory(samples, method, draws, args.fourth_moment)
+    _check_draw_memory(samples, method, draws)
     try:
         stats = statistic(samples, kind)
     except DegenerateInputError as exc:
@@ -242,11 +242,9 @@ def cmd_test(args) -> int:
         if method is Method.BOOT_RW:
             draw_matrix = bootstrap_draw_matrix(samples, kind, draws, seed=args.seed)
         elif method is Method.MAX_T:
-            if args.fourth_moment:
-                sigma = omega_general(fourth_moments(samples), kind)
-            else:
-                sigma = omega_gaussian(empirical_correlation(samples), kind)
-            draw_matrix = _gauss_draw_matrix(sigma, draws, make_rng(args.seed))
+            draw_matrix = _gauss_draw_matrix(empirical_correlation(samples), kind, draws,
+                                             make_rng(args.seed),
+                                             sample=samples if args.fourth_moment else None)
         result = run_procedure(
             stats, args.alpha, ProcedureKind(method, stepdown=args.step_down), draw_matrix
         )
@@ -270,27 +268,16 @@ def cmd_test(args) -> int:
     return EXIT_OK
 
 
-def _check_draw_memory(samples: SampleMatrix, method: Method, draws: int,
-                       fourth_moment: bool) -> None:
+def _check_draw_memory(samples: SampleMatrix, method: Method, draws: int) -> None:
     """Fail fast when a resampled method's arrays cannot fit in physical memory.
 
-    Both count the B x m draws, filled in place.  ``bootrw`` adds the B x n
-    count weights with their index matrix and its bincount (3 B n).  ``maxt``
-    adds its pair covariance, estimated from tracemalloc peaks: 7 m^2 floats
-    for ``omega_gaussian`` (its m x m gathers); 3 m^2 + 4 n m for the
-    fourth-moment plug-in (Omega, its jittered copy and the Cholesky factor;
-    the n x m influence matrix and its build temporaries, measured at about
-    3.2 n m).
+    ``bootrw`` and ``maxt`` both need B (m + 3 n) floats: the B x m draws,
+    filled in place, plus at most 3 B n for the bootstrap's count weights
+    with their index matrix and bincount, or the fourth-moment multipliers.
     """
-    m, n = samples.m, samples.n
-    if method is Method.BOOT_RW:
-        floats = draws * (m + 3 * n)
-        what, instead = f"the {draws} x m={m} bootstrap draws", "fewer --draws or --method sidak"
-    elif method is Method.MAX_T:
-        floats = draws * m + (3 * m * m + 4 * n * m if fourth_moment else 7 * m * m)
-        what, instead = f"the m={m} pair covariance", "--method sidak or bootrw"
-    else:
+    if method not in (Method.BOOT_RW, Method.MAX_T):
         return
+    floats = draws * (samples.m + 3 * samples.n)
     try:
         available = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, OSError, ValueError):
@@ -298,8 +285,9 @@ def _check_draw_memory(samples: SampleMatrix, method: Method, draws: int,
     if 8 * floats > available:
         raise _CliError(
             EXIT_USAGE,
-            f"{method.value} needs about {8 * floats / 1e9:.1f} GB for {what}, "
-            f"more than the {available / 1e9:.1f} GB of physical memory; use {instead}",
+            f"{method.value} needs about {8 * floats / 1e9:.1f} GB for the {draws} x "
+            f"m={samples.m} draws, more than the {available / 1e9:.1f} GB of physical "
+            f"memory; use fewer --draws or --method sidak",
         )
 
 

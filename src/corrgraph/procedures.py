@@ -6,9 +6,10 @@ Five FWER-controlling rules are supported, each with a step-down variant:
 - ``sidak``: reject |T_i| > Phi^-1((1 - alpha)^(1/|C|) / 2 + 1/2)
 - ``bootrw``: reject |T_i| > bootstrap quantile of the max centered
   statistic over C (Romano-Wolf nonparametric bootstrap)
-- ``maxt``: reject |T_i| > Monte Carlo quantile of ||N(0, Sigma_hat)|_C||_inf
-  with the plug-in pair covariance
-- ``oracle-maxt``: maxt with the true (simulation-known) covariance
+- ``maxt``: reject |T_i| > Monte Carlo quantile of ||N(0, Omega_hat)|_C||_inf,
+  the Gaussian limit of the statistics at the plug-in correlation matrix (or
+  the fourth-moment plug-in)
+- ``oracle-maxt``: maxt at the true (simulation-known) correlation matrix
 
 Ties follow the printed rules: non-strict for the p-value rule
 (p <= alpha/m), strict for statistic rules (|T| > t).
@@ -16,10 +17,12 @@ Ties follow the printed rules: non-strict for the p-value rule
 :func:`run_procedure` is the one entry point for all five.  The resampled
 rules read their threshold from a ``DrawMatrix`` the caller builds first
 (:func:`~corrgraph.quantiles.bootstrap_draw_matrix` or
-:func:`_gauss_draw_matrix`).  The step-down loop re-applies the rule to the
-surviving index set until a fixpoint; resampled quantiles are re-read on the
-surviving subset from that one DrawMatrix, so the per-iteration thresholds
-are exactly decreasing and the loop is deterministic.
+:func:`_gauss_draw_matrix`, which maps p x p perturbations or multiplier
+weights to statistic draws and never forms the m x m Omega).  The step-down
+loop re-applies the rule to the surviving index set until a fixpoint;
+resampled quantiles are re-read on the surviving subset from that one
+DrawMatrix, so the per-iteration thresholds are exactly decreasing and the
+loop is deterministic.
 """
 
 from __future__ import annotations
@@ -30,9 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import CorrelationMatrix, pair_indices, standardize
 from .errors import NotPositiveDefiniteError
-from .quantiles import DrawMatrix, _gauss_draws, cholesky_psd, quantile_from_draws, sidak_threshold
-from .stats import PairCovariance, PValueVector, StatVector, p_values
+from .quantiles import _MIN_GAUSS_DRAWS, DrawMatrix, quantile_from_draws, sidak_threshold
+from .stats import PValueVector, StatKind, StatVector, _influence, _rescale, p_values
 
 __all__ = [
     "Method",
@@ -46,6 +50,12 @@ __all__ = [
 
 DEFAULT_BOOTSTRAP_DRAWS = 100
 DEFAULT_MAXT_DRAWS = 1000
+
+# Entries of the p x p perturbations per block of Gaussian max-T draws (256 kB)
+# and pair columns per chunk of fourth-moment draws.  The GEMMs' last bits
+# depend on both, so they are part of the seed contract.
+_PERTURBATION_ENTRIES = 1 << 15
+_PAIR_CHUNK = 128
 
 
 class Method(str, enum.Enum):
@@ -98,13 +108,52 @@ class RejectionSet:
         return out
 
 
-def _gauss_draw_matrix(sigma, draws: int, rng: np.random.Generator) -> DrawMatrix:
-    """``draws`` rows from N(0, sigma), sigma an m x m pair covariance."""
-    values = sigma.values if isinstance(sigma, PairCovariance) else sigma
-    factor, _ = cholesky_psd(values)
-    rows = np.empty((max(draws, 0), factor.shape[1]))
-    for _block in _gauss_draws(factor, draws, rng, out=rows):
-        pass  # each block is already in its rows
+def _gauss_draw_matrix(corr, kind: StatKind, draws: int, rng: np.random.Generator,
+                       sample=None) -> DrawMatrix:
+    """``draws`` rows from N(0, Omega), Omega the pair covariance of ``kind`` statistics.
+
+    Omega is never formed.  Without ``sample`` a row is psi(L H L^T): L L^T =
+    corr by ``eigh`` (exact when singular), H symmetric with N(0, 1) off and
+    N(0, 2) on the diagonal, psi_ij(S) = S_ij - r_ij (S_ii + S_jj) / 2 over the
+    Student/Fisher Delta derivative (S_ij / sqrt(1 + r_ij^2) for second-order),
+    so Omega = ``omega_gaussian(corr, kind)``.  With ``sample`` (of correlation
+    corr) a row is xi @ Psi, xi i.i.d. N(0, 1/n) multipliers and Psi the
+    influence matrix of ``omega_general``, so Omega = Psi^T Psi / n.
+    """
+    if draws < _MIN_GAUSS_DRAWS:
+        raise ValueError(f"need at least {_MIN_GAUSS_DRAWS} draws, got {draws}")
+    kind = StatKind(kind)
+    corr = np.asarray(corr.values if isinstance(corr, CorrelationMatrix) else corr, dtype=float)
+    p = corr.shape[0]
+    i, j = pair_indices(p)
+    r = corr[i, j]
+    rows = np.empty((draws, i.size))
+    if sample is not None:
+        x = standardize(sample).data
+        xi = rng.standard_normal((draws, x.shape[0])) / np.sqrt(x.shape[0])
+        for a in range(0, i.size, _PAIR_CHUNK):
+            pairs = slice(a, a + _PAIR_CHUNK)
+            rows[:, pairs] = xi @ _influence(x, r[pairs], i[pairs], j[pairs], kind)
+        return DrawMatrix(rows, provenance="parametric-gaussian")
+    lam, vec = np.linalg.eigh(corr)
+    if lam[0] < -1e-8 * max(lam[-1], 1.0):
+        raise NotPositiveDefiniteError("correlation matrix is not positive semi-definite")
+    root = vec * np.sqrt(np.maximum(lam, 0.0))
+    factor = (1.0 / np.sqrt(1.0 + r * r) if kind is StatKind.SECOND_ORDER
+              else _rescale(np.ones_like(r), r, kind))
+    upper, diag, flat = np.triu_indices(p), np.arange(p), i * p + j
+    block = max(1, _PERTURBATION_ENTRIES // (p * p))
+    for a in range(0, draws, block):
+        k = min(block, draws - a)
+        h, z = np.empty((k, p, p)), rng.standard_normal((k, upper[0].size))
+        h[:, upper[0], upper[1]] = h[:, upper[1], upper[0]] = z
+        h[:, diag, diag] *= np.sqrt(2.0)
+        s = (h.reshape(-1, p) @ root.T).reshape(k, p, p)  # H L^T, whose transpose is L H
+        s = (s.transpose(0, 2, 1).reshape(-1, p) @ root.T).reshape(k, p, p)
+        out = np.take(s.reshape(k, -1), flat, axis=1, out=rows[a : a + k])
+        if kind is not StatKind.SECOND_ORDER:
+            out -= 0.5 * r * (s[:, i, i] + s[:, j, j])
+        out *= factor
     return DrawMatrix(rows, provenance="parametric-gaussian")
 
 

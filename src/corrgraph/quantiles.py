@@ -3,9 +3,9 @@
 A ``DrawMatrix`` holds B simulated statistic vectors whose rowwise sup-norm
 is the max statistic.  Two Monte Carlo routes fill one:
 
-- ``procedures._gauss_draw_matrix`` draws from N_m(0, Sigma) (parametric
-  route, Sigma a plug-in or oracle pair covariance) in blocks from
-  :func:`_gauss_draws`;
+- ``procedures._gauss_draw_matrix`` draws from the Gaussian limit N_m(0, Omega)
+  of the statistics (plug-in, oracle or fourth-moment Omega) without forming
+  Omega: each row is a delta map of a p x p perturbation;
 - :func:`bootstrap_draw_matrix` recomputes centered statistics on
   nonparametric resamples of the data.  The B resamples come from one
   ``integers(0, n, (B, n))`` draw, which yields the same indices, in order, as
@@ -20,8 +20,9 @@ order statistic of rank ceil((1 - alpha) B), a conservative right-continuous
 convention.  Step-down procedures re-read it on shrinking pair subsets of the
 *same* DrawMatrix, which makes subset monotonicity exact (not just
 statistical) and the step-down iteration deterministic.
-:func:`max_gauss_quantile` streams the Gaussian blocks and keeps only their
-rowwise maxima, for a single threshold at a B too large to store.
+:func:`max_gauss_quantile` (``corrgraph quantile``, any m x m Sigma) factors
+Sigma with :func:`cholesky_psd` and streams Gaussian blocks, keeping only
+their rowwise maxima, for a single threshold at a B too large to store.
 """
 
 from __future__ import annotations
@@ -50,11 +51,12 @@ __all__ = [
 # Jitter ladder for nearly-PSD matrices, as multiples of the max diagonal.
 _JITTERS = (0.0, 1e-12, 1e-10, 1e-8)
 
-# Entries per block of Gaussian draws (32 MB of float64).
+# Entries per block of Gaussian draws in max_gauss_quantile (32 MB of float64).
 _BLOCK_ENTRIES = 1 << 22
 
-# Entries per row block of the symmetry check in cholesky_psd (512 kB).
-_CHECK_ENTRIES = 1 << 16
+# Entries per block of a blockwise scan (512 kB): the row blocks of the
+# symmetry check in cholesky_psd and the column chunks of quantile_from_draws.
+_SCAN_ENTRIES = 1 << 16
 
 # Smallest accepted draw counts: bootstrap resamples and Gaussian draws.
 _MIN_BOOTSTRAP_DRAWS = 50
@@ -129,7 +131,7 @@ def cholesky_psd(sigma: np.ndarray) -> tuple[np.ndarray, float]:
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
         raise NotPositiveDefiniteError("matrix is not square")
     m = sigma.shape[0]
-    rows = max(1, _CHECK_ENTRIES // max(m, 1))
+    rows = max(1, _SCAN_ENTRIES // max(m, 1))
     if not all(np.allclose(sigma[a : a + rows], sigma[:, a : a + rows].T, atol=1e-8)
                for a in range(0, m, rows)):
         raise NotPositiveDefiniteError("matrix is not symmetric")
@@ -175,27 +177,13 @@ def quantile_from_draws(draw_matrix: DrawMatrix, alpha: float, subset=None) -> f
 
     Order statistic of rank ceil((1 - alpha) B).  Reusing one DrawMatrix
     across nested subsets makes the result exactly monotone in the subset.
+    The maxima run over column chunks, so no B x |subset| copy is made.
     """
     idx = _subset_array(subset, draw_matrix.m)
-    return _max_quantile(np.abs(draw_matrix.draws[:, idx]).max(axis=1), alpha)
-
-
-def _gauss_draws(factor: np.ndarray, draws: int, rng: np.random.Generator, out=None):
-    """Blocks of xi @ factor.T, ``draws`` rows in all, xi i.i.d. standard normal.
-
-    With factor a Cholesky factor L of Sigma, each row is a
-    draw from N(0, L L^T).  The blocks consume one standard-normal stream in
-    order, so xi does not depend on the block size; the GEMM's last-bit
-    rounding can, so ``_BLOCK_ENTRIES`` is part of the seed contract.  With
-    ``out``, a ``draws`` x m array, each block is written into its rows.
-    """
-    if draws < _MIN_GAUSS_DRAWS:
-        raise ValueError(f"need at least {_MIN_GAUSS_DRAWS} draws, got {draws}")
-    width = factor.shape[1]
-    rows = max(1, _BLOCK_ENTRIES // max(width, 1))
-    return (np.matmul(rng.standard_normal((min(rows, draws - start), width)), factor.T,
-                      out=None if out is None else out[start : start + rows])
-            for start in range(0, draws, rows))
+    maxima, cols = np.zeros(draw_matrix.b), max(1, _SCAN_ENTRIES // draw_matrix.b)
+    for a in range(0, idx.size, cols):
+        np.maximum(maxima, np.abs(draw_matrix.draws[:, idx[a : a + cols]]).max(axis=1), out=maxima)
+    return _max_quantile(maxima, alpha)
 
 
 def max_gauss_quantile(
@@ -203,14 +191,20 @@ def max_gauss_quantile(
 ) -> QuantileEstimate:
     """Monte Carlo (1-alpha)-quantile of the sup-norm of N_m(0, Sigma).
 
-    Simulates ``draws`` i.i.d. vectors L xi with L from :func:`cholesky_psd`,
-    keeping only their rowwise maxima block by block, so B is not limited by
-    the memory of a B x m matrix.
+    Simulates ``draws`` i.i.d. vectors L xi with L from :func:`cholesky_psd`
+    in blocks of ``_BLOCK_ENTRIES`` (part of the seed contract), keeping only
+    their rowwise maxima, so B is not limited by the memory of a B x m matrix.
     """
     factor, jitter = cholesky_psd(sigma)
+    if draws < _MIN_GAUSS_DRAWS:
+        raise ValueError(f"need at least {_MIN_GAUSS_DRAWS} draws, got {draws}")
     rng = make_rng(seed if seed is not None else 0)
-    blocks = _gauss_draws(factor, draws, rng)
-    value = _max_quantile(np.concatenate([np.abs(b).max(axis=1) for b in blocks]), alpha)
+    width = factor.shape[1]
+    rows = max(1, _BLOCK_ENTRIES // max(width, 1))
+    value = _max_quantile(np.concatenate([
+        np.abs(rng.standard_normal((min(rows, draws - a), width)) @ factor.T).max(axis=1)
+        for a in range(0, draws, rows)
+    ]), alpha)
     return QuantileEstimate(value=value, alpha=alpha, draws=draws, seed=seed, jitter=jitter)
 
 

@@ -4,7 +4,9 @@ All randomness in the package flows through :func:`make_rng`.  Streams are
 built on numpy's counter-based Philox generator keyed through
 ``SeedSequence(master, spawn_key=stream)``, so the stream identified by a
 tuple such as ``(cell_index, replicate)`` is a pure function of the master
-seed and the tuple, independent of execution order and thread count.
+seed and the tuple, independent of execution order and of worker threads.
+Values computed from it by BLAS GEMMs (max-T and bootstrap draws) can differ
+in their last bits with the BLAS thread count and with the block sizes.
 """
 
 from __future__ import annotations

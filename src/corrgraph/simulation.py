@@ -11,7 +11,8 @@ of (statistic, procedure) combinations and aggregates FWER (fraction of
 replicates with at least one false rejection), power (mean true discovery
 proportion) and mean false discovery proportion.  All randomness derives
 from named substreams of the master seed (see :mod:`corrgraph.rng`), so
-results are bit-identical for a fixed seed regardless of thread count.
+results are bit-identical for a fixed seed at any ``threads``; the BLAS
+thread count can change the draws' last bits (see :mod:`corrgraph.rng`).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .procedures import (
 )
 from .quantiles import _MIN_BOOTSTRAP_DRAWS, _MIN_GAUSS_DRAWS, bootstrap_draw_matrix
 from .rng import make_rng
-from .stats import StatKind, omega_gaussian, statistic
+from .stats import StatKind, statistic
 
 __all__ = [
     "AdjacencyMatrix",
@@ -320,14 +321,12 @@ def _replicate_work(config, model_cache, pi_idx, rho_idx, n_idx, r):
                     if need_boot
                     else None
                 )
-                dm_maxt = None
+                dm_maxt = dm_oracle = None
                 if need_maxt:
-                    sigma_hat = omega_gaussian(empirical_correlation(data), kind)
-                    dm_maxt = _gauss_draw_matrix(sigma_hat, config.maxt_draws, qrng)
-                dm_oracle = None
+                    corr_hat = empirical_correlation(data)
+                    dm_maxt = _gauss_draw_matrix(corr_hat, kind, config.maxt_draws, qrng)
                 if need_oracle:
-                    sigma_true = omega_gaussian(model.gamma, kind)
-                    dm_oracle = _gauss_draw_matrix(sigma_true, config.maxt_draws, qrng)
+                    dm_oracle = _gauss_draw_matrix(model.gamma, kind, config.maxt_draws, qrng)
                 for k_idx, pk in enumerate(config.procedures):
                     dm = {
                         Method.BOOT_RW: dm_boot,
@@ -345,9 +344,9 @@ def _replicate_work(config, model_cache, pi_idx, rho_idx, n_idx, r):
 def run_experiment(config: ExperimentConfig) -> list[MetricsRow]:
     """Run the full Monte Carlo grid and aggregate one row per cell.
 
-    Deterministic for a fixed master seed independent of thread count:
-    every replicate's randomness is a pure function of its grid coordinates
-    and the aggregation happens in fixed replicate order.
+    Deterministic for a fixed master seed and BLAS thread count at any
+    ``config.threads``: every replicate's randomness is a pure function of its
+    grid coordinates and the aggregation happens in fixed replicate order.
     """
     # With the fixed-adjacency default, the graph depends only on p_inter
     # (matching captioned sparsity values); drawn from a dedicated stream.

@@ -21,7 +21,7 @@ on the standardized columns; no p^4 moment array is formed.  The closed form
 is one four-index formula in rho_ik, rho_il, rho_jk, rho_jl; it is exact for
 pairs that share a variable and for identical pairs, so it needs no special
 cases.  The Student and Fisher covariances rescale the empirical one by the
-Delta method.
+Delta method.  The max-T draws have these covariances but never form them.
 
 The normal CDF/quantile are scipy's ``ndtr``/``ndtri`` (relative accuracy
 well below 1e-12 over the ranges used here).
@@ -226,22 +226,22 @@ def omega_gaussian(gamma: CorrelationMatrix, kind: StatKind) -> PairCovariance:
         omega += 0.5 * r1 * r2 * (r_ik**2 + r_il**2 + r_jk**2 + r_jl**2)
         omega -= r1 * (r_ik * r_il + r_jk * r_jl)
         omega -= r2 * (r_ik * r_jk + r_il * r_jl)
-        omega = _rescale(omega, r, kind)
+        _rescale(omega, r, kind)
+        _rescale(omega.T, r, kind)  # the rows as well as the columns
     return PairCovariance(omega, kind=kind, source="gaussian-closed-form")
 
 
-def _rescale(omega: np.ndarray, r: np.ndarray, kind: StatKind) -> np.ndarray:
-    """Delta-method covariance of the Student/Fisher transforms of r, in place."""
+def _rescale(values: np.ndarray, r: np.ndarray, kind: StatKind) -> np.ndarray:
+    """Divide the last axis of ``values`` by the Student/Fisher Delta derivative at r, in place."""
     if kind is StatKind.EMPIRICAL:
-        return omega
+        return values
     if np.any(np.abs(r) >= 1.0):
         raise SingularityError("unit correlation: Student/Fisher covariance is singular")
     d = 1.0 - r * r
     if kind is StatKind.STUDENT:
         d **= 1.5
-    omega /= d[:, None]
-    omega /= d
-    return omega
+    values /= d
+    return values
 
 
 def fourth_moments(samples: SampleMatrix) -> FourthMoments:
@@ -252,16 +252,22 @@ def fourth_moments(samples: SampleMatrix) -> FourthMoments:
 def omega_general(moments: FourthMoments, kind: StatKind) -> PairCovariance:
     """Asymptotic covariance from fourth moments (general distributions).
 
-    Omega = Psi^T Psi / n, with Psi the n x m influence values of r_ij:
-    Psi_ij = x_i x_j - r_ij (x_i^2 + x_j^2) / 2 on the standardized columns,
-    then the Delta-method rescaling for Student/Fisher.  The second-order kind
-    uses the centered pair products x_i x_j - r_ij, each scaled to unit
-    variance.
+    Omega = Psi^T Psi / n, with Psi the n x m matrix of :func:`_influence`.
     """
     kind = StatKind(kind)
-    x = moments.x
     i, j = pair_indices(moments.p)
-    r = moments.corr[i, j]
+    psi = _influence(moments.x, moments.corr[i, j], i, j, kind)
+    omega = psi.T @ psi
+    omega /= moments.x.shape[0]
+    return PairCovariance(omega, kind=kind, source="fourth-moment-plugin")
+
+
+def _influence(x: np.ndarray, r: np.ndarray, i: np.ndarray, j: np.ndarray,
+               kind: StatKind) -> np.ndarray:
+    """n x k influence values of the ``kind`` statistics of pairs (i, j) with
+    correlations r on the standardized sample x: x_i x_j - r (x_i^2 + x_j^2)/2
+    over the Delta derivative, or for second-order x_i x_j - r at unit variance.
+    """
     psi = x[:, i]
     psi *= x[:, j]
     if kind is StatKind.SECOND_ORDER:
@@ -270,12 +276,7 @@ def omega_general(moments: FourthMoments, kind: StatKind) -> PairCovariance:
         if np.any(var2 <= 0.0):
             raise SingularityError("nonpositive second-order variance term rho_ijij - rho_ij^2")
         psi /= np.sqrt(var2)
-    else:
-        sq = x * x
-        psi -= 0.5 * r * sq[:, i]
-        psi -= 0.5 * r * sq[:, j]
-    omega = psi.T @ psi
-    omega /= x.shape[0]
-    if kind is not StatKind.SECOND_ORDER:
-        omega = _rescale(omega, r, kind)
-    return PairCovariance(omega, kind=kind, source="fourth-moment-plugin")
+        return psi
+    psi -= 0.5 * r * x[:, i] ** 2
+    psi -= 0.5 * r * x[:, j] ** 2
+    return _rescale(psi, r, kind)

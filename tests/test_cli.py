@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import corrgraph
 from corrgraph import (
     DegenerateInputError,
+    ExperimentConfig,
     Method,
     MetricsRow,
     ProcedureKind,
@@ -25,6 +27,7 @@ from corrgraph import (
     sbm_adjacency,
     statistic,
 )
+from corrgraph import procedures, quantiles, simulation, stats
 from corrgraph.cli import main
 
 
@@ -264,13 +267,13 @@ class TestTestCommand:
         assert 'v2 [label="b\\\\y"];' in text
 
     def test_oversized_maxt_fails_fast(self, tmp_path, capsys):
-        # p=2000 gives m ~ 2e6 pairs: the m x m covariance needs ~200 TB.
+        # 5000 Gaussian draws of m ~ 2e6 pairs: the draw matrix alone needs ~80 GB.
         path = tmp_path / "wide.csv"
         data = np.random.default_rng(4).normal(size=(6, 2000))
         np.savetxt(path, data, delimiter=",", comments="",
                    header=",".join(f"v{c}" for c in range(2000)))
         assert main(["test", "--input", str(path), "--stat", "fisher", "--method", "maxt",
-                     "--output", str(tmp_path / "o.csv")]) == 1
+                     "--draws", "5000", "--output", str(tmp_path / "o.csv")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: maxt needs about") and " GB " in err
         assert not (tmp_path / "o.csv").exists()
@@ -286,6 +289,41 @@ class TestTestCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: bootrw needs about") and " GB " in err
         assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("fourth", [[], ["--fourth-moment"]])
+    def test_maxt_at_p200(self, tmp_path, fourth):
+        # m = 19,900: an m x m covariance would need about 22 GB.
+        path = tmp_path / "wide.csv"
+        data = np.random.default_rng(5).normal(size=(500, 200))
+        np.savetxt(path, data, delimiter=",", comments="",
+                   header=",".join(f"v{c}" for c in range(200)))
+        out = tmp_path / "o.csv"
+        assert main(["test", "--input", str(path), "--stat", "fisher", "--method", "maxt",
+                     "--step-down", *fourth, "--draws", "100", "--output", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 19_901
+
+    def test_maxt_forms_no_pair_covariance(self, tmp_path, data_csv, monkeypatch):
+        # Every max-T route runs with the m x m covariance builders and the
+        # Cholesky factorization made to raise, wherever corrgraph binds them.
+        def refuse(*args, **kwargs):
+            raise AssertionError("m x m covariance built on the max-T path")
+
+        for fn in (stats.omega_gaussian, stats.omega_general, quantiles.cholesky_psd):
+            for module in (corrgraph, cli, procedures, quantiles, simulation, stats):
+                for attr, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, attr, refuse)
+        path, _ = data_csv
+        for fourth in ([], ["--fourth-moment"]):
+            assert run(["test", "--input", path, "--stat", "fisher", "--method", "maxt",
+                        "--step-down", *fourth, "--output", str(tmp_path / "o.csv")]) == 0
+        config = ExperimentConfig(p=6, p_intra=0.6, p_inter=(0.4,), rho=(0.2,), n=(60,),
+                                  procedures=(ProcedureKind(Method.MAX_T),
+                                              ProcedureKind(Method.ORACLE_MAX_T, True)),
+                                  replicates=3, maxt_draws=100, seed=1)
+        rows = simulation.run_experiment(config)
+        assert len(rows) == 2 * len(config.stats)
+        assert all(row.failed_replicates == 0 for row in rows)
 
     def test_degenerate_column_named(self, tmp_path, capsys):
         bad = tmp_path / "degen.csv"

@@ -9,24 +9,39 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from corrgraph import (
+    CorrelationMatrix,
     DrawMatrix,
     Method,
     NotPositiveDefiniteError,
     ProcedureKind,
     PValueVector,
     SampleMatrix,
+    SingularityError,
     StatKind,
     StatVector,
     bh_fdr,
     bootstrap_draw_matrix,
+    cholesky_psd,
+    empirical_correlation,
+    fourth_moments,
     is_mtp2_gaussian_abs,
     make_rng,
+    omega_gaussian,
+    omega_general,
+    quantile_from_draws,
     random_correlation_matrix,
     run_procedure,
     sidak_threshold,
 )
-from corrgraph import procedures, quantiles
+from corrgraph import procedures
 from corrgraph.procedures import _gauss_draw_matrix
+
+
+def sigma_draw_matrix(sigma, draws, rng):
+    """Oracle: ``draws`` rows xi @ L^T from N(0, sigma), L from cholesky_psd."""
+    factor, _ = cholesky_psd(sigma)
+    rows = rng.standard_normal((draws, factor.shape[1])) @ factor.T
+    return DrawMatrix(rows, provenance="parametric-gaussian")
 
 
 def stats_from_pvalues(pvals):
@@ -57,7 +72,7 @@ class TestSingleStep:
 
     def test_maxt_identity_close_to_sidak(self):
         sv = stats_from_pvalues([1e-6, 0.2, 0.04, 0.8])
-        dm = _gauss_draw_matrix(np.eye(4), 50000, make_rng(2))
+        dm = sigma_draw_matrix(np.eye(4), 50000, make_rng(2))
         rs = run_procedure(sv, 0.05, ProcedureKind(Method.MAX_T), draw_matrix=dm)
         assert rs.thresholds[0] == pytest.approx(sidak_threshold(0.05, 4), abs=0.03)
         assert 0 in rs.rejected
@@ -89,46 +104,116 @@ class TestSingleStep:
             run_procedure(sv, 0.05, ProcedureKind(Method.MAX_T), draw_matrix=dm)
 
     def test_not_pd_sigma_raises(self):
+        # Valid entries, but the smallest eigenvalue is -0.8.
+        corr = np.array([[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]])
         with pytest.raises(NotPositiveDefiniteError):
-            _gauss_draw_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]), 200, make_rng(0))
+            _gauss_draw_matrix(corr, StatKind.EMPIRICAL, 200, make_rng(0))
 
 
-def concatenated_gauss_draws(factor, draws, rng, block_rows):
-    """Reference: Gaussian blocks of ``block_rows`` rows drawn one by one, then concatenated."""
-    width = factor.shape[1]
-    return np.concatenate([rng.standard_normal((min(block_rows, draws - a), width)) @ factor.T
-                           for a in range(0, draws, block_rows)])
+class UnitNoise:
+    """Generator stand-in whose normals are the rows of an identity matrix, in order.
+
+    Fed to the draw builder, row k of the draws is the image of the k-th unit
+    noise vector, so D^T D is the covariance of the draws' law exactly.
+    """
+
+    def __init__(self):
+        self.row = 0
+
+    def standard_normal(self, size):
+        rows, width = size
+        out = np.eye(rows, width, self.row)
+        self.row += rows
+        return out
+
+
+def tdata(n, p, seed):
+    """Heavy-tailed, correlated n x p sample."""
+    return SampleMatrix(np.random.default_rng(seed).standard_t(5, size=(n, p)) @ (np.eye(p) + 0.3))
+
+
+def draw_law(route, p, seed=0, n=60):
+    """(corr, sample) of one draw route: a random correlation, or a t(5) sample."""
+    if route == "gaussian":
+        return CorrelationMatrix(random_correlation_matrix(p, make_rng(seed))), None
+    sample = tdata(n, p, seed)
+    return empirical_correlation(sample), sample
+
+
+def route_omega(route, corr, sample, kind):
+    if route == "gaussian":
+        return omega_gaussian(corr, kind).values
+    return omega_general(fourth_moments(sample), kind).values
 
 
 class TestGaussDrawMatrix:
-    @pytest.mark.parametrize("entries", [None, 1000])
-    def test_bit_identical_to_concatenated_blocks(self, monkeypatch, entries):
-        if entries is not None:
-            monkeypatch.setattr(quantiles, "_BLOCK_ENTRIES", entries)  # 22 rows: 23 blocks
-        sigma = random_correlation_matrix(45, make_rng(3))
-        factor, _ = quantiles.cholesky_psd(sigma)
-        got = _gauss_draw_matrix(sigma, 500, make_rng(5)).draws
-        want = concatenated_gauss_draws(factor, 500, make_rng(5), quantiles._BLOCK_ENTRIES // 45)
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    @pytest.mark.parametrize("kind", list(StatKind))
+    @pytest.mark.parametrize("route", ["gaussian", "fourth-moment"])
+    @pytest.mark.parametrize("p", [5, 12, 26])
+    def test_unit_noise_reproduces_omega(self, route, p, kind):
+        corr, sample = draw_law(route, p, seed=p)
+        width = p * (p + 1) // 2 if sample is None else sample.n
+        d = _gauss_draw_matrix(corr, kind, max(width, 100), UnitNoise(), sample=sample).draws
+        np.testing.assert_allclose(d.T @ d, route_omega(route, corr, sample, kind),
+                                   rtol=0, atol=1e-13)
 
-    def test_draws_held_once(self, monkeypatch):
-        # With 2 MB blocks (130 rows at m = 2016) the peak is the B x m draws
-        # plus one block of standard normals; concatenated blocks hold the
-        # draws twice.  At the default 32 MB these draws are a single block,
-        # whose normals are as large as the draws.
-        m, draws = 2016, 1000
-        factor = np.tril(np.random.default_rng(7).normal(size=(m, m)))
-        monkeypatch.setattr(procedures, "cholesky_psd", lambda values: (factor, 0.0))
-        monkeypatch.setattr(quantiles, "_BLOCK_ENTRIES", 1 << 18)
-        rng = make_rng(1)
-        tracemalloc.start()
-        try:
-            dm = _gauss_draw_matrix(factor, draws, rng)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert dm.draws.shape == (draws, m)
-        assert peak < 1.3 * dm.draws.nbytes
+    @pytest.mark.parametrize("route", ["gaussian", "fourth-moment"])
+    def test_sampled_covariance_within_one_percent(self, route):
+        corr, sample = draw_law(route, 5, seed=1, n=20)
+        for kind in StatKind:
+            rows = np.vstack([_gauss_draw_matrix(corr, kind, 100_000, make_rng(seed),
+                                                 sample=sample).draws for seed in range(4)])
+            want = route_omega(route, corr, sample, kind)
+            got = rows.T @ rows / rows.shape[0]
+            assert np.max(np.abs(got - want)) < 0.01 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("route", ["gaussian", "fourth-moment"])
+    def test_independent_of_block_size(self, monkeypatch, route):
+        corr, sample = draw_law(route, 12, seed=3)
+        want = [_gauss_draw_matrix(corr, kind, 500, make_rng(5), sample=sample).draws
+                for kind in StatKind]
+        # 6 perturbations per block (84 blocks) and 7 pair columns per chunk.
+        monkeypatch.setattr(procedures, "_PERTURBATION_ENTRIES", 1000)
+        monkeypatch.setattr(procedures, "_PAIR_CHUNK", 7)
+        for kind, expect in zip(StatKind, want):
+            got = _gauss_draw_matrix(corr, kind, 500, make_rng(5), sample=sample).draws
+            np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12)
+
+    def test_draws_held_once(self):
+        # The B x m draws are filled in place; the blocks of perturbations,
+        # the n x 128 influence chunks and the B x n multipliers are small.
+        for route in ("gaussian", "fourth-moment"):
+            corr, sample = draw_law(route, 64, seed=7, n=100)
+            tracemalloc.start()
+            try:
+                dm = _gauss_draw_matrix(corr, StatKind.FISHER, 1000, make_rng(1), sample=sample)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert dm.draws.shape == (1000, 2016)
+            assert peak < 1.3 * dm.draws.nbytes, route
+
+    @pytest.mark.parametrize("route, p, kind", [
+        ("gaussian", 26, StatKind.FISHER),
+        ("fourth-moment", 26, StatKind.SECOND_ORDER),
+        ("gaussian", 32, StatKind.STUDENT),
+        ("fourth-moment", 32, StatKind.FISHER),
+    ])
+    def test_threshold_matches_sigma_oracle(self, route, p, kind):
+        # 95% max-quantiles from 10^4 draws each.  Over 20 seeds at p = 32 the
+        # sd of one quantile is about 0.012, of the difference about 0.017.
+        corr, sample = draw_law(route, p, seed=p, n=300)
+        new = _gauss_draw_matrix(corr, kind, 10_000, make_rng(1), sample=sample)
+        old = sigma_draw_matrix(route_omega(route, corr, sample, kind), 10_000, make_rng(2))
+        assert abs(quantile_from_draws(new, 0.05) - quantile_from_draws(old, 0.05)) < 0.06
+
+    def test_unit_correlation_is_singular(self):
+        corr = np.ones((3, 3))
+        for kind in (StatKind.STUDENT, StatKind.FISHER):
+            with pytest.raises(SingularityError):
+                _gauss_draw_matrix(corr, kind, 100, make_rng(0))
+        dm = _gauss_draw_matrix(corr, StatKind.EMPIRICAL, 100, make_rng(0))
+        assert np.all(np.isfinite(dm.draws))
 
 
 def holm_oracle(pvals, alpha):
@@ -217,7 +302,7 @@ class TestStepDown:
         sv = StatVector(StatKind.EMPIRICAL, rng.normal(size=6) * 2.0, 50)
         a, b = (
             run_procedure(sv, 0.05, ProcedureKind(Method.MAX_T, True),
-                          draw_matrix=_gauss_draw_matrix(np.eye(6), 500, make_rng(11)))
+                          draw_matrix=sigma_draw_matrix(np.eye(6), 500, make_rng(11)))
             for _ in range(2)
         )
         assert a.rejected == b.rejected and a.thresholds == b.thresholds

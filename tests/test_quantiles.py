@@ -22,6 +22,7 @@ from corrgraph import (
     sidak_threshold,
 )
 from corrgraph.core import empirical_correlation, pair_indices, standardize
+from corrgraph.quantiles import _max_quantile
 from corrgraph.stats import _transform
 
 
@@ -180,6 +181,29 @@ class TestQuantileFromDraws:
         maxima = np.abs(dm.draws[:, sorted(set(subset))]).max(axis=1)
         want = np.sort(maxima)[int(np.ceil((1 - alpha) * 333)) - 1]
         assert quantile_from_draws(dm, alpha, subset) == want
+
+    def test_chunked_scan_matches_gather(self):
+        # The column-chunked running max equals the max of one gathered
+        # B x |subset| copy, bit for bit, on subsets spanning many chunks.
+        rng = np.random.default_rng(22)
+        dm = DrawMatrix(rng.normal(size=(1000, 700)), provenance="parametric-gaussian")
+        for size in (1, 65, 66, 300, 700):
+            subset = np.sort(rng.choice(700, size=size, replace=False))
+            for alpha in (0.05, 0.2):
+                want = _max_quantile(np.abs(dm.draws[:, subset]).max(axis=1), alpha)
+                assert quantile_from_draws(dm, alpha, subset) == want
+
+    def test_scan_holds_no_copy_of_the_draws(self):
+        dm = DrawMatrix(np.random.default_rng(23).normal(size=(1000, 4950)),
+                        provenance="parametric-gaussian")
+        tracemalloc.start()
+        try:
+            quantile_from_draws(dm, 0.05, np.arange(0, 4950, 2))
+            quantile_from_draws(dm, 0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * dm.draws.nbytes
 
 
 class TestMaxGaussQuantile:
