@@ -30,6 +30,7 @@ from .procedures import (
     ProcedureKind,
     RejectionSet,
     bh_fdr,
+    gauss_draw_matrix,
     is_mtp2_gaussian_abs,
     random_correlation_matrix,
     run_procedure,
@@ -100,6 +101,7 @@ __all__ = [
     "empirical_correlation",
     "flat_to_pair",
     "fourth_moments",
+    "gauss_draw_matrix",
     "is_mtp2_gaussian_abs",
     "make_rng",
     "max_gauss_quantile",

@@ -50,7 +50,7 @@ from .procedures import (
     DEFAULT_MAXT_DRAWS,
     Method,
     ProcedureKind,
-    _gauss_draw_matrix,
+    gauss_draw_matrix,
     run_procedure,
 )
 from .quantiles import bootstrap_draw_matrix, max_gauss_quantile
@@ -242,9 +242,9 @@ def cmd_test(args) -> int:
         if method is Method.BOOT_RW:
             draw_matrix = bootstrap_draw_matrix(samples, kind, draws, seed=args.seed)
         elif method is Method.MAX_T:
-            draw_matrix = _gauss_draw_matrix(empirical_correlation(samples), kind, draws,
-                                             make_rng(args.seed),
-                                             sample=samples if args.fourth_moment else None)
+            draw_matrix = gauss_draw_matrix(empirical_correlation(samples), kind, draws,
+                                            make_rng(args.seed),
+                                            sample=samples if args.fourth_moment else None)
         result = run_procedure(
             stats, args.alpha, ProcedureKind(method, stepdown=args.step_down), draw_matrix
         )
@@ -367,10 +367,13 @@ def load_config(path: str) -> tuple[ExperimentConfig, str | None]:
             extra = set(entry) - {"method", "stepdown"}
             if extra:
                 raise _CliError(EXIT_USAGE, f"{path}: procedures: unknown keys {sorted(extra)}")
-            try:
-                procs.append(
-                    ProcedureKind(Method(entry["method"]), bool(entry.get("stepdown", False)))
+            stepdown = entry.get("stepdown", False)
+            if not isinstance(stepdown, bool):
+                raise _CliError(
+                    EXIT_USAGE, f"{path}: procedures.stepdown must be true or false, got {stepdown!r}"
                 )
+            try:
+                procs.append(ProcedureKind(Method(entry["method"]), stepdown))
             except ValueError:
                 raise _CliError(EXIT_USAGE, f"{path}: procedures.method: {entry['method']!r}")
         doc["procedures"] = tuple(procs)

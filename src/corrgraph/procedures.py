@@ -17,12 +17,13 @@ Ties follow the printed rules: non-strict for the p-value rule
 :func:`run_procedure` is the one entry point for all five.  The resampled
 rules read their threshold from a ``DrawMatrix`` the caller builds first
 (:func:`~corrgraph.quantiles.bootstrap_draw_matrix` or
-:func:`_gauss_draw_matrix`, which maps p x p perturbations or multiplier
-weights to statistic draws and never forms the m x m Omega).  The step-down
-loop re-applies the rule to the surviving index set until a fixpoint;
-resampled quantiles are re-read on the surviving subset from that one
-DrawMatrix, so the per-iteration thresholds are exactly decreasing and the
-loop is deterministic.
+:func:`gauss_draw_matrix`, which maps p x p perturbations or multiplier
+weights to statistic draws and never forms the m x m Omega).  Given a tuple
+of kinds, either builder returns one DrawMatrix per kind from one set of
+draws.  The step-down loop re-applies the rule to the surviving index set
+until a fixpoint; resampled quantiles are re-read on the surviving subset
+from that one DrawMatrix, so the per-iteration thresholds are exactly
+decreasing and the loop is deterministic.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 from .core import CorrelationMatrix, pair_indices, standardize
 from .errors import NotPositiveDefiniteError
 from .quantiles import _MIN_GAUSS_DRAWS, DrawMatrix, quantile_from_draws, sidak_threshold
-from .stats import PValueVector, StatKind, StatVector, _influence, _rescale, p_values
+from .stats import PValueVector, StatKind, StatVector, _influence, _kind_tuple, _rescale, p_values
 
 __all__ = [
     "Method",
@@ -44,6 +45,7 @@ __all__ = [
     "RejectionSet",
     "run_procedure",
     "bh_fdr",
+    "gauss_draw_matrix",
     "is_mtp2_gaussian_abs",
     "random_correlation_matrix",
 ]
@@ -108,8 +110,8 @@ class RejectionSet:
         return out
 
 
-def _gauss_draw_matrix(corr, kind: StatKind, draws: int, rng: np.random.Generator,
-                       sample=None) -> DrawMatrix:
+def gauss_draw_matrix(corr, kind: StatKind | tuple[StatKind, ...], draws: int,
+                      rng: np.random.Generator, sample=None) -> DrawMatrix | tuple[DrawMatrix, ...]:
     """``draws`` rows from N(0, Omega), Omega the pair covariance of ``kind`` statistics.
 
     Omega is never formed.  Without ``sample`` a row is psi(L H L^T): L L^T =
@@ -119,28 +121,36 @@ def _gauss_draw_matrix(corr, kind: StatKind, draws: int, rng: np.random.Generato
     so Omega = ``omega_gaussian(corr, kind)``.  With ``sample`` (of correlation
     corr) a row is xi @ Psi, xi i.i.d. N(0, 1/n) multipliers and Psi the
     influence matrix of ``omega_general``, so Omega = Psi^T Psi / n.
+
+    ``kind`` is one StatKind, which returns one DrawMatrix, or a tuple of
+    kinds, which returns one DrawMatrix per kind, in that order, from one set
+    of perturbations: each block's S (or the multipliers xi) is drawn once and
+    mapped per kind, so each kind's draws equal those of a single-kind call on
+    the same stream.
     """
+    kinds, single = _kind_tuple(kind)
     if draws < _MIN_GAUSS_DRAWS:
         raise ValueError(f"need at least {_MIN_GAUSS_DRAWS} draws, got {draws}")
-    kind = StatKind(kind)
     corr = np.asarray(corr.values if isinstance(corr, CorrelationMatrix) else corr, dtype=float)
     p = corr.shape[0]
     i, j = pair_indices(p)
     r = corr[i, j]
-    rows = np.empty((draws, i.size))
+    rows = [np.empty((draws, i.size)) for _ in kinds]
     if sample is not None:
         x = standardize(sample).data
         xi = rng.standard_normal((draws, x.shape[0])) / np.sqrt(x.shape[0])
         for a in range(0, i.size, _PAIR_CHUNK):
             pairs = slice(a, a + _PAIR_CHUNK)
-            rows[:, pairs] = xi @ _influence(x, r[pairs], i[pairs], j[pairs], kind)
-        return DrawMatrix(rows, provenance="parametric-gaussian")
+            for kd, out in zip(kinds, rows):
+                out[:, pairs] = xi @ _influence(x, r[pairs], i[pairs], j[pairs], kd)
+        return _gauss_result(rows, single)
     lam, vec = np.linalg.eigh(corr)
     if lam[0] < -1e-8 * max(lam[-1], 1.0):
         raise NotPositiveDefiniteError("correlation matrix is not positive semi-definite")
     root = vec * np.sqrt(np.maximum(lam, 0.0))
-    factor = (1.0 / np.sqrt(1.0 + r * r) if kind is StatKind.SECOND_ORDER
-              else _rescale(np.ones_like(r), r, kind))
+    factors = [1.0 / np.sqrt(1.0 + r * r) if kd is StatKind.SECOND_ORDER
+               else _rescale(np.ones_like(r), r, kd) for kd in kinds]
+    centered = any(kd is not StatKind.SECOND_ORDER for kd in kinds)
     upper, diag, flat = np.triu_indices(p), np.arange(p), i * p + j
     block = max(1, _PERTURBATION_ENTRIES // (p * p))
     for a in range(0, draws, block):
@@ -150,11 +160,22 @@ def _gauss_draw_matrix(corr, kind: StatKind, draws: int, rng: np.random.Generato
         h[:, diag, diag] *= np.sqrt(2.0)
         s = (h.reshape(-1, p) @ root.T).reshape(k, p, p)  # H L^T, whose transpose is L H
         s = (s.transpose(0, 2, 1).reshape(-1, p) @ root.T).reshape(k, p, p)
-        out = np.take(s.reshape(k, -1), flat, axis=1, out=rows[a : a + k])
-        if kind is not StatKind.SECOND_ORDER:
-            out -= 0.5 * r * (s[:, i, i] + s[:, j, j])
-        out *= factor
-    return DrawMatrix(rows, provenance="parametric-gaussian")
+        shift = 0.5 * r * (s[:, i, i] + s[:, j, j]) if centered else None
+        for kd, rows_kd, factor in zip(kinds, rows, factors):
+            out = np.take(s.reshape(k, -1), flat, axis=1, out=rows_kd[a : a + k])
+            if kd is not StatKind.SECOND_ORDER:
+                out -= shift
+            out *= factor
+    return _gauss_result(rows, single)
+
+
+# The name that bench/spans.py resolves.
+_gauss_draw_matrix = gauss_draw_matrix
+
+
+def _gauss_result(rows: list, single: bool):
+    mats = tuple(DrawMatrix(v, provenance="parametric-gaussian") for v in rows)
+    return mats[0] if single else mats
 
 
 def run_procedure(

@@ -3,7 +3,7 @@
 A ``DrawMatrix`` holds B simulated statistic vectors whose rowwise sup-norm
 is the max statistic.  Two Monte Carlo routes fill one:
 
-- ``procedures._gauss_draw_matrix`` draws from the Gaussian limit N_m(0, Omega)
+- ``procedures.gauss_draw_matrix`` draws from the Gaussian limit N_m(0, Omega)
   of the statistics (plug-in, oracle or fourth-moment Omega) without forming
   Omega: each row is a delta map of a p x p perturbation;
 - :func:`bootstrap_draw_matrix` recomputes centered statistics on
@@ -14,6 +14,11 @@ is the max statistic.  Two Monte Carlo routes fill one:
   resamples.  A resample whose column variance is at most ``_DEGENERATE``
   times the full-sample variance (or, for the second-order kind, whose theta
   is at most ``_DEGENERATE``) is redrawn from the same stream.
+
+Both builders take one StatKind, for one DrawMatrix, or a tuple of kinds,
+for one DrawMatrix per kind from one set of draws; each kind's draws are
+then those of a single-kind call on the same generator state (for the
+bootstrap, unless a second-order theta forced a shared redraw).
 
 :func:`quantile_from_draws` reads the empirical (1 - alpha)-quantile as the
 order statistic of rank ceil((1 - alpha) B), a conservative right-continuous
@@ -36,7 +41,7 @@ from scipy.special import ndtri
 from .core import SampleMatrix, _owned_array, empirical_correlation, standardize
 from .errors import DegenerateInputError, NotPositiveDefiniteError
 from .rng import make_rng
-from .stats import StatKind, _transform
+from .stats import StatKind, _kind_tuple, _transform
 
 __all__ = [
     "QuantileEstimate",
@@ -210,11 +215,11 @@ def max_gauss_quantile(
 
 def bootstrap_draw_matrix(
     samples: SampleMatrix,
-    kind: StatKind,
+    kind: StatKind | tuple[StatKind, ...],
     draws: int,
     seed: int | None = 0,
     rng: np.random.Generator | None = None,
-) -> DrawMatrix:
+) -> DrawMatrix | tuple[DrawMatrix, ...]:
     """B centered statistic vectors on nonparametric resamples of the rows.
 
     Each resample takes n rows i.i.d. with replacement; the statistic is
@@ -224,20 +229,32 @@ def bootstrap_draw_matrix(
     sample, one pair block x_c x_{c+1..p} at a time.  Degenerate resamples
     (see ``_DEGENERATE``) are redrawn from the same stream after the batch;
     more than B redraws raise DegenerateInputError.
+
+    ``kind`` is one StatKind, which returns one DrawMatrix, or a tuple of
+    kinds, which returns one DrawMatrix per kind, in that order, from one W.
+    The empirical, Student and Fisher kinds share each block's resampled
+    correlations; the second-order kind runs its own moment GEMM.  A
+    degenerate resample is redrawn for every kind, so each kind's draws equal
+    those of a single-kind call on the same stream unless a second-order
+    theta forced a redraw.
     """
-    kind = StatKind(kind)
+    kinds, single = _kind_tuple(kind)
     if draws < _MIN_BOOTSTRAP_DRAWS:
         raise ValueError(f"need at least {_MIN_BOOTSTRAP_DRAWS} bootstrap draws, got {draws}")
     n, p = samples.n, samples.p
     # Standardized on the full sample, resample means are O(n^-1/2): E[x^2] - mu^2 cannot cancel.
     x = standardize(samples).data
-    if kind is not StatKind.SECOND_ORDER:
-        t_hat = _transform(empirical_correlation(samples).pair_values(), n, kind)
+    rows = {k: np.empty((draws, samples.m)) for k in kinds}
+    second = rows.get(StatKind.SECOND_ORDER)
+    plain = [k for k in rows if k is not StatKind.SECOND_ORDER]
+    if plain:
+        rho_hat = empirical_correlation(samples).pair_values()
+        t_hat = {k: _transform(rho_hat, n, k) for k in plain}
     if rng is None:
         rng = make_rng(seed if seed is not None else 0)
-    rows = np.empty((draws, samples.m))
     todo, redraws = np.arange(draws), 0
     while todo.size:
+        dest = slice(None) if todo.size == draws else todo  # all rows: a slice writes faster
         take = rng.integers(0, n, size=(todo.size, n))
         take += n * np.arange(todo.size)[:, None]
         w = np.bincount(take.ravel(), minlength=take.size).reshape(take.shape) / n
@@ -250,9 +267,14 @@ def bootstrap_draw_matrix(
             xc, rest, mc, mr = x[:, c : c + 1], x[:, c + 1 :], mu[:, c : c + 1], mu[:, c + 1 :]
             z = xc * rest
             scale = inv_sd[:, c : c + 1] * inv_sd[:, c + 1 :]
-            if kind is not StatKind.SECOND_ORDER:
-                rows[todo, lo:hi] = _transform((w @ z - mc * mr) * scale, n, kind) - t_hat[lo:hi]
+            if plain:
+                r = (w @ z - mc * mr) * scale
+                for k in plain:
+                    rows[k][dest, lo:hi] = _transform(r, n, k) - t_hat[k][lo:hi]
+            if second is None:
                 continue
+            # Its first block is not reused for the kinds above: it differs from
+            # w @ z in the last bits, and their draws must equal single-kind calls.
             e_z, e_cz, e_zr, e_zz = np.split(w @ np.hstack([z, xc * z, z * rest, z * z]), 4, 1)
             r = (e_z - mc * mr) * scale
             # theta = E[(x_c - mu_c)^2 (x_r - mu_r)^2] / (v_c v_r) - r^2, from raw moments.
@@ -261,9 +283,10 @@ def bootstrap_draw_matrix(
             theta = fourth * scale * scale - r * r
             bad |= np.any(theta <= _DEGENERATE, axis=1)
             theta = np.maximum(theta, _DEGENERATE)
-            rows[todo, lo:hi] = np.sqrt(n) * (r - z.mean(axis=0)) / np.sqrt(theta)
+            second[dest, lo:hi] = np.sqrt(n) * (r - z.mean(axis=0)) / np.sqrt(theta)
         todo = todo[bad]
         redraws += todo.size
         if redraws > draws:
             raise DegenerateInputError("too many degenerate bootstrap resamples")
-    return DrawMatrix(rows, provenance="nonparametric-bootstrap")
+    mats = {k: DrawMatrix(v, provenance="nonparametric-bootstrap") for k, v in rows.items()}
+    return mats[kinds[0]] if single else tuple(mats[k] for k in kinds)

@@ -13,11 +13,19 @@ proportion) and mean false discovery proportion.  All randomness derives
 from named substreams of the master seed (see :mod:`corrgraph.rng`), so
 results are bit-identical for a fixed seed at any ``threads``; the BLAS
 thread count can change the draws' last bits (see :mod:`corrgraph.rng`).
+
+Every statistic kind of a replicate reads one set of resamples per method
+(common random numbers for the paired comparison of the kinds): one
+quantile stream per (replicate, attempt) feeds the tuple form of
+``bootstrap_draw_matrix``, then of ``gauss_draw_matrix`` for ``maxt`` and
+for ``oracle-maxt``, in that order.  The first kind's rows are those of a
+config with that kind alone.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -30,7 +38,7 @@ from .procedures import (
     DEFAULT_MAXT_DRAWS,
     Method,
     ProcedureKind,
-    _gauss_draw_matrix,
+    gauss_draw_matrix,
     run_procedure,
 )
 from .quantiles import _MIN_BOOTSTRAP_DRAWS, _MIN_GAUSS_DRAWS, bootstrap_draw_matrix
@@ -201,6 +209,16 @@ def replicate_metrics(rejected_mask: np.ndarray, h1_mask: np.ndarray) -> tuple[f
     return float(false_rej > 0), tdp, float(fdp)
 
 
+def _integer(name: str, value) -> int:
+    """``value`` if it is an integer (a numpy integer too); ConfigError for a float or bool."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Grid definition for the Monte Carlo study."""
@@ -224,9 +242,13 @@ class ExperimentConfig:
     adjacency_per_replicate: bool = False
 
     def __post_init__(self):
+        for name in ("p", "replicates", "bootrw_draws", "maxt_draws", "seed", "threads"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         object.__setattr__(self, "p_inter", tuple(float(v) for v in self.p_inter))
         object.__setattr__(self, "rho", tuple(float(v) for v in self.rho))
-        object.__setattr__(self, "n", tuple(int(v) for v in self.n))
+        object.__setattr__(
+            self, "n", tuple(int(v) if isinstance(v, str) else _integer("n", v) for v in self.n)
+        )
         object.__setattr__(self, "stats", tuple(StatKind(s) for s in self.stats))
         object.__setattr__(
             self,
@@ -249,6 +271,10 @@ class ExperimentConfig:
             raise ConfigError("n values must be >= 4")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+        if not isinstance(self.adjacency_per_replicate, (bool, np.bool_)):
+            raise ConfigError("adjacency_per_replicate must be true or false")
         if any(pk.method is Method.BH for pk in self.procedures):
             raise ConfigError("procedures: bh is not an FWER procedure")
         if self.bootrw_draws < _MIN_BOOTSTRAP_DRAWS:
@@ -287,19 +313,29 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
     return mean, float(values.std(ddof=1) / math.sqrt(values.size))
 
 
+def _draw_matrices(method, config, data, gamma, qrng) -> tuple:
+    """One DrawMatrix per statistic kind for ``method``, all from one set of draws."""
+    if method is Method.BOOT_RW:
+        return bootstrap_draw_matrix(data, config.stats, config.bootrw_draws, rng=qrng)
+    if method is Method.MAX_T:
+        return gauss_draw_matrix(empirical_correlation(data), config.stats, config.maxt_draws, qrng)
+    if method is Method.ORACLE_MAX_T:
+        return gauss_draw_matrix(gamma, config.stats, config.maxt_draws, qrng)
+    return (None,) * len(config.stats)
+
+
 def _replicate_work(config, model_cache, pi_idx, rho_idx, n_idx, r):
     """Metrics for a single replicate: one sample, all stats and procedures.
 
+    The procedures run method by method, so only one method's draw matrices
+    are alive at a time; each resampled method builds them for every kind
+    from one quantile stream, in the order bootrw, maxt, oracle-maxt.
     Returns an array of shape (n_stats, n_procs, 3) or None if every retry
     produced degenerate data.
     """
     p_inter = config.p_inter[pi_idx]
     rho = config.rho[rho_idx]
     n = config.n[n_idx]
-    need_boot = any(pk.method is Method.BOOT_RW for pk in config.procedures)
-    need_maxt = any(pk.method is Method.MAX_T for pk in config.procedures)
-    need_oracle = any(pk.method is Method.ORACLE_MAX_T for pk in config.procedures)
-
     for attempt in range(_MAX_RETRIES):
         rng = make_rng(config.seed, _STREAM_REPLICATE, pi_idx, rho_idx, n_idx, r, attempt)
         try:
@@ -310,31 +346,17 @@ def _replicate_work(config, model_cache, pi_idx, rho_idx, n_idx, r):
                 model = model_cache[(pi_idx, rho_idx)]
             data = sample_gaussian(model, n, rng=rng)
             h1 = model.h1_mask()
+            svs = [statistic(data, kind) for kind in config.stats]
+            qrng = make_rng(config.seed, _STREAM_QUANTILE, pi_idx, rho_idx, n_idx, r, attempt, 0)
             out = np.empty((len(config.stats), len(config.procedures), 3))
-            for s_idx, kind in enumerate(config.stats):
-                sv = statistic(data, kind)
-                qrng = make_rng(
-                    config.seed, _STREAM_QUANTILE, pi_idx, rho_idx, n_idx, r, attempt, s_idx
-                )
-                dm_boot = (
-                    bootstrap_draw_matrix(data, kind, config.bootrw_draws, rng=qrng)
-                    if need_boot
-                    else None
-                )
-                dm_maxt = dm_oracle = None
-                if need_maxt:
-                    corr_hat = empirical_correlation(data)
-                    dm_maxt = _gauss_draw_matrix(corr_hat, kind, config.maxt_draws, qrng)
-                if need_oracle:
-                    dm_oracle = _gauss_draw_matrix(model.gamma, kind, config.maxt_draws, qrng)
-                for k_idx, pk in enumerate(config.procedures):
-                    dm = {
-                        Method.BOOT_RW: dm_boot,
-                        Method.MAX_T: dm_maxt,
-                        Method.ORACLE_MAX_T: dm_oracle,
-                    }.get(pk.method)
-                    rs = run_procedure(sv, config.alpha, pk, draw_matrix=dm)
-                    out[s_idx, k_idx] = replicate_metrics(rs.mask(), h1)
+            for method in Method:  # declared in stream order: bootrw, maxt, oracle-maxt
+                used = [k for k, pk in enumerate(config.procedures) if pk.method is method]
+                if not used:
+                    continue
+                for s_idx, dm in enumerate(_draw_matrices(method, config, data, model.gamma, qrng)):
+                    for k_idx in used:
+                        rs = run_procedure(svs[s_idx], config.alpha, config.procedures[k_idx], dm)
+                        out[s_idx, k_idx] = replicate_metrics(rs.mask(), h1)
             return out
         except (DegenerateInputError, ModelError):
             continue

@@ -65,6 +65,15 @@ class StatKind(str, enum.Enum):
     SECOND_ORDER = "secondorder"
 
 
+def _kind_tuple(kind) -> tuple[tuple[StatKind, ...], bool]:
+    """(kinds, single) for a draw builder's ``kind``: one StatKind or a sequence of them."""
+    single = isinstance(kind, str)
+    kinds = tuple(StatKind(k) for k in ((kind,) if single else kind))
+    if not kinds:
+        raise ValueError("need at least one statistic kind")
+    return kinds, single
+
+
 @dataclass(frozen=True)
 class StatVector:
     """Length-m vector of test statistics in flat pair order."""

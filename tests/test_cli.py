@@ -607,6 +607,17 @@ class TestSimulateCommand:
         {"procedures": [{"method": "maxt"}], "maxt_draws": 50},
         {"n": [3]},
         {"n": [60, 1]},
+        {"replicates": 2.5},
+        {"p": 26.0},
+        {"seed": 1.5},
+        {"seed": -1},
+        {"threads": 2.5},
+        {"n": [100.7]},
+        {"procedures": [{"method": "bootrw"}], "bootrw_draws": 100.0},
+        {"procedures": [{"method": "maxt"}], "maxt_draws": True},
+        {"procedures": [{"method": "sidak", "stepdown": "false"}]},
+        {"procedures": [{"method": "sidak", "stepdown": 1}]},
+        {"adjacency_per_replicate": "false"},
     ])
     def test_bad_config_values_exit_one(self, tmp_path, capsys, extra):
         cfg = self.make_config(tmp_path, **extra)

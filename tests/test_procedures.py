@@ -22,8 +22,10 @@ from corrgraph import (
     bh_fdr,
     bootstrap_draw_matrix,
     cholesky_psd,
+    correlation_model,
     empirical_correlation,
     fourth_moments,
+    gauss_draw_matrix,
     is_mtp2_gaussian_abs,
     make_rng,
     omega_gaussian,
@@ -31,8 +33,10 @@ from corrgraph import (
     quantile_from_draws,
     random_correlation_matrix,
     run_procedure,
+    sbm_adjacency,
     sidak_threshold,
 )
+import corrgraph
 from corrgraph import procedures
 from corrgraph.procedures import _gauss_draw_matrix
 
@@ -206,6 +210,28 @@ class TestGaussDrawMatrix:
         new = _gauss_draw_matrix(corr, kind, 10_000, make_rng(1), sample=sample)
         old = sigma_draw_matrix(route_omega(route, corr, sample, kind), 10_000, make_rng(2))
         assert abs(quantile_from_draws(new, 0.05) - quantile_from_draws(old, 0.05)) < 0.06
+
+    @pytest.mark.parametrize("route", ["plug-in", "oracle", "fourth-moment"])
+    def test_tuple_matches_single_kind_calls(self, route):
+        # Two blocks of perturbations (227 rows each at p = 12) and two pair chunks.
+        sample = tdata(80, 12, seed=6)
+        corr = empirical_correlation(sample)
+        if route == "oracle":
+            corr = correlation_model(sbm_adjacency(12, 0.6, 0.2, seed=2), 0.1).gamma
+        multipliers = sample if route == "fourth-moment" else None
+        for kinds in (tuple(StatKind), tuple(StatKind)[::-1], [StatKind.FISHER, StatKind.STUDENT]):
+            got = gauss_draw_matrix(corr, kinds, 300, make_rng(4), sample=multipliers)
+            assert isinstance(got, tuple) and len(got) == len(kinds)
+            for kind, dm in zip(kinds, got):
+                want = gauss_draw_matrix(corr, kind, 300, make_rng(4), sample=multipliers)
+                assert isinstance(want, DrawMatrix)
+                assert np.array_equal(dm.draws, want.draws), kind
+
+    def test_public_builder_is_the_traced_one(self):
+        assert corrgraph.gauss_draw_matrix is _gauss_draw_matrix
+        assert "gauss_draw_matrix" in corrgraph.__all__ and "gauss_draw_matrix" in procedures.__all__
+        with pytest.raises(ValueError):
+            gauss_draw_matrix(np.eye(3), (), 100, make_rng(0))
 
     def test_unit_correlation_is_singular(self):
         corr = np.ones((3, 3))

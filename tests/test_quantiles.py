@@ -296,6 +296,40 @@ class TestBootstrap:
         np.testing.assert_allclose(got[1:], want[1:60], rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(got[0], want[60], rtol=0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("n,p", [(60, 4), (500, 26)])
+    def test_tuple_matches_single_kind_calls(self, n, p):
+        # No second-order theta falls to the redraw level on these samples, so
+        # every kind, second-order included, equals its single-kind call.
+        samples = SampleMatrix(np.random.default_rng(n + p).normal(size=(n, p)) @ (np.eye(p) + 0.2))
+        plain = (StatKind.EMPIRICAL, StatKind.STUDENT, StatKind.FISHER)
+        for kinds in (plain, plain[::-1] + (StatKind.SECOND_ORDER,), (StatKind.SECOND_ORDER,)):
+            got = bootstrap_draw_matrix(samples, kinds, 100, seed=9)
+            assert isinstance(got, tuple) and len(got) == len(kinds)
+            for kind, dm in zip(kinds, got):
+                want = bootstrap_draw_matrix(samples, kind, 100, seed=9)
+                assert dm.provenance == "nonparametric-bootstrap"
+                assert np.array_equal(dm.draws, want.draws), kind
+
+    def test_degenerate_row_redrawn_for_every_kind(self, samples):
+        class FirstRowStuck:
+            def __init__(self):
+                self.rng = make_rng(11)
+                self.sizes = []
+
+            def integers(self, low, high, size):
+                out = self.rng.integers(low, high, size=size)
+                if not self.sizes:
+                    out[0] = 0
+                self.sizes.append(size)
+                return out
+
+        rng = FirstRowStuck()
+        got = bootstrap_draw_matrix(samples, tuple(StatKind), 60, rng=rng)
+        assert rng.sizes == [(60, samples.n), (1, samples.n)]
+        for kind, dm in zip(StatKind, got):
+            want = bootstrap_draw_matrix(samples, kind, 60, rng=FirstRowStuck())
+            assert np.array_equal(dm.draws, want.draws), kind
+
 
 def test_draw_matrix_takes_fresh_array():
     fresh = np.random.default_rng(1).normal(size=(50, 6))

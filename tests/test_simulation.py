@@ -20,6 +20,7 @@ from corrgraph import (
     sample_gaussian,
     sbm_adjacency,
 )
+from corrgraph import simulation
 
 
 def path_graph(p):
@@ -145,6 +146,12 @@ class TestExperimentConfig:
         assert cfg.stats == (StatKind.STUDENT,)
         assert cfg.procedures[0] == ProcedureKind(Method.BONFERRONI, True)
 
+    def test_numpy_integers_accepted(self):
+        cfg = ExperimentConfig(p=np.int64(8), n=(np.int32(60),), replicates=np.int64(2),
+                               seed=np.uint32(3), threads=np.int8(2))
+        assert (cfg.p, cfg.n, cfg.replicates, cfg.seed, cfg.threads) == (8, (60,), 2, 3, 2)
+        assert type(cfg.p) is int and type(cfg.n[0]) is int
+
     def test_validation(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(replicates=0)
@@ -218,3 +225,36 @@ class TestRunExperiment:
         cfg = ExperimentConfig(**{**SMALL, "adjacency_per_replicate": True, "replicates": 4})
         rows = run_experiment(cfg)
         assert len(rows) == 10
+
+
+class TestSharedDraws:
+    """Every statistic kind of a replicate reads one set of resamples per method."""
+
+    def test_first_kind_rows_unchanged_by_more_kinds(self):
+        base = {**SMALL, "n": (60, 200)}
+        alone = run_experiment(ExperimentConfig(**{**base, "stats": (StatKind.FISHER,)}))
+        paired = run_experiment(
+            ExperimentConfig(**{**base, "stats": (StatKind.FISHER, StatKind.STUDENT)})
+        )
+        assert {pk.method for pk in SMALL["procedures"]} >= {
+            Method.BOOT_RW, Method.MAX_T, Method.ORACLE_MAX_T
+        }
+        assert [row for row in paired if row.stat is StatKind.FISHER] == alone
+
+    @pytest.mark.parametrize("stats", [
+        (StatKind.FISHER,), (StatKind.FISHER, StatKind.STUDENT), tuple(StatKind),
+    ])
+    def test_one_builder_call_per_method_per_replicate(self, monkeypatch, stats):
+        calls = []
+        for name in ("bootstrap_draw_matrix", "gauss_draw_matrix"):
+            def spy(data, kind, *args, _real=getattr(simulation, name), _name=name, **kwargs):
+                calls.append((_name, kind))
+                return _real(data, kind, *args, **kwargs)
+
+            monkeypatch.setattr(simulation, name, spy)
+        rows = run_experiment(ExperimentConfig(**{**SMALL, "stats": stats}))
+        assert all(row.failed_replicates == 0 for row in rows)
+        reps = SMALL["replicates"]
+        # bootrw once, then maxt and oracle-maxt once each, every call for all kinds.
+        assert calls == [("bootstrap_draw_matrix", stats), ("gauss_draw_matrix", stats),
+                         ("gauss_draw_matrix", stats)] * reps
