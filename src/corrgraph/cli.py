@@ -37,7 +37,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 
-from .core import SampleMatrix, empirical_correlation, pair_indices
+from .core import SampleMatrix, _correlation, pair_indices
 from .errors import (
     ConfigError,
     DegenerateInputError,
@@ -242,7 +242,7 @@ def cmd_test(args) -> int:
         if method is Method.BOOT_RW:
             draw_matrix = bootstrap_draw_matrix(samples, kind, draws, seed=args.seed)
         elif method is Method.MAX_T:
-            draw_matrix = gauss_draw_matrix(empirical_correlation(samples), kind, draws,
+            draw_matrix = gauss_draw_matrix(_correlation(samples), kind, draws,
                                             make_rng(args.seed),
                                             sample=samples if args.fourth_moment else None)
         result = run_procedure(

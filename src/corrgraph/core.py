@@ -172,6 +172,18 @@ def empirical_correlation(samples: SampleMatrix) -> CorrelationMatrix:
     return CorrelationMatrix(corr)
 
 
+def _correlation(samples: SampleMatrix) -> CorrelationMatrix:
+    """:func:`empirical_correlation` of ``samples``, computed once per SampleMatrix.
+
+    The sample data are read-only, so the cached matrix cannot go stale.
+    """
+    corr = samples.__dict__.get("_corr")
+    if corr is None:
+        corr = empirical_correlation(samples)
+        object.__setattr__(samples, "_corr", corr)
+    return corr
+
+
 def standardize(samples: SampleMatrix) -> SampleMatrix:
     """Center each column to mean 0 and scale to empirical variance 1.
 

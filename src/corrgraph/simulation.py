@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CorrelationMatrix, SampleMatrix, empirical_correlation, pair_indices
+from .core import CorrelationMatrix, SampleMatrix, _correlation, pair_indices
 from .errors import ConfigError, DegenerateInputError, ModelError
 from .procedures import (
     DEFAULT_BOOTSTRAP_DRAWS,
@@ -318,7 +318,7 @@ def _draw_matrices(method, config, data, gamma, qrng) -> tuple:
     if method is Method.BOOT_RW:
         return bootstrap_draw_matrix(data, config.stats, config.bootrw_draws, rng=qrng)
     if method is Method.MAX_T:
-        return gauss_draw_matrix(empirical_correlation(data), config.stats, config.maxt_draws, qrng)
+        return gauss_draw_matrix(_correlation(data), config.stats, config.maxt_draws, qrng)
     if method is Method.ORACLE_MAX_T:
         return gauss_draw_matrix(gamma, config.stats, config.maxt_draws, qrng)
     return (None,) * len(config.stats)

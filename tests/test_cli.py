@@ -3,6 +3,8 @@
 import csv
 import json
 import math
+import os
+import subprocess
 import sys
 
 import numpy as np
@@ -147,6 +149,17 @@ def read_outcome(reader, path):
     except cli._CliError as exc:
         return exc.code, f"error: {exc}", None, None
     return 0, "", samples.column_names, samples.data
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test-only dependency: the package and CLI must start without it.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(corrgraph.__file__)))
+    code = ("import sys, corrgraph, corrgraph.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestTestCommand:

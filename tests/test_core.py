@@ -16,6 +16,7 @@ from corrgraph import (
     pair_to_flat,
     standardize,
 )
+from corrgraph.core import _correlation
 
 
 class TestPairIndexing:
@@ -115,6 +116,13 @@ class TestCorrelationMatrix:
 
 
 class TestEmpiricalCorrelation:
+    def test_cached_once_per_sample(self):
+        s = SampleMatrix(np.random.default_rng(9).normal(size=(30, 4)))
+        first = _correlation(s)
+        assert _correlation(s) is first
+        assert np.array_equal(first.values, empirical_correlation(s).values)
+        assert _correlation(SampleMatrix(s.data)) is not first
+
     def test_matches_corrcoef(self):
         rng = np.random.default_rng(10)
         data = rng.normal(size=(40, 5))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 from scipy.stats import norm
 
 from corrgraph import (
@@ -72,6 +73,25 @@ class TestClosedFormThresholds:
     def test_sidak_below_bonferroni(self, alpha, m):
         # Sidak is exact under independence, Bonferroni conservative.
         assert sidak_threshold(alpha, m) <= norm.isf(alpha / (2 * m)) + 1e-12
+
+    @pytest.mark.parametrize("alpha", [0.001, 0.05, 0.2, 0.9])
+    def test_matches_ndtri_form(self, alpha):
+        # The old form 0.5 (1 - alpha)^(1/m) + 0.5 rounds near 1, so the
+        # cancellation-free tail differs from it by up to a few 1e-9.
+        for m in (1, 2, 45, 325, 4950, 79800, 499500):
+            old = ndtri(0.5 * (1.0 - alpha) ** (1.0 / m) + 0.5)
+            assert sidak_threshold(alpha, m) == pytest.approx(old, rel=5e-9)
+
+    def test_tiny_alpha_finite(self):
+        # 1 - alpha rounds to 1, so the old form gave inf; the tail does not.
+        for m in (1, 325):
+            thr = sidak_threshold(1e-300, m)
+            assert 37.0 < thr < 38.0
+            assert thr == pytest.approx(norm.isf(0.5e-300 / m), rel=1e-12)
+
+    def test_underflowing_tail_is_inf(self):
+        assert sidak_threshold(5e-324, 10) == np.inf
+        assert sidak_threshold(1e-310, 10**20) == np.inf
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):

@@ -20,7 +20,7 @@ from corrgraph import (
     sample_gaussian,
     sbm_adjacency,
 )
-from corrgraph import simulation
+from corrgraph import core, simulation
 
 
 def path_graph(p):
@@ -258,3 +258,17 @@ class TestSharedDraws:
         # bootrw once, then maxt and oracle-maxt once each, every call for all kinds.
         assert calls == [("bootstrap_draw_matrix", stats), ("gauss_draw_matrix", stats),
                          ("gauss_draw_matrix", stats)] * reps
+
+    def test_one_correlation_per_replicate(self, monkeypatch):
+        # Both statistic() calls and the bootrw and maxt builders read the
+        # same SampleMatrix: its correlation is computed once.
+        calls = []
+
+        def spy(samples, _real=core.empirical_correlation):
+            calls.append(samples)
+            return _real(samples)
+
+        monkeypatch.setattr(core, "empirical_correlation", spy)
+        rows = run_experiment(ExperimentConfig(**SMALL))
+        assert all(row.failed_replicates == 0 for row in rows)
+        assert len(calls) == SMALL["replicates"]

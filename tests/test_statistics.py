@@ -35,6 +35,7 @@ from corrgraph import (
     statistic,
 )
 from corrgraph.core import pair_indices
+from corrgraph.stats import _two_sided_tail
 
 ALL_KINDS = list(StatKind)
 
@@ -126,6 +127,17 @@ class TestPValues:
         sv = StatVector(kind=StatKind.EMPIRICAL, values=t, n=50)
         want = 2.0 * norm.sf(np.abs(t))
         assert np.allclose(p_values(sv).values, want, rtol=1e-12)
+
+    def test_dense_grid_against_norm_sf(self):
+        t = np.concatenate([np.linspace(0.0, 37.0, 20001), np.geomspace(1e-12, 1.0, 200)])
+        want = 2.0 * norm.sf(t)
+        got = p_values(StatVector(StatKind.EMPIRICAL, t, 10)).values
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+        assert np.array_equal(p_values(StatVector(StatKind.EMPIRICAL, -t, 10)).values, got)
+
+    def test_tail_at_infinity_is_zero(self):
+        t = np.array([-np.inf, np.inf, 0.0, -40.0])
+        assert np.array_equal(_two_sided_tail(t), [0.0, 0.0, 1.0, 0.0])
 
     @given(st.lists(st.floats(-30.0, 30.0), min_size=1, max_size=20))
     def test_sign_symmetry_and_range(self, values):
