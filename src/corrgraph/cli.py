@@ -77,12 +77,7 @@ EXIT_BAD_SIGMA = 5
 # and no faster with more (tracemalloc and wall time at p=1000).
 _CHUNK_ROWS = 1 << 12
 
-_STAT_FLAGS = {
-    "empirical": StatKind.EMPIRICAL,
-    "student": StatKind.STUDENT,
-    "fisher": StatKind.FISHER,
-    "secondorder": StatKind.SECOND_ORDER,
-}
+_STAT_FLAGS = {kind.value: kind for kind in StatKind}
 _METHOD_FLAGS = {
     "bonferroni": Method.BONFERRONI,
     "sidak": Method.SIDAK,
@@ -230,15 +225,9 @@ def cmd_test(args) -> int:
     if draws is None:
         draws = DEFAULT_MAXT_DRAWS if method is Method.MAX_T else DEFAULT_BOOTSTRAP_DRAWS
     _check_draw_memory(samples, method, draws)
-    try:
-        stats = statistic(samples, kind)
-    except DegenerateInputError as exc:
-        raise _CliError(EXIT_DEGENERATE, f"degenerate input: {exc}")
-    except ValueError as exc:
-        raise _CliError(EXIT_USAGE, str(exc))
-
     draw_matrix = None
     try:
+        stats = statistic(samples, kind)
         if method is Method.BOOT_RW:
             draw_matrix = bootstrap_draw_matrix(samples, kind, draws, seed=args.seed)
         elif method is Method.MAX_T:
@@ -256,13 +245,12 @@ def cmd_test(args) -> int:
         raise _CliError(EXIT_USAGE, str(exc))
 
     names = samples.column_names or tuple(str(c + 1) for c in range(samples.p))
-    mask = result.mask()
     _write_edges(args.output, names, stats.values, result.pvalues.values,
-                 result.pair_thresholds, mask)
+                 result.pair_thresholds, result.mask)
     if args.graph_output:
-        _write_graph(args.graph_output, args.graph_format, mask, names)
+        _write_graph(args.graph_output, args.graph_format, result.mask, names)
     print(
-        f"m={samples.m} rejected={len(result.rejected)} "
+        f"m={samples.m} rejected={np.count_nonzero(result.mask)} "
         f"procedure={result.procedure.label} alpha={args.alpha}"
     )
     return EXIT_OK

@@ -21,14 +21,15 @@ rules read their threshold from a ``DrawMatrix`` the caller builds first
 weights to statistic draws and never forms the m x m Omega).  Given a tuple
 of kinds, either builder returns one DrawMatrix per kind from one set of
 draws.  The step-down loop re-applies the rule to the surviving index set
-until a fixpoint; resampled quantiles are re-read on the surviving subset
-from that one DrawMatrix, so the per-iteration thresholds are exactly
-decreasing and the loop is deterministic.
+until a fixpoint and keeps one mask, of the surviving pairs, whose complement
+is the rejection mask; resampled quantiles are re-read on the surviving subset
+from that one DrawMatrix, so the thresholds are exactly decreasing.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -37,7 +38,8 @@ import numpy as np
 from .core import CorrelationMatrix, pair_indices, standardize
 from .errors import NotPositiveDefiniteError
 from .quantiles import _MIN_GAUSS_DRAWS, DrawMatrix, quantile_from_draws, sidak_threshold
-from .stats import PValueVector, StatKind, StatVector, _influence, _kind_tuple, _rescale, p_values
+from .stats import _PAIR_CHUNK, PValueVector, StatKind, StatVector, _influence, _kind_tuple
+from .stats import _rescale, p_values
 
 __all__ = [
     "Method",
@@ -53,11 +55,10 @@ __all__ = [
 DEFAULT_BOOTSTRAP_DRAWS = 100
 DEFAULT_MAXT_DRAWS = 1000
 
-# Entries of the p x p perturbations per block of Gaussian max-T draws (256 kB)
-# and pair columns per chunk of fourth-moment draws.  The GEMMs' last bits
-# depend on both, so they are part of the seed contract.
+# Entries of the p x p perturbations per block of Gaussian max-T draws (256 kB).
+# The GEMMs' last bits depend on it and on _PAIR_CHUNK, the pair columns per
+# chunk of fourth-moment draws, so both are part of the seed contract.
 _PERTURBATION_ENTRIES = 1 << 15
-_PAIR_CHUNK = 128
 
 
 class Method(str, enum.Enum):
@@ -86,8 +87,7 @@ class ProcedureKind:
 class RejectionSet:
     """Outcome of a multiple testing procedure on m pairwise tests."""
 
-    rejected: frozenset
-    m: int
+    mask: np.ndarray  # read-only copy, in flat pair order: True where a pair is rejected
     alpha: float
     procedure: ProcedureKind
     iterations: int
@@ -99,15 +99,18 @@ class RejectionSet:
     pair_thresholds: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "rejected", frozenset(int(v) for v in self.rejected))
-        if self.rejected and (min(self.rejected) < 0 or max(self.rejected) >= self.m):
-            raise ValueError("rejected indexes out of range")
+        mask = np.array(self.mask, dtype=bool)
+        mask.flags.writeable = False
+        object.__setattr__(self, "mask", mask)
 
-    def mask(self) -> np.ndarray:
-        out = np.zeros(self.m, dtype=bool)
-        if self.rejected:
-            out[sorted(self.rejected)] = True
-        return out
+    @property
+    def m(self) -> int:
+        return self.mask.size
+
+    @functools.cached_property
+    def rejected(self) -> frozenset:
+        """Flat indexes of the rejected pairs."""
+        return frozenset(np.flatnonzero(self.mask).tolist())
 
 
 def gauss_draw_matrix(corr, kind: StatKind | tuple[StatKind, ...], draws: int,
@@ -221,17 +224,11 @@ def run_procedure(
             newly = subset[t_abs[subset] > thr]
         thresholds.append(float(thr))
         pair_thr[subset] = thr
-        if newly.size == 0 or not procedure.stepdown:
-            break
         alive[newly] = False
-        if not alive.any():
+        if newly.size == 0 or not procedure.stepdown or not alive.any():
             break
-    rejected = frozenset(np.flatnonzero(~alive).tolist())
-    if not procedure.stepdown:
-        rejected = frozenset(newly.tolist())
     return RejectionSet(
-        rejected=rejected,
-        m=m,
+        mask=~alive,
         alpha=alpha,
         procedure=procedure,
         iterations=iterations,
@@ -255,10 +252,8 @@ def bh_fdr(pvalues: PValueVector, alpha: float) -> RejectionSet:
     ks = np.flatnonzero(order <= alpha * np.arange(1, m + 1) / m)
     k_hat = int(ks[-1]) + 1 if ks.size else 0
     thr = alpha * k_hat / m
-    rejected = frozenset(np.flatnonzero(p <= thr).tolist()) if k_hat else frozenset()
     return RejectionSet(
-        rejected=rejected,
-        m=m,
+        mask=p <= thr if k_hat else np.zeros(m, dtype=bool),
         alpha=alpha,
         procedure=ProcedureKind(Method.BH, False),
         iterations=1,

@@ -356,7 +356,7 @@ def _replicate_work(config, model_cache, pi_idx, rho_idx, n_idx, r):
                 for s_idx, dm in enumerate(_draw_matrices(method, config, data, model.gamma, qrng)):
                     for k_idx in used:
                         rs = run_procedure(svs[s_idx], config.alpha, config.procedures[k_idx], dm)
-                        out[s_idx, k_idx] = replicate_metrics(rs.mask(), h1)
+                        out[s_idx, k_idx] = replicate_metrics(rs.mask, h1)
             return out
         except (DegenerateInputError, ModelError):
             continue

@@ -58,6 +58,10 @@ __all__ = [
 # statistic (p-value underflows to 0) instead of an infinity.
 SATURATION_EPS = 1e-12
 
+# Pair columns per chunk of n x k pair products: the second-order statistic
+# and the fourth-moment max-T draws work one chunk at a time.
+_PAIR_CHUNK = 128
+
 
 class StatKind(str, enum.Enum):
     EMPIRICAL = "empirical"
@@ -189,9 +193,12 @@ def _second_order_statistic(samples: SampleMatrix) -> StatVector:
     n = samples.n
     x = standardize(samples).data
     i, j = pair_indices(samples.p)
-    z = x[:, i] * x[:, j]
-    zbar = z.mean(axis=0)
-    theta = z.var(axis=0)
+    zbar, theta = np.empty(i.size), np.empty(i.size)
+    for a in range(0, i.size, _PAIR_CHUNK):
+        pairs = slice(a, a + _PAIR_CHUNK)
+        z = x[:, i[pairs]] * x[:, j[pairs]]
+        zbar[pairs] = z.mean(axis=0)
+        theta[pairs] = z.var(axis=0)
     bad = np.flatnonzero(theta <= 0.0)
     if bad.size:
         a, b = int(i[bad[0]]) + 1, int(j[bad[0]]) + 1
@@ -203,8 +210,15 @@ def _second_order_statistic(samples: SampleMatrix) -> StatVector:
 
 
 def p_values(stats: StatVector) -> PValueVector:
-    """Two-sided asymptotic p-values 2 (1 - Phi(|T|))."""
-    return PValueVector(_two_sided_tail(stats.values))
+    """Two-sided asymptotic p-values 2 (1 - Phi(|T|)), computed once per StatVector.
+
+    The statistic values are read-only, so the cached vector cannot go stale.
+    """
+    pvals = stats.__dict__.get("_pvalues")
+    if pvals is None:
+        pvals = PValueVector(_two_sided_tail(stats.values))
+        object.__setattr__(stats, "_pvalues", pvals)
+    return pvals
 
 
 def _two_sided_tail(t: np.ndarray) -> np.ndarray:

@@ -30,6 +30,7 @@ from corrgraph import (
     make_rng,
     omega_gaussian,
     omega_general,
+    p_values,
     quantile_from_draws,
     random_correlation_matrix,
     run_procedure,
@@ -37,7 +38,7 @@ from corrgraph import (
     sidak_threshold,
 )
 import corrgraph
-from corrgraph import procedures
+from corrgraph import procedures, stats
 from corrgraph.procedures import _gauss_draw_matrix
 
 
@@ -332,6 +333,34 @@ class TestStepDown:
             for _ in range(2)
         )
         assert a.rejected == b.rejected and a.thresholds == b.thresholds
+
+    @pytest.mark.parametrize("stepdown", [False, True])
+    @pytest.mark.parametrize("method", list(Method))
+    def test_mask_is_the_decision(self, method, stepdown):
+        rng = np.random.default_rng(12)
+        sv = StatVector(StatKind.EMPIRICAL, np.r_[8.0, -6.0, 3.3, rng.normal(size=12)], 100)
+        if method is Method.BH:
+            rs = bh_fdr(p_values(sv), 0.05)
+        else:
+            dm = DrawMatrix(rng.normal(size=(500, 15)), provenance="parametric-gaussian")
+            rs = run_procedure(sv, 0.05, ProcedureKind(method, stepdown), draw_matrix=dm)
+        assert rs.mask.dtype == bool and rs.mask.shape == (15,)
+        assert not rs.mask.flags.writeable
+        assert rs.rejected == frozenset(np.flatnonzero(rs.mask).tolist())
+        assert {0, 1} <= rs.rejected
+        assert rs.m == sv.m
+
+    def test_one_pvalue_pass_per_statistic_vector(self, monkeypatch):
+        calls = []
+        tail = stats._two_sided_tail
+        monkeypatch.setattr(stats, "_two_sided_tail", lambda t: calls.append(t.size) or tail(t))
+        sv = stats_from_pvalues([1e-8, 0.013, 0.04, 0.9, 0.2])
+        results = [run_procedure(sv, 0.05, ProcedureKind(method, stepdown))
+                   for method in (Method.BONFERRONI, Method.SIDAK) for stepdown in (False, True)]
+        assert calls == [sv.m]
+        for rs in results:
+            assert np.array_equal(rs.pvalues.values, p_values(sv).values)
+            assert np.array_equal(rs.pvalues.values, tail(sv.values))
 
 
 def bh_oracle(pvals, alpha):

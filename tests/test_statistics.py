@@ -9,6 +9,7 @@ moments, that oracle reproduces the closed form.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from corrgraph import (
     standardize,
     statistic,
 )
+from corrgraph import stats as stats_module
 from corrgraph.core import pair_indices
 from corrgraph.stats import _two_sided_tail
 
@@ -361,6 +363,50 @@ def test_second_order_degenerate_pair_raises():
     data = np.column_stack([signs, -signs, rng.normal(size=30)])
     with pytest.raises(DegenerateInputError):
         statistic(SampleMatrix(data), StatKind.SECOND_ORDER)
+
+
+def second_order_oracle(samples):
+    """The second-order statistic from the full n x m matrix of pair products."""
+    x = standardize(samples).data
+    i, j = pair_indices(samples.p)
+    z = x[:, i] * x[:, j]
+    return np.sqrt(samples.n) * z.mean(axis=0) / np.sqrt(z.var(axis=0))
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 7])
+def test_second_order_chunks_match_full_products(monkeypatch, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(stats_module, "_PAIR_CHUNK", chunk)
+    rng = np.random.default_rng(30)
+    samples = SampleMatrix(rng.standard_t(5, size=(300, 24)) @ (np.eye(24) + 0.2))
+    assert samples.m > stats_module._PAIR_CHUNK  # more than one chunk
+    got = statistic(samples, StatKind.SECOND_ORDER).values
+    assert np.array_equal(got, second_order_oracle(samples))
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_second_order_names_degenerate_pair_in_later_chunk(monkeypatch, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(stats_module, "_PAIR_CHUNK", chunk)
+    rng = np.random.default_rng(31)
+    signs = np.array([1.0] * 15 + [-1.0] * 15)
+    rng.shuffle(signs)
+    data = rng.normal(size=(30, 20))
+    data[:, 17], data[:, 18] = signs, -signs  # pair (18, 19), flat index 187
+    with pytest.raises(DegenerateInputError, match=r"pair \(18, 19\)"):
+        statistic(SampleMatrix(data), StatKind.SECOND_ORDER)
+
+
+def test_second_order_memory_is_chunked():
+    samples = SampleMatrix(np.random.default_rng(32).normal(size=(2000, 100)))
+    tracemalloc.start()
+    try:
+        statistic(samples, StatKind.SECOND_ORDER)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The full 2000 x 4950 product matrix alone is 79 MB.
+    assert peak < 20e6
 
 
 def test_pair_covariance_takes_fresh_array():
