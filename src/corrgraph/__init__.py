@@ -37,6 +37,7 @@ from .procedures import (
 )
 from .quantiles import (
     DrawMatrix,
+    MaxRecords,
     QuantileEstimate,
     bootstrap_draw_matrix,
     cholesky_psd,
@@ -81,6 +82,7 @@ __all__ = [
     "DrawMatrix",
     "ExperimentConfig",
     "FourthMoments",
+    "MaxRecords",
     "Method",
     "MetricsRow",
     "ModelError",

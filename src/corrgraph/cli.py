@@ -233,7 +233,8 @@ def cmd_test(args) -> int:
         elif method is Method.MAX_T:
             draw_matrix = gauss_draw_matrix(_correlation(samples), kind, draws,
                                             make_rng(args.seed),
-                                            sample=samples if args.fourth_moment else None)
+                                            sample=samples if args.fourth_moment else None,
+                                            stats=stats)
         result = run_procedure(
             stats, args.alpha, ProcedureKind(method, stepdown=args.step_down), draw_matrix
         )

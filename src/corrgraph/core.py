@@ -63,7 +63,7 @@ def pair_indices(p: int) -> tuple[np.ndarray, np.ndarray]:
     return iu[0], iu[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleMatrix:
     """n observations of p real-valued variables.
 
@@ -113,7 +113,7 @@ class SampleMatrix:
         return num_pairs(self.p)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorrelationMatrix:
     """A p x p correlation matrix: symmetric, unit diagonal, entries in [-1, 1]."""
 

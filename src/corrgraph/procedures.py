@@ -15,15 +15,19 @@ Ties follow the printed rules: non-strict for the p-value rule
 (p <= alpha/m), strict for statistic rules (|T| > t).
 
 :func:`run_procedure` is the one entry point for all five.  The resampled
-rules read their threshold from a ``DrawMatrix`` the caller builds first
-(:func:`~corrgraph.quantiles.bootstrap_draw_matrix` or
-:func:`gauss_draw_matrix`, which maps p x p perturbations or multiplier
-weights to statistic draws and never forms the m x m Omega).  Given a tuple
-of kinds, either builder returns one DrawMatrix per kind from one set of
+rules read their threshold from draws the caller builds first:
+:func:`~corrgraph.quantiles.bootstrap_draw_matrix` returns a ``DrawMatrix``,
+and :func:`gauss_draw_matrix`, which maps p x p perturbations or multiplier
+weights to statistic draws and never forms the m x m Omega, returns a
+``DrawMatrix`` or, given the statistic vectors, their ``MaxRecords``.  Given
+a tuple of kinds, either builder returns one result per kind from one set of
 draws.  The step-down loop re-applies the rule to the surviving index set
 until a fixpoint and keeps one mask, of the surviving pairs, whose complement
-is the rejection mask; resampled quantiles are re-read on the surviving subset
-from that one DrawMatrix, so the thresholds are exactly decreasing.
+is the rejection mask.  The survivors are always the pairs with |T| at most
+the last threshold, so MaxRecords give each resampled quantile from the
+prefix maxima of the draws, with no B x m matrix; a DrawMatrix is re-read on
+the surviving subset by ``quantile_from_draws``.  Either way every quantile
+comes from one set of draws, so the thresholds are exactly decreasing.
 """
 
 from __future__ import annotations
@@ -37,7 +41,8 @@ import numpy as np
 
 from .core import CorrelationMatrix, pair_indices, standardize
 from .errors import NotPositiveDefiniteError
-from .quantiles import _MIN_GAUSS_DRAWS, DrawMatrix, quantile_from_draws, sidak_threshold
+from .quantiles import _MIN_GAUSS_DRAWS, DrawMatrix, MaxRecords, _fold_records, _max_records
+from .quantiles import quantile_from_draws, sidak_threshold
 from .stats import _PAIR_CHUNK, PValueVector, StatKind, StatVector, _influence, _kind_tuple
 from .stats import _rescale, p_values
 
@@ -59,6 +64,12 @@ DEFAULT_MAXT_DRAWS = 1000
 # The GEMMs' last bits depend on it and on _PAIR_CHUNK, the pair columns per
 # chunk of fourth-moment draws, so both are part of the seed contract.
 _PERTURBATION_ENTRIES = 1 << 15
+
+# Entries of the buffer of Gaussian max-T draws that one fold into records reads
+# (4 MB; all the draws when B x m is smaller).  At p=26, B=1000 a 512 kB buffer
+# was slower: more fold calls, and about 500 page faults per call as the
+# allocator returned freed heap memory between calls.
+_FOLD_ENTRIES = 1 << 19
 
 
 class Method(str, enum.Enum):
@@ -83,7 +94,7 @@ class ProcedureKind:
         return self.method.value + (" (step-down)" if self.stepdown else "")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RejectionSet:
     """Outcome of a multiple testing procedure on m pairwise tests."""
 
@@ -114,7 +125,8 @@ class RejectionSet:
 
 
 def gauss_draw_matrix(corr, kind: StatKind | tuple[StatKind, ...], draws: int,
-                      rng: np.random.Generator, sample=None) -> DrawMatrix | tuple[DrawMatrix, ...]:
+                      rng: np.random.Generator, sample=None,
+                      stats=None) -> DrawMatrix | MaxRecords | tuple:
     """``draws`` rows from N(0, Omega), Omega the pair covariance of ``kind`` statistics.
 
     Omega is never formed.  Without ``sample`` a row is psi(L H L^T): L L^T =
@@ -125,11 +137,15 @@ def gauss_draw_matrix(corr, kind: StatKind | tuple[StatKind, ...], draws: int,
     corr) a row is xi @ Psi, xi i.i.d. N(0, 1/n) multipliers and Psi the
     influence matrix of ``omega_general``, so Omega = Psi^T Psi / n.
 
-    ``kind`` is one StatKind, which returns one DrawMatrix, or a tuple of
-    kinds, which returns one DrawMatrix per kind, in that order, from one set
-    of perturbations: each block's S (or the multipliers xi) is drawn once and
+    ``kind`` is one StatKind, which returns one result, or a tuple of kinds,
+    which returns one result per kind, in that order, from one set of
+    perturbations: each block's S (or the multipliers xi) is drawn once and
     mapped per kind, so each kind's draws equal those of a single-kind call on
-    the same stream.
+    the same stream.  The result is a DrawMatrix, or, given ``stats`` (the
+    StatVector of each kind, in the same form as ``kind``), the MaxRecords of
+    the draws with the pairs in ascending |T| order: each block of draws is
+    folded into them as it is made, so no B x m matrix is held.  Either way
+    every draw has the same value.
     """
     kinds, single = _kind_tuple(kind)
     if draws < _MIN_GAUSS_DRAWS:
@@ -137,61 +153,98 @@ def gauss_draw_matrix(corr, kind: StatKind | tuple[StatKind, ...], draws: int,
     corr = np.asarray(corr.values if isinstance(corr, CorrelationMatrix) else corr, dtype=float)
     p = corr.shape[0]
     i, j = pair_indices(p)
-    r = corr[i, j]
-    rows = [np.empty((draws, i.size)) for _ in kinds]
+    r, m = corr[i, j], i.size
+    if stats is None:
+        orders = [np.arange(m)] * len(kinds)
+        mats = [np.empty((draws, m)) for _ in kinds]
+    else:
+        stats = (stats,) if single else tuple(stats)
+        if tuple(sv.kind for sv in stats) != kinds or any(sv.m != m for sv in stats):
+            raise ValueError("statistic vectors do not match the kinds and pairs of the draws")
+        orders = [np.argsort(np.abs(sv.values), kind="stable") for sv in stats]
+        mats = None
+    parts = [[] for _ in kinds]
     if sample is not None:
-        x = standardize(sample).data
-        xi = rng.standard_normal((draws, x.shape[0])) / np.sqrt(x.shape[0])
-        for a in range(0, i.size, _PAIR_CHUNK):
-            pairs = slice(a, a + _PAIR_CHUNK)
-            for kd, out in zip(kinds, rows):
-                out[:, pairs] = xi @ _influence(x, r[pairs], i[pairs], j[pairs], kd)
-        return _gauss_result(rows, single)
+        xt = np.ascontiguousarray(standardize(sample).data.T)
+        xi = rng.standard_normal((draws, xt.shape[1]))
+        xi /= np.sqrt(xt.shape[1])
+        work = np.empty((_PAIR_CHUNK, draws)) if mats is None else None  # pairs by rows
+        for c, (kd, order) in enumerate(zip(kinds, orders)):
+            carry = np.full(draws, -np.inf)
+            for a in range(0, m, _PAIR_CHUNK):
+                pairs = order[a : a + _PAIR_CHUNK]
+                chunk = xi @ _influence(xt, r[pairs], i[pairs], j[pairs], kd)
+                if mats is None:
+                    work[: pairs.size] = chunk.T
+                    parts[c].append(_fold_records(work[: pairs.size], carry, col0=a))
+                else:
+                    mats[c][:, a : a + _PAIR_CHUNK] = chunk
+        return _gauss_result(mats, orders, parts, draws, single)
     lam, vec = np.linalg.eigh(corr)
     if lam[0] < -1e-8 * max(lam[-1], 1.0):
         raise NotPositiveDefiniteError("correlation matrix is not positive semi-definite")
     root = vec * np.sqrt(np.maximum(lam, 0.0))
-    factors = [1.0 / np.sqrt(1.0 + r * r) if kd is StatKind.SECOND_ORDER
-               else _rescale(np.ones_like(r), r, kd) for kd in kinds]
-    centered = any(kd is not StatKind.SECOND_ORDER for kd in kinds)
-    upper, diag, flat = np.triu_indices(p), np.arange(p), i * p + j
+    # Per kind, in its pair order: flat positions in S, the shift's indexes and the factor.
+    plan = []
+    for kd, order in zip(kinds, orders):
+        factor = (1.0 / np.sqrt(1.0 + r * r) if kd is StatKind.SECOND_ORDER
+                  else _rescale(np.ones_like(r), r, kd))
+        plan.append(((i * p + j)[order], i[order], j[order], 0.5 * r[order], factor[order]))
+    # Flat positions in a p x p matrix of the upper triangle, its mirror and the diagonal.
+    upper = np.triu_indices(p)
+    upper, lower, diag = upper[0] * p + upper[1], upper[1] * p + upper[0], np.arange(p) * (p + 1)
     block = max(1, _PERTURBATION_ENTRIES // (p * p))
+    # Records: the row blocks fill one buffer per kind, pairs by rows, which is
+    # folded when full.
+    fold_rows = block * max(1, _FOLD_ENTRIES // (block * m))
+    buffers = [np.empty((m, min(fold_rows, draws))) for _ in kinds] if mats is None else None
     for a in range(0, draws, block):
         k = min(block, draws - a)
-        h, z = np.empty((k, p, p)), rng.standard_normal((k, upper[0].size))
-        h[:, upper[0], upper[1]] = h[:, upper[1], upper[0]] = z
-        h[:, diag, diag] *= np.sqrt(2.0)
+        h, z = np.empty((k, p * p)), rng.standard_normal((k, upper.size))
+        h[:, upper] = h[:, lower] = z
+        h[:, diag] *= np.sqrt(2.0)
         s = (h.reshape(-1, p) @ root.T).reshape(k, p, p)  # H L^T, whose transpose is L H
-        s = (s.transpose(0, 2, 1).reshape(-1, p) @ root.T).reshape(k, p, p)
-        shift = 0.5 * r * (s[:, i, i] + s[:, j, j]) if centered else None
-        for kd, rows_kd, factor in zip(kinds, rows, factors):
-            out = np.take(s.reshape(k, -1), flat, axis=1, out=rows_kd[a : a + k])
+        s = (s.transpose(0, 2, 1).reshape(-1, p) @ root.T).reshape(k, -1)
+        s_diag, lo = s[:, diag], a % fold_rows
+        for c, (kd, (flat, i_o, j_o, half_r, factor)) in enumerate(zip(kinds, plan)):
+            out = np.take(s, flat, axis=1, out=None if mats is None else mats[c][a : a + k])
             if kd is not StatKind.SECOND_ORDER:
-                out -= shift
+                out -= half_r * (s_diag[:, i_o] + s_diag[:, j_o])
             out *= factor
-    return _gauss_result(rows, single)
+            if mats is None:
+                buffers[c][:, lo : lo + k] = out.T
+                if lo + k == fold_rows or a + k == draws:
+                    parts[c].append(_fold_records(buffers[c][:, : lo + k],
+                                                  np.full(lo + k, -np.inf), row0=a - lo))
+    return _gauss_result(mats, orders, parts, draws, single)
 
 
 # The name that bench/spans.py resolves.
 _gauss_draw_matrix = gauss_draw_matrix
 
 
-def _gauss_result(rows: list, single: bool):
-    mats = tuple(DrawMatrix(v, provenance="parametric-gaussian") for v in rows)
-    return mats[0] if single else mats
+def _gauss_result(mats, orders, parts, draws: int, single: bool):
+    if mats is None:
+        out = tuple(_max_records(order, draws, part) for order, part in zip(orders, parts))
+    else:
+        out = tuple(DrawMatrix(v, provenance="parametric-gaussian") for v in mats)
+    return out[0] if single else out
 
 
 def run_procedure(
     stats: StatVector,
     alpha: float,
     procedure: ProcedureKind,
-    draw_matrix: DrawMatrix | None = None,
+    draw_matrix: DrawMatrix | MaxRecords | None = None,
 ) -> RejectionSet:
     """Apply a procedure (single-step or step-down) to a statistic vector.
 
     ``bootrw``, ``maxt`` and ``oracle-maxt`` read their threshold from
-    ``draw_matrix``, B resampled statistic vectors of width m; Bonferroni and
-    Sidak need none.
+    ``draw_matrix``: B resampled statistic vectors of width m, or the
+    MaxRecords of such draws built for ``stats``.  Bonferroni and Sidak need
+    none.  The pairs alive after each step are those with |T| at most its
+    threshold, so with MaxRecords each threshold is a quantile over a prefix
+    of their |T| order, of the length of the alive set.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
@@ -205,6 +258,9 @@ def run_procedure(
         raise ValueError(f"{method.value} requires a draw matrix")
     if draw_matrix is not None and draw_matrix.m != m:
         raise ValueError("draw matrix width does not match statistic vector")
+    records = isinstance(draw_matrix, MaxRecords)
+    if records and np.any(np.diff(t_abs[draw_matrix.order]) < 0.0):
+        raise ValueError("max records are not in the |T| order of the statistic vector")
 
     alive = np.ones(m, dtype=bool)
     thresholds = []
@@ -220,7 +276,10 @@ def run_procedure(
             thr = sidak_threshold(alpha, subset.size)
             newly = subset[t_abs[subset] > thr]
         else:
-            thr = quantile_from_draws(draw_matrix, alpha, subset)
+            if records:
+                thr = draw_matrix.quantile(alpha, subset.size)
+            else:
+                thr = quantile_from_draws(draw_matrix, alpha, subset)
             newly = subset[t_abs[subset] > thr]
         thresholds.append(float(thr))
         pair_thr[subset] = thr

@@ -25,9 +25,20 @@ bootstrap, unless a second-order theta forced a shared redraw).
 
 :func:`quantile_from_draws` reads the empirical (1 - alpha)-quantile as the
 order statistic of rank ceil((1 - alpha) B), a conservative right-continuous
-convention.  Step-down procedures re-read it on shrinking pair subsets of the
-*same* DrawMatrix, which makes subset monotonicity exact (not just
-statistical) and the step-down iteration deterministic.
+convention, on any subset of the pairs.  Re-reading it on shrinking subsets
+of the *same* draws makes subset monotonicity exact (not just statistical)
+and the step-down iteration deterministic.
+
+A step-down alive set is always the pairs with |T| at most the last
+threshold: a prefix of the pairs sorted by ascending |T|.  So a step-down
+needs only each draw row's maximum over a prefix, a step function with about
+ln m steps for exchangeable columns (the successive maxima of Westfall and
+Young, 1993; Romano and Wolf, 2005).  :class:`MaxRecords` keeps those steps
+in place of the B x m draws: ``procedures.gauss_draw_matrix``, given the
+statistic vectors, folds each block of its draws into them as it goes, and
+:meth:`MaxRecords.quantile` returns what :func:`quantile_from_draws` returns
+on the same prefix.  :func:`quantile_from_draws` stays for arbitrary subsets.
+
 :func:`max_gauss_quantile` (``corrgraph quantile``, any m x m Sigma) factors
 Sigma with :func:`cholesky_psd` and streams Gaussian blocks, keeping only
 their rowwise maxima, for a single threshold at a B too large to store.
@@ -49,6 +60,7 @@ from .stats import StatKind, _kind_tuple, _transform
 __all__ = [
     "QuantileEstimate",
     "DrawMatrix",
+    "MaxRecords",
     "sidak_threshold",
     "cholesky_psd",
     "max_gauss_quantile",
@@ -68,6 +80,9 @@ _BLOCK_ENTRIES = 1 << 22
 # symmetry check in cholesky_psd and the column chunks of quantile_from_draws.
 _SCAN_ENTRIES = 1 << 16
 
+# Positions per segment of the first pass of _fold_records.
+_SEGMENT = 16
+
 # Smallest accepted draw counts: bootstrap resamples and Gaussian draws.
 _MIN_BOOTSTRAP_DRAWS = 50
 _MIN_GAUSS_DRAWS = 100
@@ -77,7 +92,7 @@ _MIN_GAUSS_DRAWS = 100
 _DEGENERATE = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DrawMatrix:
     """B x m matrix of simulated/resampled statistic vectors.
 
@@ -105,6 +120,100 @@ class DrawMatrix:
     @property
     def m(self) -> int:
         return self.draws.shape[1]
+
+
+@dataclass(frozen=True, eq=False)
+class MaxRecords:
+    """Prefix maxima of B draw rows over the m pairs taken in ascending |T| order.
+
+    ``order`` holds the pair indexes by ascending |T| (a stable argsort).  A
+    row's records are the positions in ``order`` where the running max of
+    |draw| strictly rises, with that max: ``positions`` (int32) and
+    ``values`` (float64), sorted by row and then position.  Row k's records
+    start at ``starts[k]``; the first is at position 0.
+    """
+
+    order: np.ndarray
+    starts: np.ndarray
+    positions: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        for name in ("order", "starts", "positions", "values"):
+            getattr(self, name).flags.writeable = False
+
+    @property
+    def b(self) -> int:
+        return self.starts.size
+
+    @property
+    def m(self) -> int:
+        return self.order.size
+
+    def quantile(self, alpha: float, length: int) -> float:
+        """:func:`quantile_from_draws` on the pairs ``order[:length]``.
+
+        A row's maximum over that prefix is its last record before ``length``.
+        """
+        if not 1 <= length <= self.m:
+            raise ValueError(f"prefix length must be in [1, {self.m}], got {length}")
+        maxima = np.maximum.reduceat(np.where(self.positions < length, self.values, 0.0),
+                                     self.starts)
+        return _max_quantile(maxima, alpha)
+
+
+def _fold_records(a: np.ndarray, carry: np.ndarray, row0: int = 0, col0: int = 0) -> tuple:
+    """(rows, positions, values) of the records in one block of draws.
+
+    ``a`` holds the block positions by rows: positions ``col0..`` of the |T|
+    order of draw rows ``row0..``.  A C-ordered ``a`` is overwritten with its
+    absolute values.  ``carry`` holds each row's running max of |draw| before
+    ``col0`` (-inf at position 0), and is advanced in place.  A first pass
+    takes the max of each ``_SEGMENT`` positions; only the segments whose
+    max passes the running max can hold a record, and only they are
+    scanned.  A NaN or an infinity reaches the carried max, so it is caught
+    there.
+    """
+    a = np.ascontiguousarray(a)
+    c, k = a.shape
+    flat = np.abs(a, out=a).ravel()
+    full = c // _SEGMENT
+    top = np.empty((-(-c // _SEGMENT), k))
+    top[:full] = a[: full * _SEGMENT].reshape(full, _SEGMENT, k).max(axis=1)
+    if full < top.shape[0]:
+        top[full] = a[full * _SEGMENT :].max(axis=0)
+    prior = np.empty_like(top)  # each row's running max before each segment
+    prior[0] = carry
+    np.maximum.accumulate(top[:-1], axis=0, out=prior[1:])
+    np.maximum(prior[1:], carry, out=prior[1:])
+    carry[:] = np.maximum(prior[-1], top[-1])
+    if not np.isfinite(carry).all():
+        raise ValueError("draw matrix contains non-finite entries")
+    hits = np.flatnonzero(top > prior)
+    seg, row = np.divmod(hits, k)
+    # Scan the hit segments one position at a time, with vectors of one entry
+    # per hit: segment-by-hit temporaries made the allocator fault pages in on
+    # every call.  A short last segment repeats its last position, which
+    # cannot rise strictly above itself.
+    first, last = seg * (_SEGMENT * k) + row, (c - 1) * k + row  # indexes into flat
+    run, index, value = prior.ravel()[hits], np.empty_like(hits), np.empty(hits.size)
+    rise = np.empty((_SEGMENT, hits.size), dtype=bool)
+    for w in range(_SEGMENT):
+        np.minimum(np.add(first, w * k, out=index), last, out=index)
+        flat.take(index, out=value)
+        np.greater(value, run, out=rise[w])
+        np.maximum(run, value, out=run)
+    offset, hit = np.divmod(np.flatnonzero(rise), hits.size)
+    rows, positions = row[hit], seg[hit] * _SEGMENT + offset
+    return rows + row0, positions + col0, flat.take(positions * k + rows)
+
+
+def _max_records(order: np.ndarray, draws: int, parts: list) -> MaxRecords:
+    """The MaxRecords of ``draws`` rows from the :func:`_fold_records` parts of their blocks."""
+    rows, positions, values = (np.concatenate(column) for column in zip(*parts))
+    by_row = np.argsort(rows * order.size + positions)
+    return MaxRecords(order=order, starts=np.searchsorted(rows[by_row], np.arange(draws)),
+                      positions=positions[by_row].astype(np.int32), values=values[by_row])
 
 
 @dataclass(frozen=True)

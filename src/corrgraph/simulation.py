@@ -18,8 +18,9 @@ Every statistic kind of a replicate reads one set of resamples per method
 (common random numbers for the paired comparison of the kinds): one
 quantile stream per (replicate, attempt) feeds the tuple form of
 ``bootstrap_draw_matrix``, then of ``gauss_draw_matrix`` for ``maxt`` and
-for ``oracle-maxt``, in that order.  The first kind's rows are those of a
-config with that kind alone.
+for ``oracle-maxt``, in that order.  The max-T builders get the statistic
+vectors and return MaxRecords, so no B x m draws are held.  The first kind's
+rows are those of a config with that kind alone.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ _STREAM_QUANTILE = 3
 _MAX_RETRIES = 10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AdjacencyMatrix:
     """Symmetric binary p x p matrix with zero diagonal."""
 
@@ -95,7 +96,7 @@ class AdjacencyMatrix:
         return self.values[i, j] == 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorrelationModel:
     """Gamma = I + rho * A with its PD certificate and true H0/H1 split."""
 
@@ -313,22 +314,24 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
     return mean, float(values.std(ddof=1) / math.sqrt(values.size))
 
 
-def _draw_matrices(method, config, data, gamma, qrng) -> tuple:
-    """One DrawMatrix per statistic kind for ``method``, all from one set of draws."""
+def _draw_matrices(method, config, data, gamma, qrng, svs) -> tuple:
+    """One DrawMatrix (bootrw) or MaxRecords (max-T) per statistic kind for
+    ``method``, all from one set of draws."""
     if method is Method.BOOT_RW:
         return bootstrap_draw_matrix(data, config.stats, config.bootrw_draws, rng=qrng)
     if method is Method.MAX_T:
-        return gauss_draw_matrix(_correlation(data), config.stats, config.maxt_draws, qrng)
+        return gauss_draw_matrix(_correlation(data), config.stats, config.maxt_draws, qrng,
+                                 stats=svs)
     if method is Method.ORACLE_MAX_T:
-        return gauss_draw_matrix(gamma, config.stats, config.maxt_draws, qrng)
+        return gauss_draw_matrix(gamma, config.stats, config.maxt_draws, qrng, stats=svs)
     return (None,) * len(config.stats)
 
 
 def _replicate_work(config, model_cache, pi_idx, rho_idx, n_idx, r):
     """Metrics for a single replicate: one sample, all stats and procedures.
 
-    The procedures run method by method, so only one method's draw matrices
-    are alive at a time; each resampled method builds them for every kind
+    The procedures run method by method, so only one method's draws are
+    alive at a time; each resampled method builds them for every kind
     from one quantile stream, in the order bootrw, maxt, oracle-maxt.
     Returns an array of shape (n_stats, n_procs, 3) or None if every retry
     produced degenerate data.
@@ -346,14 +349,15 @@ def _replicate_work(config, model_cache, pi_idx, rho_idx, n_idx, r):
                 model = model_cache[(pi_idx, rho_idx)]
             data = sample_gaussian(model, n, rng=rng)
             h1 = model.h1_mask()
-            svs = [statistic(data, kind) for kind in config.stats]
+            svs = tuple(statistic(data, kind) for kind in config.stats)
             qrng = make_rng(config.seed, _STREAM_QUANTILE, pi_idx, rho_idx, n_idx, r, attempt, 0)
             out = np.empty((len(config.stats), len(config.procedures), 3))
             for method in Method:  # declared in stream order: bootrw, maxt, oracle-maxt
                 used = [k for k, pk in enumerate(config.procedures) if pk.method is method]
                 if not used:
                     continue
-                for s_idx, dm in enumerate(_draw_matrices(method, config, data, model.gamma, qrng)):
+                draws = _draw_matrices(method, config, data, model.gamma, qrng, svs)
+                for s_idx, dm in enumerate(draws):
                     for k_idx in used:
                         rs = run_procedure(svs[s_idx], config.alpha, config.procedures[k_idx], dm)
                         out[s_idx, k_idx] = replicate_metrics(rs.mask, h1)

@@ -79,7 +79,7 @@ def _kind_tuple(kind) -> tuple[tuple[StatKind, ...], bool]:
     return kinds, single
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StatVector:
     """Length-m vector of test statistics in flat pair order."""
 
@@ -100,7 +100,7 @@ class StatVector:
         return self.values.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PValueVector:
     """Two-sided asymptotic p-values, p_i = 2 (1 - Phi(|T_i|))."""
 
@@ -108,6 +108,8 @@ class PValueVector:
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
+        if not np.all(np.isfinite(values)):
+            raise ValueError("p-value vector contains non-finite entries")
         if np.any((values < 0.0) | (values > 1.0)):
             raise ValueError("p-values outside [0, 1]")
         values = values.copy()
@@ -119,7 +121,7 @@ class PValueVector:
         return self.values.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairCovariance:
     """m x m asymptotic covariance of a statistic vector, in pair order.
 
@@ -143,7 +145,7 @@ class PairCovariance:
         return self.values.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FourthMoments:
     """Standardized sample ``x`` (n x p, divisor n) plus the correlations.
 
@@ -286,27 +288,34 @@ def omega_general(moments: FourthMoments, kind: StatKind) -> PairCovariance:
     """
     kind = StatKind(kind)
     i, j = pair_indices(moments.p)
-    psi = _influence(moments.x, moments.corr[i, j], i, j, kind)
+    psi = _influence(np.ascontiguousarray(moments.x.T), moments.corr[i, j], i, j, kind)
     omega = psi.T @ psi
     omega /= moments.x.shape[0]
     return PairCovariance(omega, kind=kind, source="fourth-moment-plugin")
 
 
-def _influence(x: np.ndarray, r: np.ndarray, i: np.ndarray, j: np.ndarray,
+def _influence(xt: np.ndarray, r: np.ndarray, i: np.ndarray, j: np.ndarray,
                kind: StatKind) -> np.ndarray:
     """n x k influence values of the ``kind`` statistics of pairs (i, j) with
-    correlations r on the standardized sample x: x_i x_j - r (x_i^2 + x_j^2)/2
-    over the Delta derivative, or for second-order x_i x_j - r at unit variance.
+    correlations r, from xt, the transposed (p x n, C-ordered) standardized
+    sample: x_i x_j - r (x_i^2 + x_j^2)/2 over the Delta derivative, or for
+    second-order x_i x_j - r at unit variance.  They are formed k x n from
+    whole rows of xt, which gathers fast for pairs in any order, and returned
+    transposed: each pair's n values are contiguous, the layout of
+    ``x[:, i]``, which the last bits of the GEMMs on them depend on.
     """
-    psi = x[:, i]
-    psi *= x[:, j]
+    left, right = xt[i], xt[j]
+    psi = (left * right).T
     if kind is StatKind.SECOND_ORDER:
         psi -= r
-        var2 = np.einsum("ij,ij->j", psi, psi) / x.shape[0]
+        var2 = np.einsum("ij,ij->j", psi, psi) / psi.shape[0]
         if np.any(var2 <= 0.0):
             raise SingularityError("nonpositive second-order variance term rho_ijij - rho_ij^2")
         psi /= np.sqrt(var2)
         return psi
-    psi -= 0.5 * r * x[:, i] ** 2
-    psi -= 0.5 * r * x[:, j] ** 2
+    half_r = (0.5 * r)[:, None]
+    for side in (left, right):
+        side *= side
+        side *= half_r
+        psi -= side.T
     return _rescale(psi, r, kind)

@@ -315,6 +315,48 @@ class TestTestCommand:
                      "--step-down", *fourth, "--draws", "100", "--output", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 19_901
 
+    @pytest.mark.parametrize("fourth", [[], ["--fourth-moment"]])
+    def test_maxt_holds_no_draw_matrix(self, tmp_path, fourth):
+        # B = 1000 draws of m = 19,900 pairs would take 159 MB; the step-down
+        # reads prefix-max records, and nothing of that size is allocated.
+        import tracemalloc
+
+        path = tmp_path / "wide.csv"
+        data = np.random.default_rng(5).normal(size=(500, 200))
+        np.savetxt(path, data, delimiter=",", comments="",
+                   header=",".join(f"v{c}" for c in range(200)))
+        out = tmp_path / "o.csv"
+        tracemalloc.start()
+        try:
+            code = main(["test", "--input", str(path), "--stat", "fisher", "--method", "maxt",
+                         "--step-down", *fourth, "--output", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and len(out.read_text().splitlines()) == 19_901
+        assert peak < 0.1 * 1000 * 19_900 * 8
+
+    @pytest.mark.parametrize("fourth", [[], ["--fourth-moment"]])
+    def test_non_finite_draws_exit_one(self, tmp_path, data_csv, monkeypatch, capsys, fourth):
+        # A NaN Delta factor (Gaussian route) or influence value
+        # (fourth-moment route) makes non-finite draws.
+        def poison(real):
+            def wrapped(*args, **kwargs):
+                values = real(*args, **kwargs)
+                values[..., 0] = np.nan
+                return values
+            return wrapped
+
+        monkeypatch.setattr(procedures, "_rescale", poison(stats._rescale))
+        monkeypatch.setattr(procedures, "_influence", poison(stats._influence))
+        path, _ = data_csv
+        out = tmp_path / "o.csv"
+        for step_down in ([], ["--step-down"]):
+            assert main(["test", "--input", path, "--stat", "fisher", "--method", "maxt",
+                         *step_down, *fourth, "--output", str(out)]) == 1
+            assert capsys.readouterr().err == "error: draw matrix contains non-finite entries\n"
+            assert not out.exists()
+
     def test_maxt_forms_no_pair_covariance(self, tmp_path, data_csv, monkeypatch):
         # Every max-T route runs with the m x m covariance builders and the
         # Cholesky factorization made to raise, wherever corrgraph binds them.

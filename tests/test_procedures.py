@@ -243,6 +243,57 @@ class TestGaussDrawMatrix:
         assert np.all(np.isfinite(dm.draws))
 
 
+class TestMaxRecordsPath:
+    """The builder's MaxRecords against its DrawMatrix, through run_procedure."""
+
+    @pytest.mark.parametrize("route", ["gaussian", "fourth-moment"])
+    def test_procedures_match_draw_matrix(self, route):
+        # Two perturbation blocks at p = 20 (81 rows) and two pair chunks.
+        sample = tdata(150, 20, seed=9)
+        corr = empirical_correlation(sample)
+        multipliers = sample if route == "fourth-moment" else None
+        svs = tuple(corrgraph.statistic(sample, kind) for kind in StatKind)
+        mats = gauss_draw_matrix(corr, tuple(StatKind), 200, make_rng(3), sample=multipliers)
+        recs = gauss_draw_matrix(corr, tuple(StatKind), 200, make_rng(3), sample=multipliers,
+                                 stats=svs)
+        for sv, dm, rec in zip(svs, mats, recs):
+            assert isinstance(rec, corrgraph.MaxRecords) and (rec.b, rec.m) == (200, sv.m)
+            for stepdown in (False, True):
+                for alpha in (0.05, 0.2):
+                    procedure = ProcedureKind(Method.MAX_T, stepdown)
+                    want = run_procedure(sv, alpha, procedure, dm)
+                    got = run_procedure(sv, alpha, procedure, rec)
+                    assert got.thresholds == want.thresholds
+                    assert got.iterations == want.iterations
+                    assert np.array_equal(got.pair_thresholds, want.pair_thresholds)
+                    assert np.array_equal(got.mask, want.mask)
+
+    def test_single_kind_matches_tuple(self):
+        corr = CorrelationMatrix(random_correlation_matrix(9, make_rng(1)))
+        sv = StatVector(StatKind.FISHER, make_rng(2).normal(size=36) * 3.0, 100)
+        rec = gauss_draw_matrix(corr, StatKind.FISHER, 150, make_rng(4), stats=sv)
+        (pair,) = gauss_draw_matrix(corr, (StatKind.FISHER,), 150, make_rng(4), stats=(sv,))
+        assert isinstance(rec, corrgraph.MaxRecords)
+        assert np.array_equal(rec.values, pair.values)
+        assert np.array_equal(rec.positions, pair.positions)
+
+    def test_mismatched_statistics_refused(self):
+        corr = CorrelationMatrix(random_correlation_matrix(5, make_rng(1)))
+        sv = StatVector(StatKind.FISHER, make_rng(2).normal(size=10) * 3.0, 100)
+        with pytest.raises(ValueError, match="do not match"):
+            gauss_draw_matrix(corr, StatKind.STUDENT, 100, make_rng(0), stats=sv)
+        with pytest.raises(ValueError, match="do not match"):
+            gauss_draw_matrix(np.eye(4), StatKind.FISHER, 100, make_rng(0), stats=sv)
+        rec = gauss_draw_matrix(corr, StatKind.FISHER, 100, make_rng(0), stats=sv)
+        other = StatVector(StatKind.FISHER, sv.values[::-1], 100)
+        with pytest.raises(ValueError, match="not in the"):
+            run_procedure(other, 0.05, ProcedureKind(Method.MAX_T), rec)
+        # Ties in |T| may sit in any order: the sign of T does not matter.
+        flipped = StatVector(StatKind.FISHER, -sv.values, 100)
+        assert run_procedure(flipped, 0.05, ProcedureKind(Method.MAX_T, True), rec).thresholds == \
+            run_procedure(sv, 0.05, ProcedureKind(Method.MAX_T, True), rec).thresholds
+
+
 def holm_oracle(pvals, alpha):
     """Textbook Holm: sort p-values, find first k with p_(k) > alpha/(m-k+1)."""
     p = np.asarray(pvals)
@@ -401,6 +452,40 @@ class TestBH:
         bon = run_procedure(sv, alpha, ProcedureKind(Method.BONFERRONI))
         bh = bh_fdr(bon.pvalues, alpha)
         assert bon.rejected <= bh.rejected
+
+
+def array_dataclasses():
+    """Two equal-valued instances of every frozen dataclass with an array field."""
+    sample = tdata(30, 4, seed=1)
+    sv = corrgraph.statistic(sample, StatKind.FISHER)
+    corr = empirical_correlation(sample)
+    adjacency = sbm_adjacency(4, 0.6, 0.2, seed=2)
+    sigma = np.eye(6) + 0.1
+    yield lambda: SampleMatrix(sample.data)
+    yield lambda: CorrelationMatrix(corr.values)
+    yield lambda: StatVector(sv.kind, sv.values, sv.n)
+    yield lambda: PValueVector(p_values(sv).values)
+    yield lambda: stats.PairCovariance(sigma.copy(), kind=StatKind.FISHER, source="oracle")
+    yield lambda: fourth_moments(sample)
+    yield lambda: DrawMatrix(sigma.copy(), provenance="parametric-gaussian")
+    yield lambda: gauss_draw_matrix(corr, sv.kind, 100, make_rng(0), stats=sv)
+    yield lambda: run_procedure(sv, 0.05, ProcedureKind(Method.SIDAK, True))
+    yield lambda: corrgraph.AdjacencyMatrix(adjacency.values)
+    yield lambda: correlation_model(adjacency, 0.1)
+
+
+@pytest.mark.parametrize("make", list(array_dataclasses()))
+def test_array_results_compare_by_identity(make):
+    a, b = make(), make()
+    assert a == a and not a != a
+    assert a != b and not a == b
+    assert len({a, b, a}) == 2
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pvalue_vector_refuses_non_finite(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        PValueVector(np.array([bad, 0.5]))
 
 
 class TestMtp2:

@@ -23,7 +23,7 @@ from corrgraph import (
     sidak_threshold,
 )
 from corrgraph.core import empirical_correlation, pair_indices, standardize
-from corrgraph.quantiles import _max_quantile
+from corrgraph.quantiles import _fold_records, _max_quantile, _max_records
 from corrgraph.stats import _transform
 
 
@@ -224,6 +224,81 @@ class TestQuantileFromDraws:
         finally:
             tracemalloc.stop()
         assert peak < 0.25 * dm.draws.nbytes
+
+
+def fold_by_columns(draws, order, widths):
+    """MaxRecords of ``draws`` folded in column chunks of the given widths, in ``order``.
+
+    The fold reads each chunk pairs by rows, and overwrites it.
+    """
+    b, m = draws.shape
+    carry, parts, a = np.full(b, -np.inf), [], 0
+    for width in widths:
+        if a < m:
+            parts.append(_fold_records(draws[:, order[a : a + width]].T.copy(), carry, col0=a))
+            a += width
+    if a < m:
+        parts.append(_fold_records(draws[:, order[a:]].T.copy(), carry, col0=a))
+    return _max_records(order, b, parts)
+
+
+def fold_by_rows(draws, order, rows):
+    """MaxRecords of ``draws`` folded in row blocks of ``rows`` rows, columns in ``order``."""
+    b = draws.shape[0]
+    parts = [_fold_records(draws[a : a + rows][:, order].T.copy(),
+                           np.full(min(rows, b - a), -np.inf), row0=a) for a in range(0, b, rows)]
+    return _max_records(order, b, parts)
+
+
+class TestMaxRecords:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**31), b=st.sampled_from([100, 1000]),
+           m=st.integers(1, 60), levels=st.integers(1, 8), data=st.data())
+    def test_prefix_quantile_matches_scan(self, seed, b, m, levels, data):
+        # |T| on a few levels, so ties are common; the draws are rounded too,
+        # so a running max often stays level.  Every alive set {|T| <= c} is a
+        # prefix of the stable |T| order, of length searchsorted(.., "right").
+        rng = np.random.default_rng(seed)
+        t_abs = rng.integers(0, levels, size=m).astype(float)
+        draws = np.round(rng.normal(size=(b, m)), 1)
+        dm = DrawMatrix(draws.copy(), provenance="parametric-gaussian")
+        order = np.argsort(t_abs, kind="stable")
+        widths = data.draw(st.lists(st.integers(1, 17), min_size=1, max_size=8))
+        rows = data.draw(st.integers(1, b))
+        by_cols, by_rows = fold_by_columns(draws, order, widths), fold_by_rows(draws, order, rows)
+        assert np.array_equal(by_cols.positions, by_rows.positions)
+        assert np.array_equal(by_cols.values, by_rows.values)
+        assert by_cols.positions.dtype == np.int32 and by_cols.values.dtype == np.float64
+        sorted_t = t_abs[order]
+        for cut in data.draw(st.lists(st.integers(0, levels - 1), min_size=1, max_size=4)):
+            length = int(np.searchsorted(sorted_t, cut, "right"))
+            if length == 0:
+                continue
+            assert set(order[:length].tolist()) == set(np.flatnonzero(t_abs <= cut).tolist())
+            for alpha in (0.05, 0.3):
+                want = quantile_from_draws(dm, alpha, np.flatnonzero(t_abs <= cut))
+                assert by_cols.quantile(alpha, length) == want
+
+    def test_records_are_the_strict_rises(self):
+        draws = np.array([[1.0, -1.0, 2.0, 0.5, -3.0], [0.0, 0.0, -0.0, 0.0, 0.0]])
+        rec = fold_by_columns(draws, np.arange(5), [2, 1])
+        assert rec.starts.tolist() == [0, 3]
+        assert rec.positions.tolist() == [0, 2, 4, 0]
+        assert rec.values.tolist() == [1.0, 2.0, 3.0, 0.0]
+        assert (rec.b, rec.m) == (2, 5)
+        with pytest.raises(ValueError):
+            rec.values[0] = 9.0
+        with pytest.raises(ValueError, match="prefix length"):
+            rec.quantile(0.05, 0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_draw_refused(self, bad):
+        draws = np.random.default_rng(1).normal(size=(10, 6))
+        draws[4, 3] = bad
+        for fold in (lambda: fold_by_columns(draws, np.arange(6), [2]),
+                     lambda: fold_by_rows(draws, np.arange(6), 3)):
+            with pytest.raises(ValueError, match="draw matrix contains non-finite entries"):
+                fold()
 
 
 class TestMaxGaussQuantile:

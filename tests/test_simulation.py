@@ -259,6 +259,23 @@ class TestSharedDraws:
         assert calls == [("bootstrap_draw_matrix", stats), ("gauss_draw_matrix", stats),
                          ("gauss_draw_matrix", stats)] * reps
 
+    def test_max_records_rows_match_draw_matrix_rows(self, monkeypatch):
+        # Four kinds with maxt, its step-down and oracle-maxt: the rows read
+        # from the builder's MaxRecords equal those read from its DrawMatrix.
+        config = ExperimentConfig(**{**SMALL, "stats": tuple(StatKind), "procedures": (
+            ProcedureKind(Method.MAX_T), ProcedureKind(Method.MAX_T, True),
+            ProcedureKind(Method.ORACLE_MAX_T), ProcedureKind(Method.ORACLE_MAX_T, True),
+        )})
+        records = run_experiment(config)
+        real = simulation.gauss_draw_matrix
+
+        def draw_matrix(*args, stats, **kwargs):
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(simulation, "gauss_draw_matrix", draw_matrix)
+        assert run_experiment(config) == records
+        assert all(row.failed_replicates == 0 for row in records)
+
     def test_one_correlation_per_replicate(self, monkeypatch):
         # Both statistic() calls and the bootrw and maxt builders read the
         # same SampleMatrix: its correlation is computed once.
