@@ -62,7 +62,7 @@ from .simulation import (
     run_experiment,
     sbm_adjacency,
 )
-from .stats import StatKind, statistic
+from .stats import _PAIR_CHUNK, StatKind, statistic
 
 CONFIG_SCHEMA = "corrgraph-config-v1"
 
@@ -224,17 +224,18 @@ def cmd_test(args) -> int:
     draws = args.draws
     if draws is None:
         draws = DEFAULT_MAXT_DRAWS if method is Method.MAX_T else DEFAULT_BOOTSTRAP_DRAWS
-    _check_draw_memory(samples, method, draws)
+    _check_draw_memory(samples, method, draws, args.step_down, args.fourth_moment)
     draw_matrix = None
     try:
         stats = statistic(samples, kind)
         if method is Method.BOOT_RW:
-            draw_matrix = bootstrap_draw_matrix(samples, kind, draws, seed=args.seed)
+            draw_matrix = bootstrap_draw_matrix(samples, kind, draws, seed=args.seed,
+                                                stats=stats, stepdown=args.step_down)
         elif method is Method.MAX_T:
             draw_matrix = gauss_draw_matrix(_correlation(samples), kind, draws,
                                             make_rng(args.seed),
                                             sample=samples if args.fourth_moment else None,
-                                            stats=stats)
+                                            stats=stats, stepdown=args.step_down)
         result = run_procedure(
             stats, args.alpha, ProcedureKind(method, stepdown=args.step_down), draw_matrix
         )
@@ -257,16 +258,28 @@ def cmd_test(args) -> int:
     return EXIT_OK
 
 
-def _check_draw_memory(samples: SampleMatrix, method: Method, draws: int) -> None:
+def _check_draw_memory(samples: SampleMatrix, method: Method, draws: int, stepdown: bool,
+                       fourth_moment: bool) -> None:
     """Fail fast when a resampled method's arrays cannot fit in physical memory.
 
-    ``bootrw`` and ``maxt`` both need B (m + 3 n) floats: the B x m draws,
-    filled in place, plus at most 3 B n for the bootstrap's count weights
-    with their index matrix and bincount, or the fourth-moment multipliers.
+    No method holds the B x m draws: each block of them is reduced as it is
+    made.  What grows with B is, per draw: the bootstrap's count weights
+    (rows of W, of its index matrix and of their bincount: 3 n floats) or the
+    fourth-moment multipliers (n floats); 4 floats per pair column of a block
+    of draws (p - 1 columns per single-step bootstrap block, else
+    ``_PAIR_CHUNK``; the Gaussian blocks do not grow with B); and the row's
+    maximum, or for a step-down its records, about ln m + 1 of them, 3 words
+    each as they are gathered.
     """
     if method not in (Method.BOOT_RW, Method.MAX_T):
         return
-    floats = draws * (samples.m + 3 * samples.n)
+    n, m = samples.n, samples.m
+    if method is Method.BOOT_RW:
+        per_draw = 3 * n + 4 * (_PAIR_CHUNK if stepdown else samples.p - 1)
+    else:
+        per_draw = (n + 4 * _PAIR_CHUNK) if fourth_moment else 0
+    per_draw += 3 * (math.log(m) + 1) if stepdown else 1
+    floats = draws * per_draw
     try:
         available = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, OSError, ValueError):
@@ -274,9 +287,9 @@ def _check_draw_memory(samples: SampleMatrix, method: Method, draws: int) -> Non
     if 8 * floats > available:
         raise _CliError(
             EXIT_USAGE,
-            f"{method.value} needs about {8 * floats / 1e9:.1f} GB for the {draws} x "
-            f"m={samples.m} draws, more than the {available / 1e9:.1f} GB of physical "
-            f"memory; use fewer --draws or --method sidak",
+            f"{method.value} needs about {8 * floats / 1e9:.1f} GB for {draws} draws at "
+            f"m={m}, more than the {available / 1e9:.1f} GB of physical memory; "
+            f"use fewer --draws or --method sidak",
         )
 
 

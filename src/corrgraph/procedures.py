@@ -16,18 +16,20 @@ Ties follow the printed rules: non-strict for the p-value rule
 
 :func:`run_procedure` is the one entry point for all five.  The resampled
 rules read their threshold from draws the caller builds first:
-:func:`~corrgraph.quantiles.bootstrap_draw_matrix` returns a ``DrawMatrix``,
-and :func:`gauss_draw_matrix`, which maps p x p perturbations or multiplier
-weights to statistic draws and never forms the m x m Omega, returns a
-``DrawMatrix`` or, given the statistic vectors, their ``MaxRecords``.  Given
-a tuple of kinds, either builder returns one result per kind from one set of
-draws.  The step-down loop re-applies the rule to the surviving index set
-until a fixpoint and keeps one mask, of the surviving pairs, whose complement
-is the rejection mask.  The survivors are always the pairs with |T| at most
-the last threshold, so MaxRecords give each resampled quantile from the
-prefix maxima of the draws, with no B x m matrix; a DrawMatrix is re-read on
-the surviving subset by ``quantile_from_draws``.  Either way every quantile
-comes from one set of draws, so the thresholds are exactly decreasing.
+:func:`~corrgraph.quantiles.bootstrap_draw_matrix` and
+:func:`gauss_draw_matrix`, which maps p x p perturbations or multiplier
+weights to statistic draws and never forms the m x m Omega, return a
+``DrawMatrix`` or, given the statistic vectors, their ``MaxRecords``: the
+prefix maxima for a step-down, or each row's maximum over all pairs for a
+single-step rule.  Given a tuple of kinds, either builder returns one result
+per kind from one set of draws.  The step-down loop re-applies the rule to
+the surviving index set until a fixpoint and keeps one mask, of the
+surviving pairs, whose complement is the rejection mask.  The survivors are
+always the pairs with |T| at most the last threshold, so MaxRecords give
+each resampled quantile from the prefix maxima of the draws, with no B x m
+matrix; a DrawMatrix is re-read on the surviving subset by
+``quantile_from_draws``.  Either way every quantile comes from one set of
+draws, so the thresholds are exactly decreasing.
 """
 
 from __future__ import annotations
@@ -41,7 +43,8 @@ import numpy as np
 
 from .core import CorrelationMatrix, pair_indices, standardize
 from .errors import NotPositiveDefiniteError
-from .quantiles import _MIN_GAUSS_DRAWS, DrawMatrix, MaxRecords, _fold_records, _max_records
+from .quantiles import _FOLD_ENTRIES, _MIN_GAUSS_DRAWS, DrawMatrix, MaxRecords, _fold_records
+from .quantiles import _max_records, _pair_orders, _row_maxima
 from .quantiles import quantile_from_draws, sidak_threshold
 from .stats import _PAIR_CHUNK, PValueVector, StatKind, StatVector, _influence, _kind_tuple
 from .stats import _rescale, p_values
@@ -64,12 +67,6 @@ DEFAULT_MAXT_DRAWS = 1000
 # The GEMMs' last bits depend on it and on _PAIR_CHUNK, the pair columns per
 # chunk of fourth-moment draws, so both are part of the seed contract.
 _PERTURBATION_ENTRIES = 1 << 15
-
-# Entries of the buffer of Gaussian max-T draws that one fold into records reads
-# (4 MB; all the draws when B x m is smaller).  At p=26, B=1000 a 512 kB buffer
-# was slower: more fold calls, and about 500 page faults per call as the
-# allocator returned freed heap memory between calls.
-_FOLD_ENTRIES = 1 << 19
 
 
 class Method(str, enum.Enum):
@@ -125,8 +122,8 @@ class RejectionSet:
 
 
 def gauss_draw_matrix(corr, kind: StatKind | tuple[StatKind, ...], draws: int,
-                      rng: np.random.Generator, sample=None,
-                      stats=None) -> DrawMatrix | MaxRecords | tuple:
+                      rng: np.random.Generator, sample=None, stats=None,
+                      stepdown: bool = True) -> DrawMatrix | MaxRecords | tuple:
     """``draws`` rows from N(0, Omega), Omega the pair covariance of ``kind`` statistics.
 
     Omega is never formed.  Without ``sample`` a row is psi(L H L^T): L L^T =
@@ -142,10 +139,11 @@ def gauss_draw_matrix(corr, kind: StatKind | tuple[StatKind, ...], draws: int,
     perturbations: each block's S (or the multipliers xi) is drawn once and
     mapped per kind, so each kind's draws equal those of a single-kind call on
     the same stream.  The result is a DrawMatrix, or, given ``stats`` (the
-    StatVector of each kind, in the same form as ``kind``), the MaxRecords of
-    the draws with the pairs in ascending |T| order: each block of draws is
-    folded into them as it is made, so no B x m matrix is held.  Either way
-    every draw has the same value.
+    StatVector of each kind, in the same form as ``kind``), a MaxRecords:
+    each block of draws is reduced as it is made, so no B x m matrix is held.
+    For a single-step rule (``stepdown`` false) that is each row's max |draw|
+    over all pairs; for a step-down, the prefix maxima with the pairs in
+    ascending |T| order.  Either way every draw has the same value.
     """
     kinds, single = _kind_tuple(kind)
     if draws < _MIN_GAUSS_DRAWS:
@@ -154,32 +152,31 @@ def gauss_draw_matrix(corr, kind: StatKind | tuple[StatKind, ...], draws: int,
     p = corr.shape[0]
     i, j = pair_indices(p)
     r, m = corr[i, j], i.size
-    if stats is None:
+    orders = None if stats is None else _pair_orders(stats, kinds, single, m, stepdown)
+    records = orders is not None and stepdown
+    out = None
+    if not records:  # the draws, or each row's max |draw|, with the pairs in flat order
+        out = [np.empty((draws, m)) if stats is None else np.zeros(draws) for _ in kinds]
         orders = [np.arange(m)] * len(kinds)
-        mats = [np.empty((draws, m)) for _ in kinds]
-    else:
-        stats = (stats,) if single else tuple(stats)
-        if tuple(sv.kind for sv in stats) != kinds or any(sv.m != m for sv in stats):
-            raise ValueError("statistic vectors do not match the kinds and pairs of the draws")
-        orders = [np.argsort(np.abs(sv.values), kind="stable") for sv in stats]
-        mats = None
     parts = [[] for _ in kinds]
     if sample is not None:
         xt = np.ascontiguousarray(standardize(sample).data.T)
         xi = rng.standard_normal((draws, xt.shape[1]))
         xi /= np.sqrt(xt.shape[1])
-        work = np.empty((_PAIR_CHUNK, draws)) if mats is None else None  # pairs by rows
+        work = np.empty((_PAIR_CHUNK, draws)) if records else None  # pairs by rows
         for c, (kd, order) in enumerate(zip(kinds, orders)):
             carry = np.full(draws, -np.inf)
             for a in range(0, m, _PAIR_CHUNK):
                 pairs = order[a : a + _PAIR_CHUNK]
                 chunk = xi @ _influence(xt, r[pairs], i[pairs], j[pairs], kd)
-                if mats is None:
+                if records:
                     work[: pairs.size] = chunk.T
                     parts[c].append(_fold_records(work[: pairs.size], carry, col0=a))
+                elif stats is None:
+                    out[c][:, a : a + _PAIR_CHUNK] = chunk
                 else:
-                    mats[c][:, a : a + _PAIR_CHUNK] = chunk
-        return _gauss_result(mats, orders, parts, draws, single)
+                    np.maximum(out[c], np.abs(chunk, out=chunk).max(axis=1), out=out[c])
+        return _gauss_result(out, orders, parts, draws, single, records, stats is None)
     lam, vec = np.linalg.eigh(corr)
     if lam[0] < -1e-8 * max(lam[-1], 1.0):
         raise NotPositiveDefiniteError("correlation matrix is not positive semi-definite")
@@ -197,7 +194,7 @@ def gauss_draw_matrix(corr, kind: StatKind | tuple[StatKind, ...], draws: int,
     # Records: the row blocks fill one buffer per kind, pairs by rows, which is
     # folded when full.
     fold_rows = block * max(1, _FOLD_ENTRIES // (block * m))
-    buffers = [np.empty((m, min(fold_rows, draws))) for _ in kinds] if mats is None else None
+    buffers = [np.empty((m, min(fold_rows, draws))) for _ in kinds] if records else None
     for a in range(0, draws, block):
         k = min(block, draws - a)
         h, z = np.empty((k, p * p)), rng.standard_normal((k, upper.size))
@@ -207,28 +204,33 @@ def gauss_draw_matrix(corr, kind: StatKind | tuple[StatKind, ...], draws: int,
         s = (s.transpose(0, 2, 1).reshape(-1, p) @ root.T).reshape(k, -1)
         s_diag, lo = s[:, diag], a % fold_rows
         for c, (kd, (flat, i_o, j_o, half_r, factor)) in enumerate(zip(kinds, plan)):
-            out = np.take(s, flat, axis=1, out=None if mats is None else mats[c][a : a + k])
+            rows = np.take(s, flat, axis=1, out=out[c][a : a + k] if stats is None else None)
             if kd is not StatKind.SECOND_ORDER:
-                out -= half_r * (s_diag[:, i_o] + s_diag[:, j_o])
-            out *= factor
-            if mats is None:
-                buffers[c][:, lo : lo + k] = out.T
+                rows -= half_r * (s_diag[:, i_o] + s_diag[:, j_o])
+            rows *= factor
+            if records:
+                buffers[c][:, lo : lo + k] = rows.T
                 if lo + k == fold_rows or a + k == draws:
                     parts[c].append(_fold_records(buffers[c][:, : lo + k],
                                                   np.full(lo + k, -np.inf), row0=a - lo))
-    return _gauss_result(mats, orders, parts, draws, single)
+            elif stats is not None:
+                out[c][a : a + k] = np.abs(rows, out=rows).max(axis=1)
+    return _gauss_result(out, orders, parts, draws, single, records, stats is None)
 
 
 # The name that bench/spans.py resolves.
 _gauss_draw_matrix = gauss_draw_matrix
 
 
-def _gauss_result(mats, orders, parts, draws: int, single: bool):
-    if mats is None:
-        out = tuple(_max_records(order, draws, part) for order, part in zip(orders, parts))
+def _gauss_result(out, orders, parts, draws: int, single: bool, records: bool, matrix: bool):
+    m = orders[0].size
+    if records:
+        out = [_max_records(order, draws, part) for order, part in zip(orders, parts)]
+    elif matrix:
+        out = [DrawMatrix(v, provenance="parametric-gaussian") for v in out]
     else:
-        out = tuple(DrawMatrix(v, provenance="parametric-gaussian") for v in mats)
-    return out[0] if single else out
+        out = [_row_maxima(v, m) for v in out]
+    return out[0] if single else tuple(out)
 
 
 def run_procedure(
@@ -244,7 +246,8 @@ def run_procedure(
     MaxRecords of such draws built for ``stats``.  Bonferroni and Sidak need
     none.  The pairs alive after each step are those with |T| at most its
     threshold, so with MaxRecords each threshold is a quantile over a prefix
-    of their |T| order, of the length of the alive set.
+    of their |T| order, of the length of the alive set; row maxima answer
+    only the first step, over all m pairs.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
@@ -259,7 +262,8 @@ def run_procedure(
     if draw_matrix is not None and draw_matrix.m != m:
         raise ValueError("draw matrix width does not match statistic vector")
     records = isinstance(draw_matrix, MaxRecords)
-    if records and np.any(np.diff(t_abs[draw_matrix.order]) < 0.0):
+    if records and draw_matrix.order is not None and \
+            np.any(np.diff(t_abs[draw_matrix.order]) < 0.0):
         raise ValueError("max records are not in the |T| order of the statistic vector")
 
     alive = np.ones(m, dtype=bool)

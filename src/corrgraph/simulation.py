@@ -18,9 +18,10 @@ Every statistic kind of a replicate reads one set of resamples per method
 (common random numbers for the paired comparison of the kinds): one
 quantile stream per (replicate, attempt) feeds the tuple form of
 ``bootstrap_draw_matrix``, then of ``gauss_draw_matrix`` for ``maxt`` and
-for ``oracle-maxt``, in that order.  The max-T builders get the statistic
-vectors and return MaxRecords, so no B x m draws are held.  The first kind's
-rows are those of a config with that kind alone.
+for ``oracle-maxt``, in that order.  Every builder gets the statistic vectors
+and returns MaxRecords: prefix-max records when a step-down of that method
+runs, else each draw row's maximum over all pairs.  So no B x m draws are
+held.  The first kind's rows are those of a config with that kind alone.
 """
 
 from __future__ import annotations
@@ -315,15 +316,21 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
 
 
 def _draw_matrices(method, config, data, gamma, qrng, svs) -> tuple:
-    """One DrawMatrix (bootrw) or MaxRecords (max-T) per statistic kind for
-    ``method``, all from one set of draws."""
+    """One MaxRecords per statistic kind for ``method``, all from one set of draws.
+
+    They are full prefix-max records when a step-down of ``method`` runs, and
+    otherwise only each draw row's maximum, for the single-step rule.
+    """
+    stepdown = any(pk.method is method and pk.stepdown for pk in config.procedures)
     if method is Method.BOOT_RW:
-        return bootstrap_draw_matrix(data, config.stats, config.bootrw_draws, rng=qrng)
+        return bootstrap_draw_matrix(data, config.stats, config.bootrw_draws, rng=qrng,
+                                     stats=svs, stepdown=stepdown)
     if method is Method.MAX_T:
         return gauss_draw_matrix(_correlation(data), config.stats, config.maxt_draws, qrng,
-                                 stats=svs)
+                                 stats=svs, stepdown=stepdown)
     if method is Method.ORACLE_MAX_T:
-        return gauss_draw_matrix(gamma, config.stats, config.maxt_draws, qrng, stats=svs)
+        return gauss_draw_matrix(gamma, config.stats, config.maxt_draws, qrng, stats=svs,
+                                 stepdown=stepdown)
     return (None,) * len(config.stats)
 
 

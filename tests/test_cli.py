@@ -280,28 +280,40 @@ class TestTestCommand:
         assert 'v2 [label="b\\\\y"];' in text
 
     def test_oversized_maxt_fails_fast(self, tmp_path, capsys):
-        # 5000 Gaussian draws of m ~ 2e6 pairs: the draw matrix alone needs ~80 GB.
-        path = tmp_path / "wide.csv"
-        data = np.random.default_rng(4).normal(size=(6, 2000))
-        np.savetxt(path, data, delimiter=",", comments="",
-                   header=",".join(f"v{c}" for c in range(2000)))
+        # 10^12 Gaussian draws: their row maxima alone need 8 TB.
+        path = tmp_path / "small.csv"
+        data = np.random.default_rng(4).normal(size=(6, 4))
+        np.savetxt(path, data, delimiter=",", comments="", header="a,b,c,d")
         assert main(["test", "--input", str(path), "--stat", "fisher", "--method", "maxt",
-                     "--draws", "5000", "--output", str(tmp_path / "o.csv")]) == 1
+                     "--draws", str(10**12), "--output", str(tmp_path / "o.csv")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: maxt needs about") and " GB " in err
         assert not (tmp_path / "o.csv").exists()
 
     def test_oversized_bootrw_fails_fast(self, tmp_path, capsys):
-        # 5000 resamples of m ~ 2e6 pairs: the draw matrix alone needs ~80 GB.
-        path = tmp_path / "wide.csv"
-        data = np.random.default_rng(4).normal(size=(6, 2000))
-        np.savetxt(path, data, delimiter=",", comments="",
-                   header=",".join(f"v{c}" for c in range(2000)))
+        # 10^11 resamples of n = 6 rows: their count weights alone need 14 TB.
+        path = tmp_path / "small.csv"
+        data = np.random.default_rng(4).normal(size=(6, 4))
+        np.savetxt(path, data, delimiter=",", comments="", header="a,b,c,d")
         assert main(["test", "--input", str(path), "--stat", "fisher", "--method", "bootrw",
-                     "--draws", "5000", "--output", str(tmp_path / "o.csv")]) == 1
+                     "--draws", str(10**11), "--output", str(tmp_path / "o.csv")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: bootrw needs about") and " GB " in err
+        assert "B x m" not in err
         assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("flags", [["--method", "maxt"], ["--method", "maxt", "--step-down"],
+                                       ["--method", "bootrw"], ["--method", "bootrw", "--step-down"]])
+    def test_draw_memory_guard_sizes_what_is_held(self, monkeypatch, flags):
+        # p=2000 with --draws 5000 would need 80 GB for B x m draws; what is
+        # held is a few hundred MB at most, so the guard passes it.
+        args = cli.build_parser().parse_args(["test", "--input", "x.csv", "--stat", "fisher",
+                                          *flags, "--draws", "5000", "--output", "o.csv"])
+        samples = SampleMatrix(np.random.default_rng(4).normal(size=(6, 2000)))
+        monkeypatch.setattr(cli.os, "sysconf",
+                            lambda name: 4096 if name == "SC_PAGE_SIZE" else (1 << 30) // 4096)
+        cli._check_draw_memory(samples, cli._METHOD_FLAGS[args.method], args.draws,
+                               args.step_down, args.fourth_moment)
 
     @pytest.mark.parametrize("fourth", [[], ["--fourth-moment"]])
     def test_maxt_at_p200(self, tmp_path, fourth):
@@ -335,6 +347,26 @@ class TestTestCommand:
             tracemalloc.stop()
         assert code == 0 and len(out.read_text().splitlines()) == 19_901
         assert peak < 0.1 * 1000 * 19_900 * 8
+
+    def test_bootrw_step_down_holds_no_draw_matrix(self, tmp_path):
+        # B = 1000 resamples of m = 19,900 pairs would take 159 MB; the
+        # step-down reads prefix-max records folded chunk by chunk.
+        import tracemalloc
+
+        path = tmp_path / "wide.csv"
+        data = np.random.default_rng(5).normal(size=(500, 200))
+        np.savetxt(path, data, delimiter=",", comments="",
+                   header=",".join(f"v{c}" for c in range(200)))
+        out = tmp_path / "o.csv"
+        tracemalloc.start()
+        try:
+            code = main(["test", "--input", str(path), "--stat", "fisher", "--method", "bootrw",
+                         "--step-down", "--draws", "1000", "--output", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and len(out.read_text().splitlines()) == 19_901
+        assert peak < 0.25 * 1000 * 19_900 * 8
 
     @pytest.mark.parametrize("fourth", [[], ["--fourth-moment"]])
     def test_non_finite_draws_exit_one(self, tmp_path, data_csv, monkeypatch, capsys, fourth):

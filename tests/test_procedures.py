@@ -294,6 +294,57 @@ class TestMaxRecordsPath:
             run_procedure(sv, 0.05, ProcedureKind(Method.MAX_T, True), rec).thresholds
 
 
+class TestRowMaxima:
+    """Single-step builders keep each draw row's maximum over all pairs."""
+
+    @pytest.mark.parametrize("route", ["gaussian", "oracle", "fourth-moment", "bootstrap"])
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2**31), p=st.integers(2, 11),
+           kinds=st.lists(st.sampled_from(list(StatKind)), min_size=1, max_size=4, unique=True))
+    def test_row_maxima_match_scan_of_draw_matrix(self, route, seed, p, kinds):
+        sample = tdata(80, p, seed)
+        svs = tuple(corrgraph.statistic(sample, kind) for kind in kinds)
+        if route == "bootstrap":
+            def build(**kwargs):
+                return bootstrap_draw_matrix(sample, tuple(kinds), 60, seed=seed, **kwargs)
+        else:
+            corr = (CorrelationMatrix(random_correlation_matrix(p, make_rng(seed)))
+                    if route == "oracle" else empirical_correlation(sample))
+            multipliers = sample if route == "fourth-moment" else None
+
+            def build(**kwargs):
+                return gauss_draw_matrix(corr, tuple(kinds), 100, make_rng(seed),
+                                         sample=multipliers, **kwargs)
+        mats, maxima = build(), build(stats=svs, stepdown=False)
+        for sv, dm, rec in zip(svs, mats, maxima):
+            assert isinstance(rec, corrgraph.MaxRecords) and rec.order is None
+            assert (rec.b, rec.m) == (dm.b, sv.m)
+            for alpha in (0.05, 0.2, 0.5):
+                assert rec.quantile(alpha, sv.m) == quantile_from_draws(dm, alpha)
+                for method in (Method.MAX_T, Method.BOOT_RW):
+                    want = run_procedure(sv, alpha, ProcedureKind(method), dm)
+                    got = run_procedure(sv, alpha, ProcedureKind(method), rec)
+                    assert got.thresholds == want.thresholds
+                    assert np.array_equal(got.mask, want.mask)
+
+    def test_row_maxima_refuse_a_shorter_prefix(self):
+        corr = CorrelationMatrix(random_correlation_matrix(8, make_rng(1)))
+        values = np.zeros(28)
+        values[:5] = 50.0  # the first step rejects these, and a second step follows
+        sv = StatVector(StatKind.FISHER, values, 100)
+        records = gauss_draw_matrix(corr, StatKind.FISHER, 100, make_rng(0), stats=sv)
+        maxima = gauss_draw_matrix(corr, StatKind.FISHER, 100, make_rng(0), stats=sv,
+                                   stepdown=False)
+        assert maxima.quantile(0.05, 28) == records.quantile(0.05, 28)
+        assert records.quantile(0.05, 23) <= records.quantile(0.05, 28)
+        with pytest.raises(ValueError, match="only the prefix of all 28 pairs"):
+            maxima.quantile(0.05, 23)
+        with pytest.raises(ValueError, match="only the prefix of all 28 pairs"):
+            run_procedure(sv, 0.05, ProcedureKind(Method.MAX_T, True), maxima)
+        assert run_procedure(sv, 0.05, ProcedureKind(Method.MAX_T), maxima).rejected == \
+            frozenset(range(5))
+
+
 def holm_oracle(pvals, alpha):
     """Textbook Holm: sort p-values, find first k with p_(k) > alpha/(m-k+1)."""
     p = np.asarray(pvals)

@@ -11,10 +11,12 @@ from scipy.stats import norm
 
 from corrgraph import (
     DegenerateInputError,
+    MaxRecords,
     DrawMatrix,
     NotPositiveDefiniteError,
     SampleMatrix,
     StatKind,
+    StatVector,
     bootstrap_draw_matrix,
     cholesky_psd,
     make_rng,
@@ -24,7 +26,7 @@ from corrgraph import (
 )
 from corrgraph.core import empirical_correlation, pair_indices, standardize
 from corrgraph.quantiles import _fold_records, _max_quantile, _max_records
-from corrgraph.stats import _transform
+from corrgraph.stats import _transform, statistic
 
 
 def loop_bootstrap_draws(samples, kind, draws, rng):
@@ -424,6 +426,71 @@ class TestBootstrap:
         for kind, dm in zip(StatKind, got):
             want = bootstrap_draw_matrix(samples, kind, 60, rng=FirstRowStuck())
             assert np.array_equal(dm.draws, want.draws), kind
+
+
+class FirstResampleStuck:
+    """A real stream whose first resample repeats one row, so it is redrawn."""
+
+    def __init__(self, seed):
+        self.rng = make_rng(seed)
+        self.sizes = []
+
+    def integers(self, low, high, size):
+        out = self.rng.integers(low, high, size=size)
+        if not self.sizes:
+            out[0] = 0
+        self.sizes.append(size)
+        return out
+
+
+class TestBootstrapRecords:
+    """Step-down bootstrap records against the scan of its DrawMatrix."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**31), levels=st.integers(1, 6), shared=st.booleans())
+    def test_records_match_scan_on_every_alive_prefix(self, seed, levels, shared):
+        # |T| on a few levels, so ties are common; with ``shared`` the plain
+        # kinds have one |T| order and share their chunks.  m = 171 pairs is
+        # two chunks, and the first resample is redrawn.
+        samples = SampleMatrix(np.random.default_rng(seed).normal(size=(40, 19))
+                               @ (np.eye(19) + 0.2))
+        gen, m = np.random.default_rng(seed + 1), samples.m
+        common = gen.integers(-levels, levels + 1, size=m).astype(float)
+        svs = tuple(StatVector(kind, common if shared and kind is not StatKind.SECOND_ORDER
+                               else gen.integers(-levels, levels + 1, size=m).astype(float),
+                               samples.n) for kind in StatKind)
+        rng = FirstResampleStuck(seed)
+        recs = bootstrap_draw_matrix(samples, tuple(StatKind), 60, rng=rng, stats=svs)
+        assert rng.sizes == [(60, samples.n), (1, samples.n)]
+        mats = bootstrap_draw_matrix(samples, tuple(StatKind), 60, rng=FirstResampleStuck(seed))
+        for sv, rec, dm in zip(svs, recs, mats):
+            assert isinstance(rec, MaxRecords) and (rec.b, rec.m) == (60, m)
+            t_abs = np.abs(sv.values)
+            assert np.array_equal(rec.order, np.argsort(t_abs, kind="stable"))
+            for cut in range(levels + 1):
+                length = int(np.searchsorted(t_abs[rec.order], cut, "right"))
+                if length == 0:
+                    continue
+                for alpha in (0.05, 0.3):
+                    want = quantile_from_draws(dm, alpha, np.flatnonzero(t_abs <= cut))
+                    # The chunks' GEMMs may differ from the pair blocks' in the last bits.
+                    assert rec.quantile(alpha, length) == pytest.approx(want, rel=1e-12)
+
+    def test_single_kind_matches_tuple(self):
+        samples = SampleMatrix(np.random.default_rng(3).normal(size=(50, 9)))
+        svs = tuple(statistic(samples, kind) for kind in StatKind)
+        recs = bootstrap_draw_matrix(samples, tuple(StatKind), 80, seed=2, stats=svs)
+        for sv, rec in zip(svs, recs):
+            alone = bootstrap_draw_matrix(samples, sv.kind, 80, seed=2, stats=sv)
+            assert np.array_equal(rec.positions, alone.positions)
+            assert np.array_equal(rec.values, alone.values)
+
+    def test_mismatched_statistics_refused(self):
+        samples = SampleMatrix(np.random.default_rng(3).normal(size=(50, 5)))
+        sv = statistic(samples, StatKind.FISHER)
+        for stepdown in (False, True):
+            with pytest.raises(ValueError, match="do not match"):
+                bootstrap_draw_matrix(samples, StatKind.STUDENT, 60, stats=sv, stepdown=stepdown)
 
 
 def test_draw_matrix_takes_fresh_array():

@@ -276,6 +276,34 @@ class TestSharedDraws:
         assert run_experiment(config) == records
         assert all(row.failed_replicates == 0 for row in records)
 
+    def test_reduced_draw_rows_match_draw_matrix_rows(self, monkeypatch):
+        # Four kinds with bootrw and maxt, each also stepping down, and a
+        # single-step oracle-maxt: the builders get one step-down flag per
+        # method, and the rows read from their MaxRecords (records or row
+        # maxima) equal those read from their DrawMatrix.
+        config = ExperimentConfig(**{**SMALL, "stats": tuple(StatKind), "procedures": (
+            ProcedureKind(Method.BOOT_RW), ProcedureKind(Method.BOOT_RW, True),
+            ProcedureKind(Method.MAX_T), ProcedureKind(Method.MAX_T, True),
+            ProcedureKind(Method.ORACLE_MAX_T),
+        )})
+        flags = []
+        for name in ("bootstrap_draw_matrix", "gauss_draw_matrix"):
+            def spy(*args, _real=getattr(simulation, name), **kwargs):
+                flags.append(kwargs["stepdown"])
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(simulation, name, spy)
+        reduced = run_experiment(config)
+        assert flags == [True, True, False] * SMALL["replicates"]
+        monkeypatch.undo()
+        for name in ("bootstrap_draw_matrix", "gauss_draw_matrix"):
+            def draw_matrix(*args, stats, stepdown, _real=getattr(simulation, name), **kwargs):
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(simulation, name, draw_matrix)
+        assert run_experiment(config) == reduced
+        assert all(row.failed_replicates == 0 for row in reduced)
+
     def test_one_correlation_per_replicate(self, monkeypatch):
         # Both statistic() calls and the bootrw and maxt builders read the
         # same SampleMatrix: its correlation is computed once.
