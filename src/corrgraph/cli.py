@@ -53,7 +53,7 @@ from .procedures import (
     gauss_draw_matrix,
     run_procedure,
 )
-from .quantiles import bootstrap_draw_matrix, max_gauss_quantile
+from .quantiles import _HELD_CANDIDATES, bootstrap_draw_matrix, max_gauss_quantile
 from .rng import make_rng
 from .simulation import (
     ExperimentConfig,
@@ -266,20 +266,21 @@ def _check_draw_memory(samples: SampleMatrix, method: Method, draws: int, stepdo
     made.  What grows with B is, per draw: the bootstrap's count weights
     (rows of W, of its index matrix and of their bincount: 3 n floats) or the
     fourth-moment multipliers (n floats); 4 floats per pair column of a block
-    of draws (p - 1 columns per single-step bootstrap block, else
-    ``_PAIR_CHUNK``; the Gaussian blocks do not grow with B); and the row's
-    maximum, or for a step-down its records, about ln m + 1 of them, 3 words
-    each as they are gathered.
+    of draws (p - 1 columns per bootstrap block, ``_PAIR_CHUNK`` per
+    fourth-moment block; the Gaussian blocks do not grow with B); and the
+    row's maximum, or for a step-down its records, about ln m + 1 of them,
+    3 words each as they are gathered, and four peaks per octave of m; plus
+    ``_HELD_CANDIDATES`` candidate records of 3 words.
     """
     if method not in (Method.BOOT_RW, Method.MAX_T):
         return
     n, m = samples.n, samples.m
     if method is Method.BOOT_RW:
-        per_draw = 3 * n + 4 * (_PAIR_CHUNK if stepdown else samples.p - 1)
+        per_draw = 3 * n + 4 * (samples.p - 1)
     else:
         per_draw = (n + 4 * _PAIR_CHUNK) if fourth_moment else 0
-    per_draw += 3 * (math.log(m) + 1) if stepdown else 1
-    floats = draws * per_draw
+    per_draw += 3 * (math.log(m) + 1) + 4 * math.log2(m) + 1 if stepdown else 1
+    floats = draws * per_draw + (3 * _HELD_CANDIDATES if stepdown else 0)
     try:
         available = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, OSError, ValueError):

@@ -41,10 +41,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CorrelationMatrix, pair_indices, standardize
+from .core import CorrelationMatrix, num_pairs, pair_indices, standardize
 from .errors import NotPositiveDefiniteError
-from .quantiles import _FOLD_ENTRIES, _MIN_GAUSS_DRAWS, DrawMatrix, MaxRecords, _fold_records
-from .quantiles import _max_records, _pair_orders, _row_maxima
+from .quantiles import _MIN_GAUSS_DRAWS, _SCAN_ENTRIES, DrawMatrix, MaxRecords
+from .quantiles import _reduce_draws
 from .quantiles import quantile_from_draws, sidak_threshold
 from .stats import _PAIR_CHUNK, PValueVector, StatKind, StatVector, _influence, _kind_tuple
 from .stats import _rescale, p_values
@@ -139,98 +139,72 @@ def gauss_draw_matrix(corr, kind: StatKind | tuple[StatKind, ...], draws: int,
     perturbations: each block's S (or the multipliers xi) is drawn once and
     mapped per kind, so each kind's draws equal those of a single-kind call on
     the same stream.  The result is a DrawMatrix, or, given ``stats`` (the
-    StatVector of each kind, in the same form as ``kind``), a MaxRecords:
-    each block of draws is reduced as it is made, so no B x m matrix is held.
-    For a single-step rule (``stepdown`` false) that is each row's max |draw|
-    over all pairs; for a step-down, the prefix maxima with the pairs in
-    ascending |T| order.  Either way every draw has the same value.
+    StatVector of each kind, in the same form as ``kind``), a MaxRecords of
+    the same draws, with no B x m matrix held (see ``quantiles._reduce_draws``).
     """
     kinds, single = _kind_tuple(kind)
     if draws < _MIN_GAUSS_DRAWS:
         raise ValueError(f"need at least {_MIN_GAUSS_DRAWS} draws, got {draws}")
     corr = np.asarray(corr.values if isinstance(corr, CorrelationMatrix) else corr, dtype=float)
-    p = corr.shape[0]
-    i, j = pair_indices(p)
-    r, m = corr[i, j], i.size
-    orders = None if stats is None else _pair_orders(stats, kinds, single, m, stepdown)
-    records = orders is not None and stepdown
-    out = None
-    if not records:  # the draws, or each row's max |draw|, with the pairs in flat order
-        out = [np.empty((draws, m)) if stats is None else np.zeros(draws) for _ in kinds]
-        orders = [np.arange(m)] * len(kinds)
-    parts = [[] for _ in kinds]
-    if sample is not None:
-        xt = np.ascontiguousarray(standardize(sample).data.T)
-        xi = rng.standard_normal((draws, xt.shape[1]))
-        xi /= np.sqrt(xt.shape[1])
-        work = np.empty((_PAIR_CHUNK, draws)) if records else None  # pairs by rows
-        for c, (kd, order) in enumerate(zip(kinds, orders)):
-            carry = np.full(draws, -np.inf)
-            for a in range(0, m, _PAIR_CHUNK):
-                pairs = order[a : a + _PAIR_CHUNK]
-                chunk = xi @ _influence(xt, r[pairs], i[pairs], j[pairs], kd)
-                if records:
-                    work[: pairs.size] = chunk.T
-                    parts[c].append(_fold_records(work[: pairs.size], carry, col0=a))
-                elif stats is None:
-                    out[c][:, a : a + _PAIR_CHUNK] = chunk
-                else:
-                    np.maximum(out[c], np.abs(chunk, out=chunk).max(axis=1), out=out[c])
-        return _gauss_result(out, orders, parts, draws, single, records, stats is None)
-    lam, vec = np.linalg.eigh(corr)
-    if lam[0] < -1e-8 * max(lam[-1], 1.0):
-        raise NotPositiveDefiniteError("correlation matrix is not positive semi-definite")
-    root = vec * np.sqrt(np.maximum(lam, 0.0))
-    # Per kind, in its pair order: flat positions in S, the shift's indexes and the factor.
-    plan = []
-    for kd, order in zip(kinds, orders):
-        factor = (1.0 / np.sqrt(1.0 + r * r) if kd is StatKind.SECOND_ORDER
-                  else _rescale(np.ones_like(r), r, kd))
-        plan.append(((i * p + j)[order], i[order], j[order], 0.5 * r[order], factor[order]))
-    # Flat positions in a p x p matrix of the upper triangle, its mirror and the diagonal.
-    upper = np.triu_indices(p)
-    upper, lower, diag = upper[0] * p + upper[1], upper[1] * p + upper[0], np.arange(p) * (p + 1)
-    block = max(1, _PERTURBATION_ENTRIES // (p * p))
-    # Records: the row blocks fill one buffer per kind, pairs by rows, which is
-    # folded when full.
-    fold_rows = block * max(1, _FOLD_ENTRIES // (block * m))
-    buffers = [np.empty((m, min(fold_rows, draws))) for _ in kinds] if records else None
-    for a in range(0, draws, block):
-        k = min(block, draws - a)
-        h, z = np.empty((k, p * p)), rng.standard_normal((k, upper.size))
-        h[:, upper] = h[:, lower] = z
-        h[:, diag] *= np.sqrt(2.0)
-        s = (h.reshape(-1, p) @ root.T).reshape(k, p, p)  # H L^T, whose transpose is L H
-        s = (s.transpose(0, 2, 1).reshape(-1, p) @ root.T).reshape(k, -1)
-        s_diag, lo = s[:, diag], a % fold_rows
-        for c, (kd, (flat, i_o, j_o, half_r, factor)) in enumerate(zip(kinds, plan)):
-            rows = np.take(s, flat, axis=1, out=out[c][a : a + k] if stats is None else None)
-            if kd is not StatKind.SECOND_ORDER:
-                rows -= half_r * (s_diag[:, i_o] + s_diag[:, j_o])
-            rows *= factor
-            if records:
-                buffers[c][:, lo : lo + k] = rows.T
-                if lo + k == fold_rows or a + k == draws:
-                    parts[c].append(_fold_records(buffers[c][:, : lo + k],
-                                                  np.full(lo + k, -np.inf), row0=a - lo))
-            elif stats is not None:
-                out[c][a : a + k] = np.abs(rows, out=rows).max(axis=1)
-    return _gauss_result(out, orders, parts, draws, single, records, stats is None)
+    blocks = (_perturbation_blocks(corr, kinds, draws, rng) if sample is None
+              else _multiplier_blocks(corr, sample, kinds, draws, rng))
+    return _reduce_draws(blocks, kinds, single, draws, num_pairs(corr.shape[0]),
+                         "parametric-gaussian", stats, stepdown)
 
 
 # The name that bench/spans.py resolves.
 _gauss_draw_matrix = gauss_draw_matrix
 
 
-def _gauss_result(out, orders, parts, draws: int, single: bool, records: bool, matrix: bool):
-    m = orders[0].size
-    if records:
-        out = [_max_records(order, draws, part) for order, part in zip(orders, parts)]
-    elif matrix:
-        out = [DrawMatrix(v, provenance="parametric-gaussian") for v in out]
-    else:
-        out = [_row_maxima(v, m) for v in out]
-    return out[0] if single else tuple(out)
+def _multiplier_blocks(corr, sample, kinds: tuple, draws: int, rng: np.random.Generator):
+    """Yield the fourth-moment draws xi @ Psi of each kind, all rows by
+    ``_PAIR_CHUNK`` pairs in flat order, in ``_reduce_draws`` form."""
+    i, j = pair_indices(corr.shape[0])
+    r = corr[i, j]
+    xt = np.ascontiguousarray(standardize(sample).data.T)
+    xi = rng.standard_normal((draws, xt.shape[1]))
+    xi /= np.sqrt(xt.shape[1])
+    for kd in kinds:
+        for a in range(0, i.size, _PAIR_CHUNK):
+            pairs = slice(a, a + _PAIR_CHUNK)
+            yield kd, slice(None), pairs, xi @ _influence(xt, r[pairs], i[pairs], j[pairs], kd)
+
+
+def _perturbation_blocks(corr, kinds: tuple, draws: int, rng: np.random.Generator):
+    """Yield the Gaussian draws psi(L H L^T) of each kind, blocks of rows by
+    all pairs, in ``_reduce_draws`` form."""
+    p = corr.shape[0]
+    i, j = pair_indices(p)
+    r = corr[i, j]
+    lam, vec = np.linalg.eigh(corr)
+    if lam[0] < -1e-8 * max(lam[-1], 1.0):
+        raise NotPositiveDefiniteError("correlation matrix is not positive semi-definite")
+    root = vec * np.sqrt(np.maximum(lam, 0.0))
+    factors = [1.0 / np.sqrt(1.0 + r * r) if kd is StatKind.SECOND_ORDER
+               else _rescale(np.ones_like(r), r, kd) for kd in kinds]
+    # Flat positions in p x p of the pairs, the upper triangle, its mirror and the diagonal.
+    flat, upper = i * p + j, np.triu_indices(p)
+    upper, lower, diag = upper[0] * p + upper[1], upper[1] * p + upper[0], np.arange(p) * (p + 1)
+    half_r, block = 0.5 * r, max(1, _PERTURBATION_ENTRIES // (p * p))
+    # Each kind's draws of a few perturbation blocks fill one buffer of about
+    # _SCAN_ENTRIES draws, yielded when full, so that a step-down folds few blocks.
+    rows_out = block * max(1, _SCAN_ENTRIES // (block * r.size))
+    buffers = [np.empty((min(rows_out, draws), r.size)) for _ in kinds]
+    for a in range(0, draws, block):
+        k, lo = min(block, draws - a), a % rows_out
+        h, z = np.empty((k, p * p)), rng.standard_normal((k, upper.size))
+        h[:, upper] = h[:, lower] = z
+        h[:, diag] *= np.sqrt(2.0)
+        s = (h.reshape(-1, p) @ root.T).reshape(k, p, p)  # H L^T, whose transpose is L H
+        s = (s.transpose(0, 2, 1).reshape(-1, p) @ root.T).reshape(k, -1)
+        s_diag = s[:, diag]
+        for kd, factor, buffer in zip(kinds, factors, buffers):
+            rows = np.take(s, flat, axis=1, out=buffer[lo : lo + k])
+            if kd is not StatKind.SECOND_ORDER:
+                rows -= half_r * (s_diag[:, i] + s_diag[:, j])
+            rows *= factor
+            if lo + k == rows_out or a + k == draws:
+                yield kd, slice(a - lo, a + k), slice(None), buffer[: lo + k]
 
 
 def run_procedure(

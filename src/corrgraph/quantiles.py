@@ -35,12 +35,13 @@ needs only each draw row's maximum over a prefix, a step function with about
 ln m steps for exchangeable columns (the successive maxima of Westfall and
 Young, 1993; Romano and Wolf, 2005), and a single-step rule needs only its
 maximum over all m pairs.  :class:`MaxRecords` keeps those steps, or those
-row maxima, in place of the B x m draws: both builders, given the statistic
-vectors and whether a step-down will run, reduce each block of their draws
-as it is made, and :meth:`MaxRecords.quantile` returns what
-:func:`quantile_from_draws` returns on the same prefix.  A ``DrawMatrix``
-and :func:`quantile_from_draws`, for arbitrary subsets, stay as the library
-API for small m.
+row maxima, in place of the B x m draws.  Each draw route is one generator
+of blocks of draws, and :func:`_reduce_draws` reduces the blocks as they are
+made, into a DrawMatrix, row maxima or prefix-max records, so a step-down and
+a single-step rule read the same draws, and :meth:`MaxRecords.quantile`
+returns what :func:`quantile_from_draws` returns on the same prefix.  A
+``DrawMatrix`` and :func:`quantile_from_draws`, for arbitrary subsets, stay
+as the library API for small m.
 
 :func:`max_gauss_quantile` (``corrgraph quantile``, any m x m Sigma) factors
 Sigma with :func:`cholesky_psd` and streams Gaussian blocks, keeping only
@@ -55,10 +56,10 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .core import SampleMatrix, _correlation, _owned_array, pair_indices, standardize
+from .core import SampleMatrix, _correlation, _owned_array, standardize
 from .errors import DegenerateInputError, NotPositiveDefiniteError
 from .rng import make_rng
-from .stats import _PAIR_CHUNK, StatKind, _kind_tuple, _transform
+from .stats import StatKind, _kind_tuple, _transform
 
 __all__ = [
     "QuantileEstimate",
@@ -80,17 +81,16 @@ _JITTERS = (0.0, 1e-12, 1e-10, 1e-8)
 _BLOCK_ENTRIES = 1 << 22
 
 # Entries per block of a blockwise scan (512 kB): the row blocks of the
-# symmetry check in cholesky_psd and the column chunks of quantile_from_draws.
+# symmetry check in cholesky_psd, the column chunks of quantile_from_draws and
+# the row blocks of Gaussian max-T draws.
 _SCAN_ENTRIES = 1 << 16
 
 # Positions per segment of the first pass of _fold_records.
 _SEGMENT = 16
 
-# Entries of a buffer of draws that one fold into records reads (4 MB; all the
-# draws when B x m is smaller).  At p=26, B=1000 a 512 kB buffer was slower
-# for Gaussian max-T: more fold calls, and about 500 page faults per call as
-# the allocator returned freed heap memory between calls.
-_FOLD_ENTRIES = 1 << 19
+# Candidate records a _RecordFold holds before it merges them (320 kB); the
+# merge's temporaries take a few times that.
+_HELD_CANDIDATES = 1 << 14
 
 # Smallest accepted draw counts: bootstrap resamples and Gaussian draws.
 _MIN_BOOTSTRAP_DRAWS = 50
@@ -178,17 +178,18 @@ class MaxRecords:
         return _max_quantile(maxima, alpha)
 
 
-def _fold_records(a: np.ndarray, carry: np.ndarray, row0: int = 0, col0: int = 0) -> tuple:
-    """(rows, positions, values) of the records in one block of draws.
+def _fold_records(a: np.ndarray, carry: np.ndarray, floor: np.ndarray | None = None) -> tuple:
+    """(rows, positions, values) of the records in one block of draws, rows and
+    positions counted within the block.
 
-    ``a`` holds the block positions by rows: positions ``col0..`` of the |T|
-    order of draw rows ``row0..``.  A C-ordered ``a`` is overwritten with its
-    absolute values.  ``carry`` holds each row's running max of |draw| before
-    ``col0`` (-inf at position 0), and is advanced in place.  A first pass
-    takes the max of each ``_SEGMENT`` positions; only the segments whose
-    max passes the running max can hold a record, and only they are
-    scanned.  A NaN or an infinity reaches the carried max, so it is caught
-    there.
+    ``a`` holds the block positions, ascending in the |T| order, by rows.  A
+    C-ordered ``a`` is overwritten with its absolute values.  ``carry`` holds
+    each row's running max of |draw| before the block, and is advanced in
+    place.  A first pass takes the max of each ``_SEGMENT`` positions; only
+    the segments whose max passes the running max can hold a record, and only
+    they are scanned.  ``floor`` (segments by rows) may raise the running max
+    before each segment.  A NaN or an infinity reaches the carried max, so it
+    is caught there.
     """
     a = np.ascontiguousarray(a)
     c, k = a.shape
@@ -202,6 +203,8 @@ def _fold_records(a: np.ndarray, carry: np.ndarray, row0: int = 0, col0: int = 0
     prior[0] = carry
     np.maximum.accumulate(top[:-1], axis=0, out=prior[1:])
     np.maximum(prior[1:], carry, out=prior[1:])
+    if floor is not None:
+        np.maximum(prior, floor, out=prior)
     carry[:] = np.maximum(prior[-1], top[-1])
     if not np.isfinite(carry).all():
         raise ValueError("draw matrix contains non-finite entries")
@@ -221,24 +224,143 @@ def _fold_records(a: np.ndarray, carry: np.ndarray, row0: int = 0, col0: int = 0
         np.maximum(run, value, out=run)
     offset, hit = np.divmod(np.flatnonzero(rise), hits.size)
     rows, positions = row[hit], seg[hit] * _SEGMENT + offset
-    return rows + row0, positions + col0, flat.take(positions * k + rows)
+    return rows, positions, flat.take(positions * k + rows)
+
+
+def _strict_rises(parts: list, m: int) -> tuple:
+    """The candidate records (rows, positions, values) of ``parts`` that rise
+    strictly above every candidate of lower position in their row, by row and
+    then position."""
+    rows, positions, values = (np.concatenate(column) for column in zip(*parts))
+    by_key = np.argsort(rows.astype(np.int64) * m + positions)
+    rows, positions, values = rows[by_key], positions[by_key], values[by_key]
+    # Rows ascend, so row * levels + the dense rank of the value restarts its
+    # running max with each row: a rise is an entry above the running max before it.
+    levels, dense = np.unique(values, return_inverse=True)
+    scaled = rows.astype(np.int64) * levels.size + dense
+    rise = np.ones(rows.size, dtype=bool)
+    np.greater(scaled[1:], np.maximum.accumulate(scaled)[:-1], out=rise[1:])
+    return rows[rise], positions[rise], values[rise]
 
 
 def _max_records(order: np.ndarray, draws: int, parts: list) -> MaxRecords:
-    """The MaxRecords of ``draws`` rows from the :func:`_fold_records` parts of their blocks."""
-    rows, positions, values = (np.concatenate(column) for column in zip(*parts))
-    by_row = np.argsort(rows * order.size + positions)
-    return MaxRecords(order=order, starts=np.searchsorted(rows[by_row], np.arange(draws)),
-                      positions=positions[by_row].astype(np.int32), values=values[by_row],
-                      m=order.size)
+    """The MaxRecords of ``draws`` rows from candidate records (rows, positions,
+    values), such as the :func:`_fold_records` parts of their blocks.
+
+    Every record of a row over all m pairs is a record of the block that holds
+    it, so the candidates' strict rises by position are the row's records.
+    """
+    rows, positions, values = _strict_rises(parts, order.size)
+    return MaxRecords(order=order, starts=np.searchsorted(rows, np.arange(draws)),
+                      positions=positions.astype(np.int32), values=values, m=order.size)
 
 
-def _row_maxima(maxima: np.ndarray, m: int) -> MaxRecords:
-    """The single-step MaxRecords of draw rows with these maxima of |draw| over m pairs."""
-    if not np.isfinite(maxima).all():
-        raise ValueError("draw matrix contains non-finite entries")
-    return MaxRecords(order=None, starts=np.arange(maxima.size),
-                      positions=np.zeros(maxima.size, dtype=np.int32), values=maxima, m=m)
+def _rank_bins(ranks):
+    """Bins of |T| ranks, four per octave of rank + 1 from bin 0: a rank in a
+    lower bin is lower."""
+    mantissa, octave = np.frexp(np.add(ranks, 1.0))
+    return 4 * octave + (8 * mantissa).astype(np.int64) - 8
+
+
+class _RecordFold:
+    """Prefix-max records of draw rows, from blocks of pairs taken in any order.
+
+    Each block is folded on its own, its columns sorted by ascending |T|
+    rank, into its own records: the candidates.  The fold of a segment starts
+    at the row's largest candidate in the bins of ranks before the segment's
+    (``peaks``; see :func:`_rank_bins`), as a value at or below it is no record.
+    Once the candidates held pass ``_HELD_CANDIDATES`` and twice the records
+    last merged, they are merged into the records of the pairs seen so far,
+    so they stay bounded for any block order.
+    """
+
+    def __init__(self, order: np.ndarray, draws: int):
+        self.order, self.draws, self.m = order, draws, order.size
+        self.rank = np.empty(self.m, dtype=np.int32)
+        self.rank[order] = np.arange(self.m)
+        # peaks[b, row]: the row's largest candidate at ranks in bin b.
+        self.peaks = np.full((_rank_bins(self.m - 1) + 1, draws), -np.inf)
+        self.index = np.arange(draws)
+        self.seen = np.zeros(draws, dtype=bool)  # the rows with candidates
+        self.held, self.count, self.merged, self.pairs = [], 0, 0, None
+
+    def add(self, rows, pairs, block) -> None:
+        if block is None:  # these rows are drawn again: forget their candidates
+            kept = np.ones(self.draws, dtype=bool)
+            kept[rows] = False
+            self.held = [tuple(v[kept[r]] for v in (r, q, x)) for r, q, x in self.held]
+            self.peaks[:, rows], self.seen[rows] = -np.inf, False
+            return
+        index = self.index[rows]
+        if pairs != self.pairs:  # the ranks of the block's pairs, ascending, and their bins
+            self.pairs, self.by_rank = pairs, np.argsort(self.rank[pairs])
+            self.ranks = self.rank[pairs][self.by_rank]
+            self.bins = _rank_bins(self.ranks)
+        floor = None
+        if self.seen[rows].any():  # each segment's floor: the peaks of the bins before its own
+            starts = self.bins[::_SEGMENT].tolist()
+            floor, run, done = np.empty((len(starts), index.size)), np.full(index.size, -np.inf), 0
+            for segment, b in enumerate(starts):
+                if b > done:
+                    np.maximum(run, self.peaks[done:b, rows].max(axis=0), out=run)
+                    done = b
+                floor[segment] = run
+        local, at, values = _fold_records(block.T[self.by_rank], np.full(index.size, -np.inf),
+                                          floor=floor)
+        np.maximum.at(self.peaks, (self.bins[at], index[local]), values)
+        self.seen[rows] = True
+        self.held.append((index[local], self.ranks[at], values))
+        self.count += local.size
+        if self.count > max(_HELD_CANDIDATES, 2 * self.merged):
+            self.held = [_strict_rises(self.held, self.m)]
+            self.count = self.merged = self.held[0][0].size
+
+    def result(self) -> MaxRecords:
+        return _max_records(self.order, self.draws, self.held)
+
+
+def _reduce_draws(blocks, kinds: tuple, single: bool, draws: int, m: int, provenance: str,
+                  stats=None, stepdown: bool = True):
+    """A draw builder's result, reduced from its route's blocks of draws as they are made.
+
+    ``blocks`` yields (kind, rows, pairs, block): ``block`` holds the draws
+    of rows ``rows`` (a slice or indexes) on pairs ``pairs`` (a slice); it
+    may be overwritten, and is not kept.  A block of None drops its rows,
+    which the route draws again.  Without ``stats`` each kind's result is its
+    DrawMatrix.  Given ``stats`` (the StatVector of each kind, in the form of
+    ``kind``; vectors that do not match the kinds and pairs are refused) it
+    is its MaxRecords: for a single-step rule (``stepdown`` false) each row's
+    max |draw| over all pairs, else the prefix maxima in ascending |T| order
+    (a stable argsort).
+    """
+    if stats is None:
+        out = {k: np.empty((draws, m)) for k in kinds}
+    else:
+        stats = (stats,) if single else tuple(stats)
+        if tuple(sv.kind for sv in stats) != kinds or any(sv.m != m for sv in stats):
+            raise ValueError("statistic vectors do not match the kinds and pairs of the draws")
+        out = {sv.kind: _RecordFold(np.argsort(np.abs(sv.values), kind="stable"), draws)
+               if stepdown else np.zeros(draws) for sv in stats}
+    for k, rows, pairs, block in blocks:
+        if stats is None:
+            if block is not None:
+                out[k][rows, pairs] = block
+        elif stepdown:
+            out[k].add(rows, pairs, block)
+        else:
+            out[k][rows] = 0.0 if block is None else \
+                np.maximum(out[k][rows], np.abs(block, out=block).max(axis=1))
+    for k, v in out.items():
+        if stats is None:
+            out[k] = DrawMatrix(v, provenance=provenance)
+        elif stepdown:
+            out[k] = v.result()
+        elif not np.isfinite(v).all():
+            raise ValueError("draw matrix contains non-finite entries")
+        else:
+            out[k] = MaxRecords(order=None, starts=np.arange(draws),
+                                positions=np.zeros(draws, dtype=np.int32), values=v, m=m)
+    return out[kinds[0]] if single else tuple(out[k] for k in kinds)
 
 
 @dataclass(frozen=True)
@@ -358,20 +480,6 @@ def max_gauss_quantile(
     return QuantileEstimate(value=value, alpha=alpha, draws=draws, seed=seed, jitter=jitter)
 
 
-def _pair_orders(stats, kinds: tuple, single: bool, m: int, stepdown: bool) -> list:
-    """Each kind's pairs by ascending |T| (a stable argsort), or Nones for a single-step rule.
-
-    ``stats`` is the StatVector of each kind, in the form of the builder's
-    ``kind``; vectors that do not match the kinds and pairs are refused.
-    """
-    stats = (stats,) if single else tuple(stats)
-    if tuple(sv.kind for sv in stats) != kinds or any(sv.m != m for sv in stats):
-        raise ValueError("statistic vectors do not match the kinds and pairs of the draws")
-    if not stepdown:
-        return [None] * len(kinds)
-    return [np.argsort(np.abs(sv.values), kind="stable") for sv in stats]
-
-
 def bootstrap_draw_matrix(
     samples: SampleMatrix,
     kind: StatKind | tuple[StatKind, ...],
@@ -400,21 +508,23 @@ def bootstrap_draw_matrix(
     theta forced a redraw.
 
     The result is a DrawMatrix, or, given ``stats`` (the StatVector of each
-    kind, in the same form as ``kind``), a MaxRecords, and no B x m matrix is
-    held.  For a single-step rule (``stepdown`` false) they are each row's
-    max |draw| over all pairs, from the same pair blocks, so from the same
-    draw values.  For a step-down they are the prefix maxima in ascending |T|
-    order, from chunks of ``_PAIR_CHUNK`` pairs taken in that order, pairs by
-    rows; their GEMMs can differ from the pair blocks' in the last bits.  A
-    degenerate resample's records are dropped, and its redraw's are folded in
-    their place.
+    kind, in the same form as ``kind``), a MaxRecords of the same draws, with
+    no B x m matrix held (see ``_reduce_draws``).  A degenerate resample's
+    draws are dropped, and its redraw's take their place.
     """
     kinds, single = _kind_tuple(kind)
     if draws < _MIN_BOOTSTRAP_DRAWS:
         raise ValueError(f"need at least {_MIN_BOOTSTRAP_DRAWS} bootstrap draws, got {draws}")
-    n, m = samples.n, samples.m
-    orders = None if stats is None else _pair_orders(stats, kinds, single, m, stepdown)
-    records = orders is not None and stepdown
+    if rng is None:
+        rng = make_rng(seed if seed is not None else 0)
+    return _reduce_draws(_bootstrap_blocks(samples, kinds, draws, rng), kinds, single, draws,
+                         samples.m, "nonparametric-bootstrap", stats, stepdown)
+
+
+def _bootstrap_blocks(samples: SampleMatrix, kinds: tuple, draws: int, rng: np.random.Generator):
+    """Yield the bootstrap's blocks of draws, in :func:`_reduce_draws` form: the
+    pair blocks of each batch of resamples, then its degenerate rows to drop."""
+    n = samples.n
     # Standardized on the full sample, resample means are O(n^-1/2): E[x^2] - mu^2 cannot cancel.
     x = standardize(samples).data
     plain = [k for k in dict.fromkeys(kinds) if k is not StatKind.SECOND_ORDER]
@@ -422,53 +532,22 @@ def bootstrap_draw_matrix(
     if plain:
         rho_hat = _correlation(samples).pair_values()
         t_hat = {k: _transform(rho_hat, n, k) for k in plain}
-    if orders is None:
-        rows = {k: np.empty((draws, m)) for k in kinds}
-    elif not records:
-        maxima = {k: np.empty(draws) for k in kinds}
-    else:
-        groups, parts = _order_groups(kinds, orders), {k: [] for k in kinds}
-        xt = np.ascontiguousarray(x.T)
-    if rng is None:
-        rng = make_rng(seed if seed is not None else 0)
     todo, redraws = np.arange(draws), 0
     while todo.size:
-        dest = slice(None) if todo.size == draws else todo  # all rows: a slice writes faster
         w = _count_weights(rng, todo.size, n)
         mu, m2 = np.split(w @ np.hstack([x, x * x]), 2, axis=1)
         var = m2 - mu * mu
         bad = np.any(var <= _DEGENERATE, axis=1)
         inv_sd = 1.0 / np.sqrt(np.maximum(var, _DEGENERATE))
-        if records:
-            carry = {k: np.full(todo.size, -np.inf) for k in kinds}
-            folded = {k: [] for k in kinds}
-            moments = [np.ascontiguousarray(v.T) for v in (mu, m2, inv_sd)]
-            for k, a, block in _chunk_draws(xt, w, moments, groups, t_hat, bad):
-                folded[k].append(_fold_records(block, carry[k], col0=a))
-            for k in kinds:  # the records of rows to be redrawn are dropped
-                for local, positions, values in folded[k]:
-                    keep = ~bad[local]
-                    parts[k].append((todo[local[keep]], positions[keep], values[keep]))
-        elif orders is not None:
-            top = {k: np.zeros(todo.size) for k in kinds}
-            for k, _lo, _hi, block in _block_draws(x, w, (mu, m2, inv_sd), kinds, t_hat, bad):
-                np.maximum(top[k], np.abs(block, out=block).max(axis=1), out=top[k])
-            for k in kinds:
-                maxima[k][dest] = top[k]
-        else:
-            for k, lo, hi, block in _block_draws(x, w, (mu, m2, inv_sd), kinds, t_hat, bad):
-                rows[k][dest, lo:hi] = block
+        rows = slice(None) if todo.size == draws else todo  # all rows: a slice writes faster
+        yield from _block_draws(x, w, (mu, m2, inv_sd), kinds, t_hat, bad, rows)
         todo = todo[bad]
         redraws += todo.size
         if redraws > draws:
             raise DegenerateInputError("too many degenerate bootstrap resamples")
-    if orders is None:
-        out = {k: DrawMatrix(v, provenance="nonparametric-bootstrap") for k, v in rows.items()}
-    elif records:
-        out = {k: _max_records(order, draws, parts[k]) for k, order in zip(kinds, orders)}
-    else:
-        out = {k: _row_maxima(v, m) for k, v in maxima.items()}
-    return out[kinds[0]] if single else tuple(out[k] for k in kinds)
+        if todo.size:
+            for k in kinds:
+                yield k, todo, None, None
 
 
 def _count_weights(rng: np.random.Generator, draws: int, n: int) -> np.ndarray:
@@ -478,39 +557,25 @@ def _count_weights(rng: np.random.Generator, draws: int, n: int) -> np.ndarray:
     return np.bincount(take.ravel(), minlength=take.size).reshape(take.shape) / n
 
 
-def _order_groups(kinds: tuple, orders: list) -> list:
-    """(order, kinds) pairs: the empirical, Student and Fisher kinds of one |T|
-    order share its chunks (their statistics are increasing in r, so they
-    mostly do); the second-order kind, with its own moments, is alone."""
-    groups = []
-    for k, order in dict(zip(kinds, orders)).items():
-        for shared, members in groups:
-            if StatKind.SECOND_ORDER not in (k, members[0]) and np.array_equal(order, shared):
-                members.append(k)
-                break
-        else:
-            groups.append((order, [k]))
-    return groups
-
-
-def _block_draws(x, w, moments, kinds, t_hat, bad):
-    """Yield (kind, lo, hi, draws) for the pair blocks x_c x_{c+1..p}, pairs lo:hi.
+def _block_draws(x, w, moments, kinds, t_hat, bad, rows):
+    """Yield (kind, rows, pairs, draws) for the pair blocks x_c x_{c+1..p}.
 
     ``moments`` are the resamples' (mu, E x^2, 1/sd), each B x p; the draws
-    are B x (hi - lo).  A degenerate second-order theta is or-ed into ``bad``.
+    are B x (pairs in the block).  A degenerate second-order theta is or-ed
+    into ``bad``.
     """
     mu, m2, inv_sd = moments
     n, p = x.shape
     plain = [k for k in dict.fromkeys(kinds) if k is not StatKind.SECOND_ORDER]
     for c in range(p - 1):
-        lo, hi = c * (2 * p - c - 1) // 2, (c + 1) * (2 * p - c - 2) // 2
+        pairs = slice(c * (2 * p - c - 1) // 2, (c + 1) * (2 * p - c - 2) // 2)
         xc, rest, mc, mr = x[:, c : c + 1], x[:, c + 1 :], mu[:, c : c + 1], mu[:, c + 1 :]
         z = xc * rest
         scale = inv_sd[:, c : c + 1] * inv_sd[:, c + 1 :]
         if plain:
             r = (w @ z - mc * mr) * scale
             for k in plain:
-                yield k, lo, hi, _transform(r, n, k) - t_hat[k][lo:hi]
+                yield k, rows, pairs, _transform(r, n, k) - t_hat[k][pairs]
         if StatKind.SECOND_ORDER in kinds:
             # Its first block is not reused for the kinds above: it differs from
             # w @ z in the last bits, and their draws must equal single-kind calls.
@@ -518,51 +583,7 @@ def _block_draws(x, w, moments, kinds, t_hat, bad):
                 np.split(w @ np.hstack([z, xc * z, z * rest, z * z]), 4, 1), mc, mr,
                 m2[:, c : c + 1], m2[:, c + 1 :], scale, z.mean(axis=0), n)
             bad |= degenerate.any(axis=1)
-            yield StatKind.SECOND_ORDER, lo, hi, block
-
-
-def _chunk_draws(xt, w, moments, groups, t_hat, bad):
-    """Yield (kind, a, draws) for the draws of each group's |T| order from
-    position a on, pairs by rows, ``_FOLD_ENTRIES`` entries at most.
-
-    They are made in chunks of ``_PAIR_CHUNK`` pairs, into one buffer per
-    kind that is yielded when full.  ``xt`` is the standardized sample
-    transposed (p x n), and ``moments`` the resamples' (mu, E x^2, 1/sd)
-    transposed, each p x B, so a chunk's rows gather whole.  A degenerate
-    second-order theta is or-ed into ``bad``.
-    """
-    mu, m2, inv_sd = moments
-    (p, n), draws = xt.shape, w.shape[0]
-    i, j = pair_indices(p)
-    wt = w.T
-    width = _PAIR_CHUNK * max(1, _FOLD_ENTRIES // (_PAIR_CHUNK * draws))
-    for order, members in groups:
-        buffers = {k: np.empty((min(width, order.size), draws)) for k in members}
-        lefts, rights = i[order], j[order]
-        centers = {k: t_hat[k][order] for k in members if k in t_hat}
-        for a in range(0, order.size, _PAIR_CHUNK):
-            left, right = lefts[a : a + _PAIR_CHUNK], rights[a : a + _PAIR_CHUNK]
-            lo = a % width
-            dest = slice(lo, lo + left.size)
-            xc, xr, mc, mr = xt[left], xt[right], mu[left], mu[right]
-            z = xc * xr
-            scale = inv_sd[left]
-            scale *= inv_sd[right]
-            if members[0] is not StatKind.SECOND_ORDER:
-                r = z @ wt
-                r -= mc * mr
-                r *= scale
-                for k in members:
-                    np.subtract(_transform(r, n, k), centers[k][a : a + _PAIR_CHUNK, None],
-                                out=buffers[k][dest])
-            else:
-                buffers[members[0]][dest], degenerate = _second_order_draws(
-                    np.split(np.vstack([z, xc * z, z * xr, z * z]) @ wt, 4), mc, mr,
-                    m2[left], m2[right], scale, z.mean(axis=1)[:, None], n)
-                bad |= degenerate.any(axis=0)
-            if dest.stop == width or a + left.size == order.size:
-                for k in members:
-                    yield k, a - lo, buffers[k][: dest.stop]
+            yield StatKind.SECOND_ORDER, rows, pairs, block
 
 
 def _second_order_draws(moments, mc, mr, m2c, m2r, scale, zbar, n):

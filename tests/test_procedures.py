@@ -268,6 +268,31 @@ class TestMaxRecordsPath:
                     assert np.array_equal(got.pair_thresholds, want.pair_thresholds)
                     assert np.array_equal(got.mask, want.mask)
 
+    @pytest.mark.parametrize("route", ["bootstrap", "gaussian", "fourth-moment"])
+    def test_first_step_down_threshold_is_the_single_step_one(self, route):
+        # A step-down reads the same draws as the single-step rule, so its
+        # first threshold, over all m pairs, is the single-step one exactly.
+        sample = tdata(150, 20, seed=5)
+        kinds = tuple(StatKind)
+        svs = tuple(corrgraph.statistic(sample, kind) for kind in kinds)
+        if route == "bootstrap":
+            method = Method.BOOT_RW
+
+            def build(stepdown):
+                return bootstrap_draw_matrix(sample, kinds, 60, seed=8, stats=svs,
+                                             stepdown=stepdown)
+        else:
+            method, multipliers = Method.MAX_T, sample if route == "fourth-moment" else None
+
+            def build(stepdown):
+                return gauss_draw_matrix(empirical_correlation(sample), kinds, 200, make_rng(8),
+                                         sample=multipliers, stats=svs, stepdown=stepdown)
+        for sv, maxima, records in zip(svs, build(False), build(True)):
+            for alpha in (0.05, 0.2):
+                single = run_procedure(sv, alpha, ProcedureKind(method), maxima)
+                stepped = run_procedure(sv, alpha, ProcedureKind(method, True), records)
+                assert stepped.thresholds[0] == single.thresholds[0], (sv.kind, alpha)
+
     def test_single_kind_matches_tuple(self):
         corr = CorrelationMatrix(random_correlation_matrix(9, make_rng(1)))
         sv = StatVector(StatKind.FISHER, make_rng(2).normal(size=36) * 3.0, 100)

@@ -1,6 +1,7 @@
 """Thresholds, Cholesky with jitter, and Monte Carlo / bootstrap quantiles."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,8 +25,9 @@ from corrgraph import (
     quantile_from_draws,
     sidak_threshold,
 )
+from corrgraph import quantiles
 from corrgraph.core import empirical_correlation, pair_indices, standardize
-from corrgraph.quantiles import _fold_records, _max_quantile, _max_records
+from corrgraph.quantiles import _fold_records, _max_quantile, _max_records, _reduce_draws
 from corrgraph.stats import _transform, statistic
 
 
@@ -235,20 +237,22 @@ def fold_by_columns(draws, order, widths):
     """
     b, m = draws.shape
     carry, parts, a = np.full(b, -np.inf), [], 0
-    for width in widths:
+    for width in [*widths, m]:
         if a < m:
-            parts.append(_fold_records(draws[:, order[a : a + width]].T.copy(), carry, col0=a))
+            rows, positions, values = _fold_records(draws[:, order[a : a + width]].T.copy(), carry)
+            parts.append((rows, positions + a, values))
             a += width
-    if a < m:
-        parts.append(_fold_records(draws[:, order[a:]].T.copy(), carry, col0=a))
     return _max_records(order, b, parts)
 
 
 def fold_by_rows(draws, order, rows):
     """MaxRecords of ``draws`` folded in row blocks of ``rows`` rows, columns in ``order``."""
     b = draws.shape[0]
-    parts = [_fold_records(draws[a : a + rows][:, order].T.copy(),
-                           np.full(min(rows, b - a), -np.inf), row0=a) for a in range(0, b, rows)]
+    parts = []
+    for a in range(0, b, rows):
+        local, positions, values = _fold_records(draws[a : a + rows][:, order].T.copy(),
+                                                 np.full(min(rows, b - a), -np.inf))
+        parts.append((local + a, positions, values))
     return _max_records(order, b, parts)
 
 
@@ -301,6 +305,81 @@ class TestMaxRecords:
                      lambda: fold_by_rows(draws, np.arange(6), 3)):
             with pytest.raises(ValueError, match="draw matrix contains non-finite entries"):
                 fold()
+
+
+def cut_blocks(draws, rows, row_cuts, pair_cuts):
+    """Fisher blocks (kind, rows, pairs, block) of the draw rows ``rows`` (indexes), cut
+    before the positions ``row_cuts`` of ``rows`` and before the pairs ``pair_cuts``."""
+    row_cuts, pair_cuts = sorted({0, rows.size, *row_cuts}), sorted({0, draws.shape[1], *pair_cuts})
+    return [(StatKind.FISHER, rows[r0:r1], slice(q0, q1), draws[rows[r0:r1], q0:q1])
+            for r0, r1 in zip(row_cuts, row_cuts[1:]) for q0, q1 in zip(pair_cuts, pair_cuts[1:])]
+
+
+class TestReducer:
+    """_reduce_draws on blocks of a known draw matrix, cut and ordered at random."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**31), b=st.integers(1, 40), m=st.integers(1, 150),
+           levels=st.integers(1, 5), held=st.integers(1, 60), data=st.data())
+    def test_records_merged_from_blocks_in_any_order(self, seed, b, m, levels, held, data):
+        # |T| and the draws on a few levels, so both tie often.  The blocks cut
+        # rows and pairs at random and come in a random order.  Some rows are
+        # first drawn as noise and dropped, as a bootstrap redraw is, and a
+        # small bound on the candidates held forces merges along the way.
+        rng = np.random.default_rng(seed)
+        sv = StatVector(StatKind.FISHER, rng.integers(-levels, levels + 1, size=m).astype(float),
+                        100)
+        draws = rng.integers(-levels, levels + 1, size=(b, m)) / 2.0
+        redo = np.flatnonzero(rng.random(b) < data.draw(st.sampled_from([0.0, 0.3])))
+        noisy = draws.copy()
+        noisy[redo] = 50.0 + rng.random((redo.size, m))
+
+        def cuts(size):
+            return data.draw(st.lists(st.integers(0, size), max_size=4))
+
+        first = cut_blocks(noisy, np.arange(b), cuts(b), cuts(m))
+        stream = data.draw(st.permutations(first))
+        if redo.size:
+            again = cut_blocks(draws, redo, cuts(redo.size), cuts(m))
+            stream += [(StatKind.FISHER, redo, None, None)] + data.draw(st.permutations(again))
+        with mock.patch.object(quantiles, "_HELD_CANDIDATES", held):
+            rec = _reduce_draws(iter(stream), (StatKind.FISHER,), True, b, m,
+                                "parametric-gaussian", stats=sv)
+        order = np.argsort(np.abs(sv.values), kind="stable")
+        prefix = np.maximum.accumulate(np.abs(draws[:, order]), axis=1)
+        rise = np.ones((b, m), dtype=bool)
+        rise[:, 1:] = prefix[:, 1:] > prefix[:, :-1]
+        rows, positions = np.nonzero(rise)
+        assert np.array_equal(rec.order, order)
+        assert np.array_equal(rec.starts, np.searchsorted(rows, np.arange(b)))
+        assert np.all(rec.positions[rec.starts] == 0)
+        assert np.array_equal(rec.positions, positions)
+        assert np.array_equal(rec.values, prefix[rise])
+
+    def test_later_block_of_the_same_rank_bin_keeps_a_record(self):
+        # Ranks 16..19 share a bin of the fold's floors.  Pairs 18.. come
+        # first with a large draw at rank 18; the draw 5 at rank 16, which
+        # comes later, is still a record: only lower bins floor its segment.
+        sv = StatVector(StatKind.FISHER, np.arange(40.0), 100)
+        draws = np.full((1, 40), 0.1)
+        draws[0, 16], draws[0, 18] = 5.0, 9.0
+        blocks = [(StatKind.FISHER, slice(None), pairs, draws[:, pairs].copy())
+                  for pairs in (slice(18, 40), slice(0, 18))]
+        rec = _reduce_draws(iter(blocks), (StatKind.FISHER,), True, 1, 40,
+                            "parametric-gaussian", stats=sv)
+        assert rec.positions.tolist() == [0, 16, 18]
+        assert rec.values.tolist() == [0.1, 5.0, 9.0]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("stepdown", [True, False])
+    def test_non_finite_draw_refused(self, bad, stepdown):
+        draws = np.random.default_rng(1).normal(size=(10, 40))
+        draws[4, 33] = bad
+        sv = StatVector(StatKind.FISHER, np.arange(40.0), 100)
+        blocks = cut_blocks(draws, np.arange(10), [5], [20])[::-1]
+        with pytest.raises(ValueError, match="draw matrix contains non-finite entries"):
+            _reduce_draws(iter(blocks), (StatKind.FISHER,), True, 10, 40, "parametric-gaussian",
+                          stats=sv, stepdown=stepdown)
 
 
 class TestMaxGaussQuantile:
@@ -473,8 +552,7 @@ class TestBootstrapRecords:
                     continue
                 for alpha in (0.05, 0.3):
                     want = quantile_from_draws(dm, alpha, np.flatnonzero(t_abs <= cut))
-                    # The chunks' GEMMs may differ from the pair blocks' in the last bits.
-                    assert rec.quantile(alpha, length) == pytest.approx(want, rel=1e-12)
+                    assert rec.quantile(alpha, length) == want
 
     def test_single_kind_matches_tuple(self):
         samples = SampleMatrix(np.random.default_rng(3).normal(size=(50, 9)))
