@@ -69,14 +69,16 @@ class SampleMatrix:
 
     Entries must be finite and every column must have strictly positive
     empirical variance; violations raise :class:`DegenerateInputError`
-    naming the offending (1-based) column.
+    naming the offending (1-based) column.  A float64 ndarray that owns its
+    data is taken over, not copied: it is marked read-only in place.  Any
+    other input is copied first.
     """
 
     data: np.ndarray
     column_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=float)
+        data = _owned_array(self.data)
         if data.ndim != 2:
             raise ValueError(f"sample matrix must be 2-d, got shape {data.shape}")
         n, p = data.shape
@@ -96,7 +98,6 @@ class SampleMatrix:
             )
         if self.column_names is not None and len(self.column_names) != p:
             raise ValueError("column_names length does not match p")
-        data = data.copy()
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
 

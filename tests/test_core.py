@@ -66,6 +66,18 @@ class TestSampleMatrix:
         with pytest.raises(ValueError):
             s.data[0, 0] = 1.0
 
+    def test_takes_fresh_array(self):
+        fresh = np.random.default_rng(1).normal(size=(5, 3))
+        s = SampleMatrix(fresh)
+        assert np.shares_memory(s.data, fresh)
+        assert not fresh.flags.writeable and not s.data.flags.writeable
+        # A view or a non-float64 array is not the matrix's own: it is copied.
+        base = np.random.default_rng(2).normal(size=(5, 6))
+        for other in (base[:, ::2], base[:, :3].astype(np.float32)):
+            s = SampleMatrix(other)
+            assert not np.shares_memory(s.data, other) and other.flags.writeable
+            assert not s.data.flags.writeable
+
     def test_too_small_raises(self):
         with pytest.raises(ValueError):
             SampleMatrix(np.ones((1, 3)) * [[1.0, 2.0, 3.0]])
