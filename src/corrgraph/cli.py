@@ -270,7 +270,9 @@ def _check_draw_memory(samples: SampleMatrix, method: Method, draws: int, stepdo
     fourth-moment block; the Gaussian blocks do not grow with B); and the
     row's maximum, or for a step-down its records, about ln m + 1 of them,
     3 words each as they are gathered, and four peaks per octave of m; plus
-    ``_HELD_CANDIDATES`` candidate records of 3 words.
+    ``_HELD_CANDIDATES`` candidate records of 3 words.  Fixed index arrays
+    do not grow with B and are left out: the pair indexes (a few m words)
+    and, on the Gaussian route, the p x p map from H to its normals.
     """
     if method not in (Method.BOOT_RW, Method.MAX_T):
         return

@@ -67,8 +67,8 @@ def pair_indices(p: int) -> tuple[np.ndarray, np.ndarray]:
 class SampleMatrix:
     """n observations of p real-valued variables.
 
-    Entries must be finite and every column must have strictly positive
-    empirical variance; violations raise :class:`DegenerateInputError`
+    Entries must be finite and no column may be constant or have a variance
+    that underflows to 0; violations raise :class:`DegenerateInputError`
     naming the offending (1-based) column.  A float64 ndarray that owns its
     data is taken over, not copied: it is marked read-only in place.  Any
     other input is copied first.
@@ -88,8 +88,12 @@ class SampleMatrix:
             raise ValueError(f"need at least 2 variables, got p={p}")
         if not np.all(np.isfinite(data)):
             raise ValueError("sample matrix contains non-finite entries")
-        variances = data.var(axis=0)
-        bad = np.flatnonzero(variances <= 0.0)
+        # A constant column's computed variance is rounding noise, not 0, when
+        # its mean rounds (three cells of 0.1 give 1.9e-34); that noise grows
+        # with n, so no fixed multiple of eps bounds it.  Its range is exactly
+        # 0 at any scale and n.  A variance that underflows to 0 is refused too.
+        constant = data.max(axis=0) == data.min(axis=0)
+        bad = np.flatnonzero(constant | (data.var(axis=0) <= 0.0))
         if bad.size:
             col = int(bad[0]) + 1
             name = self.column_names[bad[0]] if self.column_names else str(col)

@@ -22,21 +22,27 @@ weights to statistic draws and never forms the m x m Omega, return a
 ``DrawMatrix`` or, given the statistic vectors, their ``MaxRecords``: the
 prefix maxima for a step-down, or each row's maximum over all pairs for a
 single-step rule.  Given a tuple of kinds, either builder returns one result
-per kind from one set of draws.  The step-down loop re-applies the rule to
-the surviving index set until a fixpoint and keeps one mask, of the
-surviving pairs, whose complement is the rejection mask.  The survivors are
-always the pairs with |T| at most the last threshold, so MaxRecords give
-each resampled quantile from the prefix maxima of the draws, with no B x m
-matrix; a DrawMatrix is re-read on the surviving subset by
+per kind from one set of draws.  The Gaussian route draws each block's
+normals one block ahead, on a worker thread, while the caller maps the block
+before; the calls, their order and so the stream are those of a serial loop,
+and the worker is joined before the builder returns.  The step-down loop
+re-applies the rule to the surviving index set until a fixpoint and keeps one
+mask, of the surviving pairs, whose complement is the rejection mask.  The
+survivors are always the pairs with |T| at most the last threshold, so
+MaxRecords give each resampled quantile from the prefix maxima of the draws,
+with no B x m matrix; a DrawMatrix is re-read on the surviving subset by
 ``quantile_from_draws``.  Either way every quantile comes from one set of
 draws, so the thresholds are exactly decreasing.
 """
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import functools
 import itertools
+import queue
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,8 +70,10 @@ DEFAULT_BOOTSTRAP_DRAWS = 100
 DEFAULT_MAXT_DRAWS = 1000
 
 # Entries of the p x p perturbations per block of Gaussian max-T draws (256 kB).
-# The GEMMs' last bits depend on it and on _PAIR_CHUNK, the pair columns per
-# chunk of fourth-moment draws, so both are part of the seed contract.
+# A worker thread draws each block's normals one block ahead, with the calls
+# and from the stream of a serial loop, so the normals do not depend on it.
+# The GEMMs' last bits do, and on _PAIR_CHUNK, the pair columns per chunk of
+# fourth-moment draws, so both are part of the seed contract.
 _PERTURBATION_ENTRIES = 1 << 15
 
 
@@ -148,8 +156,9 @@ def gauss_draw_matrix(corr, kind: StatKind | tuple[StatKind, ...], draws: int,
     corr = np.asarray(corr.values if isinstance(corr, CorrelationMatrix) else corr, dtype=float)
     blocks = (_perturbation_blocks(corr, kinds, draws, rng) if sample is None
               else _multiplier_blocks(corr, sample, kinds, draws, rng))
-    return _reduce_draws(blocks, kinds, single, draws, num_pairs(corr.shape[0]),
-                         "parametric-gaussian", stats, stepdown)
+    with contextlib.closing(blocks):
+        return _reduce_draws(blocks, kinds, single, draws, num_pairs(corr.shape[0]),
+                             "parametric-gaussian", stats, stepdown)
 
 
 # The name that bench/spans.py resolves.
@@ -182,29 +191,80 @@ def _perturbation_blocks(corr, kinds: tuple, draws: int, rng: np.random.Generato
     root = vec * np.sqrt(np.maximum(lam, 0.0))
     factors = [1.0 / np.sqrt(1.0 + r * r) if kd is StatKind.SECOND_ORDER
                else _rescale(np.ones_like(r), r, kd) for kd in kinds]
-    # Flat positions in p x p of the pairs, the upper triangle, its mirror and the diagonal.
-    flat, upper = i * p + j, np.triu_indices(p)
-    upper, lower, diag = upper[0] * p + upper[1], upper[1] * p + upper[0], np.arange(p) * (p + 1)
+    # The normals of a perturbation fill the upper triangle of H row by row;
+    # sym holds, for each entry of H in p x p order, the position of its normal.
+    tri = np.zeros((p, p), dtype=np.intp)
+    tri[np.triu_indices(p)] = np.arange(p * (p + 1) // 2)
+    sym, z_diag = np.maximum(tri, tri.T).ravel(), tri.diagonal()
+    # Flat positions in p x p of the pairs and the diagonal.
+    flat, diag = i * p + j, np.arange(p) * (p + 1)
     half_r, block = 0.5 * r, max(1, _PERTURBATION_ENTRIES // (p * p))
+    centred = any(kd is not StatKind.SECOND_ORDER for kd in kinds)
     # Each kind's draws of a few perturbation blocks fill one buffer of about
     # _SCAN_ENTRIES draws, yielded when full, so that a step-down folds few blocks.
     rows_out = block * max(1, _SCAN_ENTRIES // (block * r.size))
     buffers = [np.empty((min(rows_out, draws), r.size)) for _ in kinds]
-    for a in range(0, draws, block):
-        k, lo = min(block, draws - a), a % rows_out
-        h, z = np.empty((k, p * p)), rng.standard_normal((k, upper.size))
-        h[:, upper] = h[:, lower] = z
-        h[:, diag] *= np.sqrt(2.0)
-        s = (h.reshape(-1, p) @ root.T).reshape(k, p, p)  # H L^T, whose transpose is L H
-        s = (s.transpose(0, 2, 1).reshape(-1, p) @ root.T).reshape(k, -1)
-        s_diag = s[:, diag]
-        for kd, factor, buffer in zip(kinds, factors, buffers):
-            rows = np.take(s, flat, axis=1, out=buffer[lo : lo + k])
-            if kd is not StatKind.SECOND_ORDER:
-                rows -= half_r * (s_diag[:, i] + s_diag[:, j])
-            rows *= factor
-            if lo + k == rows_out or a + k == draws:
-                yield kd, slice(a - lo, a + k), slice(None), buffer[: lo + k]
+    counts = [min(block, draws - a) for a in range(0, draws, block)]
+    with contextlib.closing(_normals_ahead(rng, counts, p * (p + 1) // 2)) as normals:
+        for a, z in zip(range(0, draws, block), normals):
+            k, lo = z.shape[0], a % rows_out
+            z[:, z_diag] *= np.sqrt(2.0)
+            h = np.take(z, sym, axis=1)
+            s = (h.reshape(-1, p) @ root.T).reshape(k, p, p)  # H L^T, whose transpose is L H
+            s = np.matmul(s.transpose(0, 2, 1), root.T).reshape(k, -1)  # L H read as a view
+            if centred:
+                s_diag = np.take(s, diag, axis=1)
+                shift = half_r * (np.take(s_diag, i, axis=1) + np.take(s_diag, j, axis=1))
+            for kd, factor, buffer in zip(kinds, factors, buffers):
+                rows = np.take(s, flat, axis=1, out=buffer[lo : lo + k])
+                if kd is not StatKind.SECOND_ORDER:
+                    rows -= shift
+                rows *= factor
+                if lo + k == rows_out or a + k == draws:
+                    yield kd, slice(a - lo, a + k), slice(None), buffer[: lo + k]
+
+
+def _normals_ahead(rng: np.random.Generator, counts: list, width: int):
+    """Yield ``rng.standard_normal((k, width))`` for each k in ``counts``, each
+    drawn on a worker thread while the caller maps the one before.
+
+    The calls, their shapes and their order are those of a serial loop, so the
+    stream, and the generator's state after the last block, are unchanged.
+    Two buffers alternate: a yielded block is valid until the next is asked
+    for.  The worker is joined however the generator ends, and an exception
+    it raises is raised here.  The hand-offs are C-level queue calls: with a
+    thread pool's futures, whose Python code holds the interpreter lock on
+    every block, a call at p = 26 took about 1 ms (10%) longer.
+    """
+    buffers = np.empty((2, max(counts), width))
+    outs = [buffers[t % 2, :k] for t, k in enumerate(counts)]
+    # free: a token per buffer the caller has handed back, or None to stop;
+    # ready: the drawn blocks in order, or the worker's exception.
+    free, ready = queue.SimpleQueue(), queue.SimpleQueue()
+
+    def draw():
+        try:
+            for out in outs:
+                if free.get() is None:
+                    return
+                ready.put(rng.standard_normal(out=out))
+        except BaseException as exc:  # raised by the caller, as a future would
+            ready.put(exc)
+
+    worker = threading.Thread(target=draw, name="corrgraph-normals", daemon=True)
+    for _ in range(len(buffers)):
+        free.put(True)
+    worker.start()
+    try:
+        for _ in outs:
+            z = ready.get()
+            if isinstance(z, BaseException):
+                raise z
+            yield z
+            free.put(True)
+    finally:
+        free.put(None)
+        worker.join()
 
 
 def run_procedure(

@@ -421,6 +421,15 @@ class TestTestCommand:
         assert code == 3
         assert "const" in capsys.readouterr().err
 
+    def test_inexact_constant_column_exits_three(self, tmp_path, capsys):
+        bad = tmp_path / "tenths.csv"
+        rows = ["height,tenth"] + [f"{v},0.1" for v in range(3)]
+        bad.write_text("\n".join(rows) + "\n")
+        code = run(["test", "--input", str(bad), "--stat", "empirical",
+                    "--method", "bonferroni", "--output", str(tmp_path / "o.csv")])
+        assert code == 3
+        assert "tenth" in capsys.readouterr().err
+
     def test_unknown_flag_exits_one(self):
         assert run(["test", "--nope"]) == 1
 

@@ -98,6 +98,23 @@ class TestSampleMatrix:
         assert "b" in str(info.value)
         assert info.value.column == 2
 
+    @pytest.mark.parametrize("n, value", [(3, 0.1), (2000, 0.1), (500, 1e12 / 3)])
+    def test_inexact_constant_column_raises(self, n, value):
+        data = np.random.default_rng(4).normal(size=(n, 3))
+        data[:, 2] = value
+        assert data.var(axis=0)[2] > 0.0  # the mean rounds: the variance is rounding noise
+        with pytest.raises(DegenerateInputError) as info:
+            SampleMatrix(data, column_names=("a", "b", "c"))
+        assert "c" in str(info.value)
+        assert info.value.column == 3
+
+    def test_underflowing_variance_raises(self):
+        data = np.random.default_rng(5).normal(size=(5, 3))
+        data[:, 0] = np.arange(5) * 1e-200
+        with pytest.raises(DegenerateInputError) as info:
+            SampleMatrix(data)
+        assert info.value.column == 1
+
     def test_column_names_length_checked(self):
         with pytest.raises(ValueError):
             SampleMatrix(np.random.default_rng(3).normal(size=(4, 3)), column_names=("x",))

@@ -1,6 +1,9 @@
 """Single-step and step-down procedures, BH, and the MTP2 check."""
 
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -125,11 +128,31 @@ class UnitNoise:
     def __init__(self):
         self.row = 0
 
-    def standard_normal(self, size):
-        rows, width = size
-        out = np.eye(rows, width, self.row)
+    def standard_normal(self, size=None, out=None):
+        rows, width = size if out is None else out.shape
+        noise = np.eye(rows, width, self.row)
         self.row += rows
+        if out is None:
+            return noise
+        out[...] = noise
         return out
+
+
+class FaultyNoise:
+    """Generator stand-in: N(0, 1) normals for ``good`` calls, then ``fault``:
+    "raise" raises RuntimeError, "nan" fills the block with NaN."""
+
+    def __init__(self, good, fault):
+        self.rng, self.good, self.fault = make_rng(0), good, fault
+
+    def standard_normal(self, size=None, out=None):
+        if self.good == 0:
+            if self.fault == "raise":
+                raise RuntimeError("noise ran out")
+            out[...] = np.nan
+            return out
+        self.good -= 1
+        return self.rng.standard_normal(size, out=out)
 
 
 def tdata(n, p, seed):
@@ -143,6 +166,34 @@ def draw_law(route, p, seed=0, n=60):
         return CorrelationMatrix(random_correlation_matrix(p, make_rng(seed))), None
     sample = tdata(n, p, seed)
     return empirical_correlation(sample), sample
+
+
+def psi_reference(corr, kind, normals):
+    """Plain-numpy Gaussian draws psi(L H L^T), one per row of ``normals``.
+
+    A row holds the normals of the upper triangle of the symmetric H, row by
+    row; H's diagonal is sqrt(2) times its normals.  L = vec sqrt(lam) from
+    ``eigh``.
+    """
+    p = corr.shape[0]
+    lam, vec = np.linalg.eigh(corr)
+    root = vec * np.sqrt(np.maximum(lam, 0.0))
+    i, j = np.triu_indices(p, k=1)
+    r = corr[i, j]
+    rows = []
+    for z in normals:
+        h = np.zeros((p, p))
+        h[np.triu_indices(p)] = z
+        h = h + np.triu(h, 1).T
+        h[np.diag_indices(p)] *= np.sqrt(2.0)
+        s = root @ h @ root.T
+        if kind is StatKind.SECOND_ORDER:
+            rows.append(s[i, j] / np.sqrt(1.0 + r * r))
+            continue
+        d = s[i, j] - r * (s[i, i] + s[j, j]) / 2.0
+        rows.append(d / {StatKind.EMPIRICAL: 1.0, StatKind.STUDENT: (1.0 - r * r) ** 1.5,
+                         StatKind.FISHER: 1.0 - r * r}[kind])
+    return np.array(rows)
 
 
 def route_omega(route, corr, sample, kind):
@@ -183,6 +234,73 @@ class TestGaussDrawMatrix:
         for kind, expect in zip(StatKind, want):
             got = _gauss_draw_matrix(corr, kind, 500, make_rng(5), sample=sample).draws
             np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("p, entries", [(5, 100), (12, 1000)])
+    def test_blocks_match_plain_numpy_reference(self, monkeypatch, p, entries):
+        # 4 (p = 5) or 6 (p = 12) perturbations per block, the last one short.
+        # The reference multiplies in another order: agreement to 1e-12.
+        monkeypatch.setattr(procedures, "_PERTURBATION_ENTRIES", entries)
+        corr = random_correlation_matrix(p, make_rng(21))
+        draws, block, width = 150, entries // (p * p), p * (p + 1) // 2
+        got = _gauss_draw_matrix(corr, tuple(StatKind), draws, make_rng(22))
+        serial = make_rng(22)
+        normals = np.vstack([serial.standard_normal((min(block, draws - a), width))
+                             for a in range(0, draws, block)])
+        for kind, dm in zip(StatKind, got):
+            np.testing.assert_allclose(dm.draws, psi_reference(corr, kind, normals),
+                                       rtol=0, atol=1e-12)
+
+    def test_generator_state_matches_serial_draws(self):
+        # Normals are drawn one block ahead: the calls, and so the state after
+        # them, are those of a serial loop over the blocks (48 rows at p = 26).
+        p, draws = 26, 1000
+        corr = random_correlation_matrix(p, make_rng(23))
+        rng = make_rng(24)
+        _gauss_draw_matrix(corr, StatKind.FISHER, draws, rng)
+        serial = make_rng(24)
+        block = procedures._PERTURBATION_ENTRIES // (p * p)
+        for a in range(0, draws, block):
+            serial.standard_normal((min(block, draws - a), p * (p + 1) // 2))
+        assert np.array_equal(rng.random(3), serial.random(3))
+
+    def test_worker_joined_on_every_exit(self):
+        # At p = 26, 48 perturbations per block: 21 blocks of 1000 draws.
+        sample = tdata(100, 26, seed=25)
+        corr, sv = empirical_correlation(sample), corrgraph.statistic(sample, StatKind.FISHER)
+        before = threading.active_count()
+        _gauss_draw_matrix(corr, StatKind.FISHER, 1000, make_rng(26), stats=sv)
+        assert threading.active_count() == before
+        with pytest.raises(RuntimeError, match="noise ran out"):  # raised on the worker
+            _gauss_draw_matrix(corr, StatKind.FISHER, 1000, FaultyNoise(3, "raise"), stats=sv)
+        assert threading.active_count() == before
+        with pytest.raises(ValueError, match="non-finite"):  # raised by the step-down fold
+            _gauss_draw_matrix(corr, StatKind.FISHER, 1000, FaultyNoise(3, "nan"), stats=sv)
+        assert threading.active_count() == before
+        blocks = procedures._perturbation_blocks(corr.values, (StatKind.FISHER,), 1000,
+                                                 make_rng(27))
+        next(blocks)
+        assert threading.active_count() == before + 1
+        blocks.close()
+        assert threading.active_count() == before
+
+    def test_concurrent_calls_match_serial_ones(self):
+        # Four callers on two cores, each with its own worker, switching threads
+        # every microsecond: a buffer refilled while still mapped would show.
+        corr = random_correlation_matrix(26, make_rng(28))
+
+        def draws(seed):
+            return _gauss_draw_matrix(corr, StatKind.FISHER, 1000, make_rng(seed)).draws
+
+        want = [draws(seed) for seed in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                got = list(pool.map(draws, range(4), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for seed in range(4):
+            assert np.array_equal(got[seed], want[seed]), seed
 
     def test_draws_held_once(self):
         # The B x m draws are filled in place; the blocks of perturbations,
