@@ -13,7 +13,7 @@ arrays, one formatting pass per chunk of rows.
 Exit codes
 ----------
 0  success
-1  invalid flags or configuration
+1  invalid flags or configuration, or draws that would not fit in physical memory
 2  malformed input CSV (message carries the line number)
 3  degenerate data column (message names the column) or bootstrap resamples
 4  correlation model not positive definite
@@ -30,7 +30,6 @@ import enum
 import io
 import json
 import math
-import os
 import sys
 import warnings
 from dataclasses import fields, replace
@@ -53,7 +52,7 @@ from .procedures import (
     gauss_draw_matrix,
     run_procedure,
 )
-from .quantiles import _HELD_CANDIDATES, bootstrap_draw_matrix, max_gauss_quantile
+from .quantiles import _check_alpha, bootstrap_draw_matrix, max_gauss_quantile
 from .rng import make_rng
 from .simulation import (
     ExperimentConfig,
@@ -62,7 +61,7 @@ from .simulation import (
     run_experiment,
     sbm_adjacency,
 )
-from .stats import _PAIR_CHUNK, StatKind, statistic
+from .stats import StatKind, statistic
 
 CONFIG_SCHEMA = "corrgraph-config-v1"
 
@@ -218,15 +217,15 @@ def cmd_test(args) -> int:
         raise _CliError(EXIT_USAGE, "--fourth-moment applies only to --method maxt")
     if args.draws is not None and args.method not in ("bootrw", "maxt"):
         raise _CliError(EXIT_USAGE, "--draws applies only to --method bootrw or maxt")
-    samples = _read_samples_csv(args.input)
     kind = _STAT_FLAGS[args.stat]
     method = _METHOD_FLAGS[args.method]
     draws = args.draws
     if draws is None:
         draws = DEFAULT_MAXT_DRAWS if method is Method.MAX_T else DEFAULT_BOOTSTRAP_DRAWS
-    _check_draw_memory(samples, method, draws, args.step_down, args.fourth_moment)
     draw_matrix = None
     try:
+        _check_alpha(args.alpha)
+        samples = _read_samples_csv(args.input)
         stats = statistic(samples, kind)
         if method is Method.BOOT_RW:
             draw_matrix = bootstrap_draw_matrix(samples, kind, draws, seed=args.seed,
@@ -256,44 +255,6 @@ def cmd_test(args) -> int:
         f"procedure={result.procedure.label} alpha={args.alpha}"
     )
     return EXIT_OK
-
-
-def _check_draw_memory(samples: SampleMatrix, method: Method, draws: int, stepdown: bool,
-                       fourth_moment: bool) -> None:
-    """Fail fast when a resampled method's arrays cannot fit in physical memory.
-
-    No method holds the B x m draws: each block of them is reduced as it is
-    made.  What grows with B is, per draw: the bootstrap's count weights
-    (rows of W, of its index matrix and of their bincount: 3 n floats) or the
-    fourth-moment multipliers (n floats); 4 floats per pair column of a block
-    of draws (p - 1 columns per bootstrap block, ``_PAIR_CHUNK`` per
-    fourth-moment block; the Gaussian blocks do not grow with B); and the
-    row's maximum, or for a step-down its records, about ln m + 1 of them,
-    3 words each as they are gathered, and four peaks per octave of m; plus
-    ``_HELD_CANDIDATES`` candidate records of 3 words.  Fixed index arrays
-    do not grow with B and are left out: the pair indexes (a few m words)
-    and, on the Gaussian route, the p x p map from H to its normals.
-    """
-    if method not in (Method.BOOT_RW, Method.MAX_T):
-        return
-    n, m = samples.n, samples.m
-    if method is Method.BOOT_RW:
-        per_draw = 3 * n + 4 * (samples.p - 1)
-    else:
-        per_draw = (n + 4 * _PAIR_CHUNK) if fourth_moment else 0
-    per_draw += 3 * (math.log(m) + 1) + 4 * math.log2(m) + 1 if stepdown else 1
-    floats = draws * per_draw + (3 * _HELD_CANDIDATES if stepdown else 0)
-    try:
-        available = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, OSError, ValueError):
-        return
-    if 8 * floats > available:
-        raise _CliError(
-            EXIT_USAGE,
-            f"{method.value} needs about {8 * floats / 1e9:.1f} GB for {draws} draws at "
-            f"m={m}, more than the {available / 1e9:.1f} GB of physical memory; "
-            f"use fewer --draws or --method sidak",
-        )
 
 
 def _write_edges(path: str, names, stat_values, pvalues, thresholds, mask) -> None:
@@ -372,15 +333,10 @@ def load_config(path: str) -> tuple[ExperimentConfig, str | None]:
             extra = set(entry) - {"method", "stepdown"}
             if extra:
                 raise _CliError(EXIT_USAGE, f"{path}: procedures: unknown keys {sorted(extra)}")
-            stepdown = entry.get("stepdown", False)
-            if not isinstance(stepdown, bool):
-                raise _CliError(
-                    EXIT_USAGE, f"{path}: procedures.stepdown must be true or false, got {stepdown!r}"
-                )
             try:
-                procs.append(ProcedureKind(Method(entry["method"]), stepdown))
-            except ValueError:
-                raise _CliError(EXIT_USAGE, f"{path}: procedures.method: {entry['method']!r}")
+                procs.append(ProcedureKind(entry["method"], entry.get("stepdown", False)))
+            except ValueError as exc:
+                raise _CliError(EXIT_USAGE, f"{path}: procedures: {exc}")
         doc["procedures"] = tuple(procs)
     try:
         return ExperimentConfig(**doc), output
@@ -406,6 +362,8 @@ def cmd_simulate(args) -> int:
         rows = run_experiment(config)
     except ModelError as exc:
         raise _CliError(EXIT_NOT_PD, str(exc))
+    except ValueError as exc:
+        raise _CliError(EXIT_USAGE, str(exc))
     columns = [field.name for field in fields(MetricsRow)]
     with open(output, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)

@@ -50,10 +50,10 @@ import numpy as np
 from .core import CorrelationMatrix, num_pairs, pair_indices, standardize
 from .errors import NotPositiveDefiniteError
 from .quantiles import _MIN_GAUSS_DRAWS, _SCAN_ENTRIES, DrawMatrix, MaxRecords
-from .quantiles import _reduce_draws
+from .quantiles import _check_alpha, _reduce_draws
 from .quantiles import quantile_from_draws, sidak_threshold
 from .stats import _PAIR_CHUNK, PValueVector, StatKind, StatVector, _influence, _kind_tuple
-from .stats import _rescale, p_values
+from .stats import _delta_divisor, p_values
 
 __all__ = [
     "Method",
@@ -93,6 +93,8 @@ class ProcedureKind:
 
     def __post_init__(self):
         object.__setattr__(self, "method", Method(self.method))
+        if not isinstance(self.stepdown, (bool, np.bool_)):
+            raise ValueError(f"stepdown must be true or false, got {self.stepdown!r}")
 
     @property
     def label(self) -> str:
@@ -154,11 +156,14 @@ def gauss_draw_matrix(corr, kind: StatKind | tuple[StatKind, ...], draws: int,
     if draws < _MIN_GAUSS_DRAWS:
         raise ValueError(f"need at least {_MIN_GAUSS_DRAWS} draws, got {draws}")
     corr = np.asarray(corr.values if isinstance(corr, CorrelationMatrix) else corr, dtype=float)
+    if corr.shape[0] < 2:
+        raise ValueError(f"need at least 2 variables, got p={corr.shape[0]}")
     blocks = (_perturbation_blocks(corr, kinds, draws, rng) if sample is None
               else _multiplier_blocks(corr, sample, kinds, draws, rng))
-    with contextlib.closing(blocks):
+    with contextlib.closing(blocks):  # held per fourth-moment draw: xi and 4 chunk columns
         return _reduce_draws(blocks, kinds, single, draws, num_pairs(corr.shape[0]),
-                             "parametric-gaussian", stats, stepdown)
+                             "parametric-gaussian", stats, stepdown, "maxt",
+                             0 if sample is None else sample.n + 4 * _PAIR_CHUNK)
 
 
 # The name that bench/spans.py resolves.
@@ -189,8 +194,7 @@ def _perturbation_blocks(corr, kinds: tuple, draws: int, rng: np.random.Generato
     if lam[0] < -1e-8 * max(lam[-1], 1.0):
         raise NotPositiveDefiniteError("correlation matrix is not positive semi-definite")
     root = vec * np.sqrt(np.maximum(lam, 0.0))
-    factors = [1.0 / np.sqrt(1.0 + r * r) if kd is StatKind.SECOND_ORDER
-               else _rescale(np.ones_like(r), r, kd) for kd in kinds]
+    factors = [1.0 / _delta_divisor(r, kd) for kd in kinds]
     # The normals of a perturbation fill the upper triangle of H row by row;
     # sym holds, for each entry of H in p x p order, the position of its normal.
     tri = np.zeros((p, p), dtype=np.intp)
@@ -283,8 +287,7 @@ def run_procedure(
     of their |T| order, of the length of the alive set; row maxima answer
     only the first step, over all m pairs.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     method = procedure.method
     if method is Method.BH:
         raise ValueError("use bh_fdr for the Benjamini-Hochberg procedure")
@@ -341,8 +344,7 @@ def bh_fdr(pvalues: PValueVector, alpha: float) -> RejectionSet:
     Rejects the indexes with p_i <= alpha k_hat / m where
     k_hat = max {k : p_(k) <= alpha k / m} (convention p_(0) = 0).
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     p = pvalues.values
     m = p.size
     order = np.sort(p)

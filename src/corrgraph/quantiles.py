@@ -46,11 +46,16 @@ as the library API for small m.
 :func:`max_gauss_quantile` (``corrgraph quantile``, any m x m Sigma) factors
 Sigma with :func:`cholesky_psd` and streams Gaussian blocks, keeping only
 their rowwise maxima, for a single threshold at a B too large to store.
+
+Only this module sizes what B draws hold: :func:`_reduce_draws`, from the
+footprint each route states, and :func:`max_gauss_quantile` refuse (with a
+ValueError) a B whose arrays exceed physical memory, before the first draw.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -320,7 +325,8 @@ class _RecordFold:
 
 
 def _reduce_draws(blocks, kinds: tuple, single: bool, draws: int, m: int, provenance: str,
-                  stats=None, stepdown: bool = True):
+                  stats=None, stepdown: bool = True, label: str = "resampling",
+                  route_floats: float = 0.0):
     """A draw builder's result, reduced from its route's blocks of draws as they are made.
 
     ``blocks`` yields (kind, rows, pairs, block): ``block`` holds the draws
@@ -332,7 +338,19 @@ def _reduce_draws(blocks, kinds: tuple, single: bool, draws: int, m: int, proven
     is its MaxRecords: for a single-step rule (``stepdown`` false) each row's
     max |draw| over all pairs, else the prefix maxima in ascending |T| order
     (a stable argsort).
+
+    Before it allocates or takes a block, it refuses, as ``label``, draws
+    that exceed physical memory: per draw the route's ``route_floats`` and,
+    per kind, a DrawMatrix row of m floats, a row maximum, or about ln m + 1
+    records of 3 words plus 4 fold peaks per octave of m.
     """
+    if stats is None:
+        held = draws * m
+    elif stepdown:
+        held = draws * (3 * (math.log(m) + 1) + 4 * math.log2(m) + 1) + 3 * _HELD_CANDIDATES
+    else:
+        held = draws
+    _check_memory(label, draws, m, draws * route_floats + len(set(kinds)) * held)
     if stats is None:
         out = {k: np.empty((draws, m)) for k in kinds}
     else:
@@ -363,6 +381,23 @@ def _reduce_draws(blocks, kinds: tuple, single: bool, draws: int, m: int, proven
     return out[kinds[0]] if single else tuple(out[k] for k in kinds)
 
 
+def _check_memory(label: str, draws: int, m: int, floats: float) -> None:
+    """ValueError when the ``floats`` float64 values that the draws hold exceed physical memory."""
+    try:
+        available = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):
+        return
+    if 8 * floats > available:
+        raise ValueError(f"{label} needs about {8 * floats / 1e9:.1f} GB for {draws} draws at "
+                         f"m={m}, more than the {available / 1e9:.1f} GB of physical memory; "
+                         f"use fewer draws")
+
+
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+
+
 @dataclass(frozen=True)
 class QuantileEstimate:
     """A max-statistic threshold with the metadata needed to reproduce it."""
@@ -381,8 +416,7 @@ def sidak_threshold(alpha: float, m: int) -> float:
     ``expm1``/``log1p``, so a tiny tail loses no digits to cancellation; inf
     when tail / 2 underflows to 0.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     half_tail = -math.expm1(math.log1p(-alpha) / m) / 2.0
@@ -438,8 +472,7 @@ def _subset_array(subset, m: int) -> np.ndarray:
 
 
 def _max_quantile(maxima: np.ndarray, alpha: float) -> float:
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     rank = math.ceil((1.0 - alpha) * maxima.size)
     return float(np.partition(maxima, rank - 1)[rank - 1])
 
@@ -466,10 +499,14 @@ def max_gauss_quantile(
     Simulates ``draws`` i.i.d. vectors L xi with L from :func:`cholesky_psd`
     in blocks of ``_BLOCK_ENTRIES`` (part of the seed contract), keeping only
     their rowwise maxima, so B is not limited by the memory of a B x m matrix.
+    Alpha, the draw count and the memory of the maxima (held twice) are
+    checked first.
     """
-    factor, jitter = cholesky_psd(sigma)
+    _check_alpha(alpha)
     if draws < _MIN_GAUSS_DRAWS:
         raise ValueError(f"need at least {_MIN_GAUSS_DRAWS} draws, got {draws}")
+    _check_memory("quantile", draws, np.shape(sigma)[0] if np.ndim(sigma) else 1, 2 * draws)
+    factor, jitter = cholesky_psd(sigma)
     rng = make_rng(seed if seed is not None else 0)
     width = factor.shape[1]
     rows = max(1, _BLOCK_ENTRIES // max(width, 1))
@@ -517,8 +554,10 @@ def bootstrap_draw_matrix(
         raise ValueError(f"need at least {_MIN_BOOTSTRAP_DRAWS} bootstrap draws, got {draws}")
     if rng is None:
         rng = make_rng(seed if seed is not None else 0)
+    # Per draw row: W with its index matrix and bincount, and 4 B x (p - 1) block temporaries.
     return _reduce_draws(_bootstrap_blocks(samples, kinds, draws, rng), kinds, single, draws,
-                         samples.m, "nonparametric-bootstrap", stats, stepdown)
+                         samples.m, "nonparametric-bootstrap", stats, stepdown, "bootrw",
+                         3 * samples.n + 4 * (samples.p - 1))
 
 
 def _bootstrap_blocks(samples: SampleMatrix, kinds: tuple, draws: int, rng: np.random.Generator):

@@ -248,32 +248,31 @@ def omega_gaussian(gamma: CorrelationMatrix, kind: StatKind) -> PairCovariance:
     r_ik, r_il, r_jl = g[np.ix_(i, i)], g[np.ix_(i, j)], g[np.ix_(j, j)]
     r_jk = r_il.T  # gamma is exactly symmetric
     omega = r_ik * r_jl + r_il * r_jk
-    if kind is StatKind.SECOND_ORDER:
-        # Self-normalized: the centered cross-moment over sqrt(1 + rho^2)
-        # per pair, so the diagonal is exactly 1.
-        scale = np.sqrt(1.0 + r * r)
-        omega /= np.outer(scale, scale)
-    else:
+    if kind is not StatKind.SECOND_ORDER:
         r1, r2 = r[:, None], r[None, :]
         omega += 0.5 * r1 * r2 * (r_ik**2 + r_il**2 + r_jk**2 + r_jl**2)
         omega -= r1 * (r_ik * r_il + r_jk * r_jl)
         omega -= r2 * (r_ik * r_jk + r_il * r_jl)
-        _rescale(omega, r, kind)
-        _rescale(omega.T, r, kind)  # the rows as well as the columns
+    d = _delta_divisor(r, kind)
+    omega /= d
+    omega /= d[:, None]  # the rows as well as the columns
     return PairCovariance(omega, kind=kind, source="gaussian-closed-form")
 
 
-def _rescale(values: np.ndarray, r: np.ndarray, kind: StatKind) -> np.ndarray:
-    """Divide the last axis of ``values`` by the Student/Fisher Delta derivative at r, in place."""
+def _delta_divisor(r: np.ndarray, kind: StatKind) -> np.ndarray:
+    """What divides a limit draw (or covariance) of x_i x_j - r (x_i^2 + x_j^2)/2 into
+    one of the ``kind`` statistic: the Delta derivative 1, (1 - r^2)^1.5 or 1 - r^2;
+    for second-order, of x_i x_j - r, its Gaussian sd sqrt(1 + r^2)."""
+    if kind is StatKind.SECOND_ORDER:
+        return np.sqrt(1.0 + r * r)
     if kind is StatKind.EMPIRICAL:
-        return values
+        return np.ones_like(r)
     if np.any(np.abs(r) >= 1.0):
         raise SingularityError("unit correlation: Student/Fisher covariance is singular")
     d = 1.0 - r * r
     if kind is StatKind.STUDENT:
         d **= 1.5
-    values /= d
-    return values
+    return d
 
 
 def fourth_moments(samples: SampleMatrix) -> FourthMoments:
@@ -318,4 +317,5 @@ def _influence(xt: np.ndarray, r: np.ndarray, i: np.ndarray, j: np.ndarray,
         side *= side
         side *= half_r
         psi -= side.T
-    return _rescale(psi, r, kind)
+    psi /= _delta_divisor(r, kind)
+    return psi

@@ -302,18 +302,49 @@ class TestTestCommand:
         assert "B x m" not in err
         assert not (tmp_path / "o.csv").exists()
 
-    @pytest.mark.parametrize("flags", [["--method", "maxt"], ["--method", "maxt", "--step-down"],
-                                       ["--method", "bootrw"], ["--method", "bootrw", "--step-down"]])
-    def test_draw_memory_guard_sizes_what_is_held(self, monkeypatch, flags):
+    @pytest.mark.parametrize("flags", [
+        ["--method", "maxt"], ["--method", "maxt", "--step-down"],
+        ["--method", "bootrw"], ["--method", "bootrw", "--step-down"],
+        ["--method", "maxt", "--fourth-moment"], ["--method", "maxt", "--step-down", "--fourth-moment"],
+    ])
+    def test_draw_memory_guard_sizes_what_is_held(self, tmp_path, monkeypatch, flags):
         # p=2000 with --draws 5000 would need 80 GB for B x m draws; what is
-        # held is a few hundred MB at most, so the guard passes it.
-        args = cli.build_parser().parse_args(["test", "--input", "x.csv", "--stat", "fisher",
-                                          *flags, "--draws", "5000", "--output", "o.csv"])
-        samples = SampleMatrix(np.random.default_rng(4).normal(size=(6, 2000)))
-        monkeypatch.setattr(cli.os, "sysconf",
+        # held is a few hundred MB at most, so with 1 GB of memory the guard
+        # passes it and the route is asked for its first block.
+        class Reached(Exception):
+            pass
+
+        def first_block(*args, **kwargs):
+            raise Reached
+            yield
+
+        for module, name in ((quantiles, "_bootstrap_blocks"), (procedures, "_perturbation_blocks"),
+                             (procedures, "_multiplier_blocks")):
+            monkeypatch.setattr(module, name, first_block)
+        monkeypatch.setattr(quantiles.os, "sysconf",
                             lambda name: 4096 if name == "SC_PAGE_SIZE" else (1 << 30) // 4096)
-        cli._check_draw_memory(samples, cli._METHOD_FLAGS[args.method], args.draws,
-                               args.step_down, args.fourth_moment)
+        path = tmp_path / "wide.csv"
+        np.savetxt(path, np.random.default_rng(4).normal(size=(6, 2000)), delimiter=",",
+                   comments="", header=",".join(f"v{c}" for c in range(2000)))
+        with pytest.raises(Reached):
+            main(["test", "--input", str(path), "--stat", "fisher", *flags, "--draws", "5000",
+                  "--output", str(tmp_path / "o.csv")])
+
+    @pytest.mark.parametrize("method", ["bootrw", "maxt"])
+    def test_bad_alpha_exits_one_before_any_work(self, tmp_path, data_csv, monkeypatch, capsys,
+                                                 method):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work done before alpha was checked")
+
+        for name in ("_read_samples_csv", "statistic", "bootstrap_draw_matrix",
+                     "gauss_draw_matrix"):
+            monkeypatch.setattr(cli, name, refuse)
+        path, _ = data_csv
+        out = tmp_path / "o.csv"
+        assert main(["test", "--input", path, "--stat", "fisher", "--method", method,
+                     "--step-down", "--alpha", "1.5", "--output", str(out)]) == 1
+        assert capsys.readouterr().err == "error: alpha must be in (0, 1), got 1.5\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("fourth", [[], ["--fourth-moment"]])
     def test_maxt_at_p200(self, tmp_path, fourth):
@@ -379,7 +410,7 @@ class TestTestCommand:
                 return values
             return wrapped
 
-        monkeypatch.setattr(procedures, "_rescale", poison(stats._rescale))
+        monkeypatch.setattr(procedures, "_delta_divisor", poison(stats._delta_divisor))
         monkeypatch.setattr(procedures, "_influence", poison(stats._influence))
         path, _ = data_csv
         out = tmp_path / "o.csv"
@@ -722,6 +753,19 @@ class TestSimulateCommand:
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("extra", [
+        {"procedures": [{"method": "maxt"}], "maxt_draws": 10**15},
+        {"procedures": [{"method": "oracle-maxt", "stepdown": True}], "maxt_draws": 10**15},
+        {"procedures": [{"method": "bootrw"}], "bootrw_draws": 10**15},
+    ])
+    def test_oversized_draws_exit_one(self, tmp_path, capsys, extra):
+        cfg = self.make_config(tmp_path, **extra)
+        out = tmp_path / "m.csv"
+        assert run(["simulate", "--config", cfg, "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and " needs about " in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_threads_flag_then_config_then_one(self, tmp_path, monkeypatch):
         seen = []
         monkeypatch.setattr("corrgraph.cli.run_experiment", lambda cfg: seen.append(cfg) or [])
@@ -800,3 +844,24 @@ class TestQuantileCommand:
         assert run(["quantile", "--sigma", str(sigma), "--alpha", alpha, "--draws", "200"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "alpha" in err
+
+    def test_bad_alpha_exits_one_before_the_factorization(self, tmp_path, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("factorization before alpha was checked")
+
+        monkeypatch.setattr(quantiles, "cholesky_psd", refuse)
+        sigma = tmp_path / "sigma.csv"
+        np.savetxt(sigma, np.eye(3), delimiter=",")
+        assert run(["quantile", "--sigma", str(sigma), "--alpha", "1.5"]) == 1
+        assert capsys.readouterr().err == "error: alpha must be in (0, 1), got 1.5\n"
+
+    def test_oversized_draws_exit_one(self, tmp_path, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("factorization before the memory check")
+
+        monkeypatch.setattr(quantiles, "cholesky_psd", refuse)
+        sigma = tmp_path / "sigma.csv"
+        np.savetxt(sigma, np.eye(3), delimiter=",")
+        assert run(["quantile", "--sigma", str(sigma), "--draws", str(10**15)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: quantile needs about ") and "m=3" in err

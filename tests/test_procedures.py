@@ -64,6 +64,11 @@ pvalue_vectors = st.lists(
 
 
 class TestSingleStep:
+    @pytest.mark.parametrize("stepdown", ["no", 1, None])
+    def test_non_bool_stepdown_refused(self, stepdown):
+        with pytest.raises(ValueError, match="stepdown must be true or false"):
+            ProcedureKind(Method.SIDAK, stepdown)
+
     def test_bonferroni_nonstrict_tie(self):
         # p exactly alpha/m is rejected (non-strict comparison).
         sv = stats_from_pvalues([0.05 / 3, 0.5, 0.9])
@@ -203,6 +208,14 @@ def route_omega(route, corr, sample, kind):
 
 
 class TestGaussDrawMatrix:
+    @pytest.mark.parametrize("stepdown", [True, False])
+    def test_one_variable_refused(self, stepdown):
+        sv = StatVector(StatKind.FISHER, np.empty(0), 100)
+        for stats_arg in (None, sv):
+            with pytest.raises(ValueError, match="need at least 2 variables, got p=1"):
+                gauss_draw_matrix(np.eye(1), StatKind.FISHER, 100, make_rng(0), stats=stats_arg,
+                                  stepdown=stepdown)
+
     @pytest.mark.parametrize("kind", list(StatKind))
     @pytest.mark.parametrize("route", ["gaussian", "fourth-moment"])
     @pytest.mark.parametrize("p", [5, 12, 26])

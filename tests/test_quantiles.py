@@ -20,12 +20,13 @@ from corrgraph import (
     StatVector,
     bootstrap_draw_matrix,
     cholesky_psd,
+    gauss_draw_matrix,
     make_rng,
     max_gauss_quantile,
     quantile_from_draws,
     sidak_threshold,
 )
-from corrgraph import quantiles
+from corrgraph import procedures, quantiles
 from corrgraph.core import empirical_correlation, pair_indices, standardize
 from corrgraph.quantiles import _fold_records, _max_quantile, _max_records, _reduce_draws
 from corrgraph.stats import _transform, statistic
@@ -380,6 +381,45 @@ class TestReducer:
         with pytest.raises(ValueError, match="draw matrix contains non-finite entries"):
             _reduce_draws(iter(blocks), (StatKind.FISHER,), True, 10, 40, "parametric-gaussian",
                           stats=sv, stepdown=stepdown)
+
+
+class TestMemoryGuard:
+    """A draw count whose held arrays exceed physical memory (64 MB here) is
+    refused before the route is asked for its first block."""
+
+    class Reached(Exception):
+        pass
+
+    @pytest.fixture(autouse=True)
+    def small_machine(self, monkeypatch):
+        def first_block(*args, **kwargs):
+            raise self.Reached
+            yield
+
+        monkeypatch.setattr(quantiles, "_bootstrap_blocks", first_block)
+        monkeypatch.setattr(procedures, "_perturbation_blocks", first_block)
+        monkeypatch.setattr(quantiles.os, "sysconf",
+                            lambda name: 4096 if name == "SC_PAGE_SIZE" else (1 << 26) // 4096)
+
+    def test_gauss_row_maxima_of_four_kinds(self):
+        # 3M row maxima take 24 MB for one kind and 96 MB for four.
+        svs = tuple(StatVector(kind, np.arange(6.0), 100) for kind in StatKind)
+        with pytest.raises(self.Reached):
+            gauss_draw_matrix(np.eye(4), StatKind.FISHER, 3_000_000, make_rng(1),
+                              stats=svs[2], stepdown=False)
+        with pytest.raises(ValueError, match=r"^maxt needs about 0\.1 GB for 3000000 draws at m=6, "
+                                             r"more than the 0\.1 GB of physical memory"):
+            gauss_draw_matrix(np.eye(4), tuple(StatKind), 3_000_000, make_rng(1), stats=svs,
+                              stepdown=False)
+
+    def test_bootstrap_draw_matrices_of_four_kinds(self):
+        # 150k resamples of n = 10 rows: 42 floats of count weights and block
+        # temporaries per draw, and 6 per kind for its draw matrix row.
+        samples = SampleMatrix(np.random.default_rng(2).normal(size=(10, 4)))
+        with pytest.raises(self.Reached):
+            bootstrap_draw_matrix(samples, StatKind.FISHER, 150_000)
+        with pytest.raises(ValueError, match=r"^bootrw needs about 0\.1 GB for 150000 draws"):
+            bootstrap_draw_matrix(samples, tuple(StatKind), 150_000)
 
 
 class TestMaxGaussQuantile:
