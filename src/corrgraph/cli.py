@@ -13,12 +13,16 @@ arrays, one formatting pass per chunk of rows.
 Exit codes
 ----------
 0  success
-1  invalid flags or configuration, or draws that would not fit in physical memory
+1  invalid flags or configuration (a NaN rho among them), or draws, replicates
+   or an SBM model that would not fit in physical memory
 2  malformed input CSV (message carries the line number)
 3  degenerate data column (message names the column) or bootstrap resamples
 4  correlation model not positive definite
-5  covariance matrix not symmetric / not positive semi-definite / singular
+5  covariance matrix non-finite / not symmetric / not positive semi-definite /
+   singular
 
+Every command maps library errors in one place: ``main``'s ``_EXIT_CODES``
+table.  Only the CSV and config readers and the flag checks set a code of their own.
 Diagnostics go to stderr, results to stdout.
 """
 
@@ -29,7 +33,6 @@ import csv
 import enum
 import io
 import json
-import math
 import sys
 import warnings
 from dataclasses import fields, replace
@@ -85,7 +88,19 @@ _METHOD_FLAGS = {
 }
 
 
+# The exit code and message prefix of each library error type that reaches main.
+_EXIT_CODES = {
+    DegenerateInputError: (EXIT_DEGENERATE, "degenerate input: "),
+    ModelError: (EXIT_NOT_PD, ""),
+    NotPositiveDefiniteError: (EXIT_BAD_SIGMA, ""),
+    SingularityError: (EXIT_BAD_SIGMA, ""),
+    ConfigError: (EXIT_USAGE, ""),
+    ValueError: (EXIT_USAGE, ""),
+}
+
+
 class _CliError(Exception):
+    """An error whose exit code the CLI sets from its context (a file, a flag)."""
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
@@ -169,24 +184,17 @@ def _scan_samples_csv(path: str) -> tuple[tuple[str, ...], np.ndarray]:
 
 def _read_matrix_csv(path: str, code: int) -> np.ndarray:
     try:
-        return np.loadtxt(path, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # loadtxt warns on an empty file
+            return np.loadtxt(path, delimiter=",", ndmin=2)
     except OSError as exc:
         raise _CliError(code, f"cannot open {path}: {exc}")
     except ValueError as exc:
         raise _CliError(code, f"{path}: malformed matrix CSV: {exc}")
 
 
-def _write_matrix_csv(path: str, matrix: np.ndarray) -> None:
-    matrix = np.asarray(matrix)
-    width = matrix.shape[1]
-    cells = _format_cells(matrix.ravel())
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        handle.write("".join(",".join(cells[k : k + width]) + "\n"
-                             for k in range(0, len(cells), width)))
-
-
 def _format_cells(values: np.ndarray) -> list[str]:
-    """:func:`_fmt` of every entry of a 1-d bool, integer or float array."""
+    """Output cells of a 1-d bool, integer or float array: ``.10g`` floats, NaN empty."""
     if values.dtype.kind in "biu":
         return [str(int(v)) for v in values.tolist()]
     cells = [format(v, ".10g") for v in values.tolist()]
@@ -198,14 +206,7 @@ def _format_cells(values: np.ndarray) -> list[str]:
 def _fmt(value) -> str:
     if isinstance(value, enum.Enum):
         return str(value.value)
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    v = float(value)
-    if math.isnan(v):
-        return ""
-    return format(v, ".10g")
+    return _format_cells(np.atleast_1d(value))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -222,29 +223,20 @@ def cmd_test(args) -> int:
     draws = args.draws
     if draws is None:
         draws = DEFAULT_MAXT_DRAWS if method is Method.MAX_T else DEFAULT_BOOTSTRAP_DRAWS
+    _check_alpha(args.alpha)
+    samples = _read_samples_csv(args.input)
+    stats = statistic(samples, kind)
     draw_matrix = None
-    try:
-        _check_alpha(args.alpha)
-        samples = _read_samples_csv(args.input)
-        stats = statistic(samples, kind)
-        if method is Method.BOOT_RW:
-            draw_matrix = bootstrap_draw_matrix(samples, kind, draws, seed=args.seed,
-                                                stats=stats, stepdown=args.step_down)
-        elif method is Method.MAX_T:
-            draw_matrix = gauss_draw_matrix(_correlation(samples), kind, draws,
-                                            make_rng(args.seed),
-                                            sample=samples if args.fourth_moment else None,
+    if method is Method.BOOT_RW:
+        draw_matrix = bootstrap_draw_matrix(samples, kind, draws, seed=args.seed,
                                             stats=stats, stepdown=args.step_down)
-        result = run_procedure(
-            stats, args.alpha, ProcedureKind(method, stepdown=args.step_down), draw_matrix
-        )
-    except DegenerateInputError as exc:
-        raise _CliError(EXIT_DEGENERATE, f"degenerate input: {exc}")
-    except (NotPositiveDefiniteError, SingularityError) as exc:
-        raise _CliError(EXIT_BAD_SIGMA, str(exc))
-    except ValueError as exc:
-        raise _CliError(EXIT_USAGE, str(exc))
-
+    elif method is Method.MAX_T:
+        draw_matrix = gauss_draw_matrix(_correlation(samples), kind, draws, make_rng(args.seed),
+                                        sample=samples if args.fourth_moment else None,
+                                        stats=stats, stepdown=args.step_down)
+    result = run_procedure(
+        stats, args.alpha, ProcedureKind(method, stepdown=args.step_down), draw_matrix
+    )
     names = samples.column_names or tuple(str(c + 1) for c in range(samples.p))
     _write_edges(args.output, names, stats.values, result.pvalues.values,
                  result.pair_thresholds, result.mask)
@@ -358,12 +350,7 @@ def cmd_simulate(args) -> int:
     output = args.output or config_output
     if not output:
         raise _CliError(EXIT_USAGE, "no output path (flag --output or config key 'output')")
-    try:
-        rows = run_experiment(config)
-    except ModelError as exc:
-        raise _CliError(EXIT_NOT_PD, str(exc))
-    except ValueError as exc:
-        raise _CliError(EXIT_USAGE, str(exc))
+    rows = run_experiment(config)
     columns = [field.name for field in fields(MetricsRow)]
     with open(output, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
@@ -379,16 +366,10 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_model(args) -> int:
-    try:
-        adjacency = sbm_adjacency(args.p, args.p_intra, args.p_inter, seed=args.seed)
-    except ConfigError as exc:
-        raise _CliError(EXIT_USAGE, str(exc))
-    try:
-        model = correlation_model(adjacency, args.rho)
-    except ModelError as exc:
-        raise _CliError(EXIT_NOT_PD, str(exc))
-    _write_matrix_csv(args.output + ".adjacency.csv", adjacency.values)
-    _write_matrix_csv(args.output + ".gamma.csv", model.gamma.values)
+    adjacency = sbm_adjacency(args.p, args.p_intra, args.p_inter, seed=args.seed)
+    model = correlation_model(adjacency, args.rho)
+    np.savetxt(args.output + ".adjacency.csv", adjacency.values, fmt="%d", delimiter=",")
+    np.savetxt(args.output + ".gamma.csv", model.gamma.values, fmt="%.10g", delimiter=",")
     print(f"lambda_min={_fmt(model.min_eigenvalue)} rho_bound={_fmt(model.rho_bound)}")
     return EXIT_OK
 
@@ -403,8 +384,6 @@ def cmd_quantile(args) -> int:
         estimate = max_gauss_quantile(sigma, args.alpha, args.draws, seed=args.seed)
     except NotPositiveDefiniteError as exc:
         raise _CliError(EXIT_BAD_SIGMA, f"{args.sigma}: {exc}")
-    except ValueError as exc:
-        raise _CliError(EXIT_USAGE, str(exc))
     print(
         f"threshold={_fmt(estimate.value)} alpha={_fmt(estimate.alpha)} "
         f"draws={estimate.draws} m={sigma.shape[0]} seed={estimate.seed} "
@@ -479,9 +458,10 @@ def main(argv=None) -> int:
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except tuple(_EXIT_CODES) as exc:
+        code, prefix = next(entry for error, entry in _EXIT_CODES.items() if isinstance(exc, error))
+        print(f"error: {prefix}{exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -86,8 +86,8 @@ _JITTERS = (0.0, 1e-12, 1e-10, 1e-8)
 _BLOCK_ENTRIES = 1 << 22
 
 # Entries per block of a blockwise scan (512 kB): the row blocks of the
-# symmetry check in cholesky_psd, the column chunks of quantile_from_draws and
-# the row blocks of Gaussian max-T draws.
+# finiteness and symmetry checks in cholesky_psd, the column chunks of
+# quantile_from_draws and the row blocks of Gaussian max-T draws.
 _SCAN_ENTRIES = 1 << 16
 
 # Positions per segment of the first pass of _fold_records.
@@ -350,7 +350,8 @@ def _reduce_draws(blocks, kinds: tuple, single: bool, draws: int, m: int, proven
         held = draws * (3 * (math.log(m) + 1) + 4 * math.log2(m) + 1) + 3 * _HELD_CANDIDATES
     else:
         held = draws
-    _check_memory(label, draws, m, draws * route_floats + len(set(kinds)) * held)
+    _check_memory(label, draws * route_floats + len(set(kinds)) * held,
+                  f"for {draws} draws at m={m}", "use fewer draws")
     if stats is None:
         out = {k: np.empty((draws, m)) for k in kinds}
     else:
@@ -381,16 +382,19 @@ def _reduce_draws(blocks, kinds: tuple, single: bool, draws: int, m: int, proven
     return out[kinds[0]] if single else tuple(out[k] for k in kinds)
 
 
-def _check_memory(label: str, draws: int, m: int, floats: float) -> None:
-    """ValueError when the ``floats`` float64 values that the draws hold exceed physical memory."""
+def _check_memory(label: str, floats: float, size: str, remedy: str) -> None:
+    """ValueError when the ``floats`` float64 values that ``label`` holds exceed physical memory.
+
+    The message reads "<label> needs about X GB <size>, more than the Y GB of
+    physical memory; <remedy>".
+    """
     try:
         available = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, OSError, ValueError):
         return
     if 8 * floats > available:
-        raise ValueError(f"{label} needs about {8 * floats / 1e9:.1f} GB for {draws} draws at "
-                         f"m={m}, more than the {available / 1e9:.1f} GB of physical memory; "
-                         f"use fewer draws")
+        raise ValueError(f"{label} needs about {8 * floats / 1e9:.1f} GB {size}, more than the "
+                         f"{available / 1e9:.1f} GB of physical memory; {remedy}")
 
 
 def _check_alpha(alpha: float) -> None:
@@ -429,18 +433,22 @@ def cholesky_psd(sigma: np.ndarray) -> tuple[np.ndarray, float]:
     Returns (L, eps) with L L^T = sigma + eps I, where eps is the smallest
     rung of the jitter ladder (multiples of the max diagonal) at which
     factorization succeeds.  Raises NotPositiveDefiniteError if even the
-    largest jitter fails.  Sigma itself is factored at jitter 0; a positive
-    jitter goes on the diagonal of one copy.  The symmetry check compares row
-    blocks with column blocks, so no m x m temporary is built.
+    largest jitter fails, or if sigma is not square, holds a non-finite entry
+    or is not symmetric.  Sigma itself is factored at jitter 0; a positive
+    jitter goes on the diagonal of one copy.  The finiteness and symmetry
+    checks read row blocks and column blocks, so no m x m temporary is built.
     """
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
         raise NotPositiveDefiniteError("matrix is not square")
     m = sigma.shape[0]
     rows = max(1, _SCAN_ENTRIES // max(m, 1))
-    if not all(np.allclose(sigma[a : a + rows], sigma[:, a : a + rows].T, atol=1e-8)
-               for a in range(0, m, rows)):
-        raise NotPositiveDefiniteError("matrix is not symmetric")
+    for a in range(0, m, rows):
+        block, mirror = sigma[a : a + rows], sigma[:, a : a + rows].T
+        if not (np.isfinite(block).all() and np.isfinite(mirror).all()):
+            raise NotPositiveDefiniteError("matrix contains non-finite entries")
+        if not np.allclose(block, mirror, atol=1e-8):
+            raise NotPositiveDefiniteError("matrix is not symmetric")
     diag = sigma.diagonal()
     scale = float(np.max(diag)) if sigma.size else 1.0
     if scale <= 0.0:
@@ -505,7 +513,9 @@ def max_gauss_quantile(
     _check_alpha(alpha)
     if draws < _MIN_GAUSS_DRAWS:
         raise ValueError(f"need at least {_MIN_GAUSS_DRAWS} draws, got {draws}")
-    _check_memory("quantile", draws, np.shape(sigma)[0] if np.ndim(sigma) else 1, 2 * draws)
+    _check_memory("quantile", 2 * draws,
+                  f"for {draws} draws at m={np.shape(sigma)[0] if np.ndim(sigma) else 1}",
+                  "use fewer draws")
     factor, jitter = cholesky_psd(sigma)
     rng = make_rng(seed if seed is not None else 0)
     width = factor.shape[1]

@@ -43,9 +43,14 @@ from .procedures import (
     gauss_draw_matrix,
     run_procedure,
 )
-from .quantiles import _MIN_BOOTSTRAP_DRAWS, _MIN_GAUSS_DRAWS, bootstrap_draw_matrix
+from .quantiles import (
+    _MIN_BOOTSTRAP_DRAWS,
+    _MIN_GAUSS_DRAWS,
+    _check_memory,
+    bootstrap_draw_matrix,
+)
 from .rng import make_rng
-from .stats import StatKind, statistic
+from .stats import _PAIR_CHUNK, StatKind, statistic
 
 __all__ = [
     "AdjacencyMatrix",
@@ -131,12 +136,19 @@ def sbm_adjacency(
     seed: int | None = 0,
     rng: np.random.Generator | None = None,
 ) -> AdjacencyMatrix:
-    """Two-community SBM adjacency draw; each unordered pair drawn once."""
+    """Two-community SBM adjacency draw; each unordered pair drawn once.
+
+    A p that would not fit in physical memory is refused (ValueError) before
+    anything is allocated: the pair indexes, the edge probabilities and
+    uniforms and the p x p matrix peak at about 18 bytes per p^2 entry
+    (17.9 measured as peak RSS at p=4000).
+    """
     if p % 2 != 0 or p < 2:
         raise ConfigError(f"SBM requires an even node count p >= 2, got p={p}")
     for name, value in (("p_intra", p_intra), ("p_inter", p_inter)):
         if not 0.0 <= value <= 1.0:
             raise ConfigError(f"{name} must be in [0, 1], got {value}")
+    _check_memory("SBM adjacency", 2.25 * p * p, f"at p={p}", "use a smaller p")
     if rng is None:
         rng = make_rng(seed if seed is not None else 0)
     i, j = pair_indices(p)
@@ -155,8 +167,15 @@ def correlation_model(adjacency: AdjacencyMatrix, rho: float) -> CorrelationMode
 
     Fails with ModelError (reporting the bound 1/|lambda_min|) when
     |rho| >= 1/|lambda_min|, and as a belt-and-braces check when the
-    Cholesky factorization of Gamma fails numerically.
+    Cholesky factorization of Gamma fails numerically.  A NaN rho is a
+    ConfigError, and a p whose four p x p float arrays (33 bytes per entry
+    measured as peak RSS at p=4000) exceed physical memory a ValueError,
+    both raised before Gamma is built.
     """
+    if math.isnan(rho):
+        raise ConfigError(f"rho must be finite, got {rho}")
+    _check_memory("correlation model", 4 * adjacency.p ** 2, f"at p={adjacency.p}",
+                  "use a smaller p")
     a = adjacency.values.astype(float)
     lam_min = float(np.linalg.eigvalsh(a)[0])
     bound = math.inf if lam_min == 0.0 else 1.0 / abs(lam_min)
@@ -380,7 +399,20 @@ def run_experiment(config: ExperimentConfig) -> list[MetricsRow]:
     Deterministic for a fixed master seed and BLAS thread count at any
     ``config.threads``: every replicate's randomness is a pure function of its
     grid coordinates and the aggregation happens in fixed replicate order.
+
+    Before anything is drawn it refuses (ValueError) a grid whose cell results
+    (replicates x kinds x procedures x 3 floats) and the sample arrays of the
+    replicates in flight exceed physical memory.  Peak RSS of one replicate at
+    n=10^6, p=8 and n=2x10^5, p=40 measured about 2.25 floats per sample
+    entry, plus 3-4 n-vectors per pair of a second-order pair-product chunk.
     """
+    n, m = max(config.n, default=0), config.p * (config.p - 1) // 2
+    per_row = 2.25 * config.p + 4 * min(m, _PAIR_CHUNK) * (StatKind.SECOND_ORDER in config.stats)
+    _check_memory("simulation",
+                  config.replicates * (3 * len(config.stats) * len(config.procedures) + 0.125)
+                  + config.threads * n * per_row,
+                  f"for {config.replicates} replicates at n={n}, p={config.p}",
+                  "use fewer replicates or a smaller n")
     # With the fixed-adjacency default, the graph depends only on p_inter
     # (matching captioned sparsity values); drawn from a dedicated stream.
     model_cache: dict[tuple[int, int], CorrelationModel] = {}

@@ -31,6 +31,7 @@ from corrgraph import (
 )
 from corrgraph import procedures, quantiles, simulation, stats
 from corrgraph.cli import main
+from corrgraph.errors import ConfigError, ModelError, NotPositiveDefiniteError, SingularityError
 
 
 @pytest.fixture()
@@ -778,6 +779,49 @@ class TestSimulateCommand:
         assert run(["simulate", "--config", self.make_config(tmp_path), "--output", out]) == 0
         assert [cfg.threads for cfg in seen] == [4, 2, 1]
 
+    def test_nan_rho_exit_one(self, tmp_path, capsys):
+        # json.load reads NaN; the model refuses it before it builds Gamma.
+        out = tmp_path / "m.csv"
+        assert run(["simulate", "--config", self.make_config(tmp_path, rho=[math.nan]),
+                    "--output", str(out)]) == 1
+        assert capsys.readouterr().err == "error: rho must be finite, got nan\n"
+        assert not out.exists()
+
+    def test_infeasible_rho_exit_four(self, tmp_path, capsys):
+        out = tmp_path / "m.csv"
+        assert run(["simulate", "--config", self.make_config(tmp_path, rho=[1.5]),
+                    "--output", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: rho=1.5 violates") and "|rho| <" in err
+        assert not out.exists()
+
+    def test_oversized_replicates_exit_one(self, tmp_path, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("a replicate ran before the memory check")
+
+        monkeypatch.setattr(simulation, "_replicate_work", refuse)
+        out = tmp_path / "m.csv"
+        assert run(["simulate", "--config", self.make_config(tmp_path, replicates=10**15),
+                    "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: simulation needs about ")
+        assert f"for {10**15} replicates at n=60, p=6" in err
+        assert not out.exists()
+
+    def test_every_replicate_failed_writes_empty_metrics(self, tmp_path, monkeypatch):
+        def degenerate(*args, **kwargs):
+            raise DegenerateInputError("column 1 has zero empirical variance", column=1)
+
+        monkeypatch.setattr(simulation, "sample_gaussian", degenerate)
+        out = tmp_path / "m.csv"
+        assert run(["simulate", "--config", self.make_config(tmp_path, replicates=3),
+                    "--output", str(out)]) == 0
+        with open(out, newline="") as fh:
+            (row,) = list(csv.DictReader(fh))
+        assert row["replicates"] == "0" and row["failed_replicates"] == "3"
+        metrics = ("fwer", "fwer_se", "power", "power_se", "fdp", "fdp_se")
+        assert [row[name] for name in metrics] == [""] * len(metrics)
+
 
 class TestModelCommand:
     def test_writes_matrices(self, tmp_path, capsys):
@@ -816,6 +860,28 @@ class TestModelCommand:
         assert run(["model", "--p", p, "--p-intra", "0.5", "--p-inter", "0.1",
                     "--rho", "0.1", "--output", str(tmp_path / "m")]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_nan_rho_exit_one(self, tmp_path, capsys):
+        assert run(["model", "--p", "8", "--p-intra", "0.5", "--p-inter", "0.1",
+                    "--rho", "nan", "--output", str(tmp_path / "m")]) == 1
+        assert capsys.readouterr().err == "error: rho must be finite, got nan\n"
+        assert not list(tmp_path.iterdir())
+
+    def test_infinite_rho_exit_four(self, tmp_path, capsys):
+        assert run(["model", "--p", "8", "--p-intra", "0.5", "--p-inter", "0.1",
+                    "--rho", "inf", "--output", str(tmp_path / "m")]) == 4
+        assert "|rho| <" in capsys.readouterr().err
+
+    def test_oversized_p_exit_one(self, tmp_path, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("pair indexes built before the memory check")
+
+        monkeypatch.setattr(simulation, "pair_indices", refuse)
+        assert run(["model", "--p", "100000000", "--p-intra", "0.5", "--p-inter", "0.1",
+                    "--rho", "0.1", "--output", str(tmp_path / "m")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: SBM adjacency needs about ") and "at p=100000000" in err
+        assert not list(tmp_path.iterdir())
 
 
 class TestQuantileCommand:
@@ -865,3 +931,53 @@ class TestQuantileCommand:
         assert run(["quantile", "--sigma", str(sigma), "--draws", str(10**15)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: quantile needs about ") and "m=3" in err
+
+    @pytest.mark.parametrize("text", ["1,0\n0,inf\n", "1,0\n0,-inf\n", "1,nan\n0,1\n",
+                                      "1,0\nnan,1\n"])
+    def test_non_finite_sigma_exit_five(self, tmp_path, capsys, text):
+        sigma = tmp_path / "sigma.csv"
+        sigma.write_text(text)
+        assert run(["quantile", "--sigma", str(sigma)]) == 5
+        assert capsys.readouterr() == ("", f"error: {sigma}: matrix contains non-finite entries\n")
+
+    def test_empty_sigma_exit_five_with_one_line(self, tmp_path):
+        # Run as a process, so that a warning from loadtxt would reach stderr.
+        sigma = tmp_path / "sigma.csv"
+        sigma.write_text("")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(corrgraph.__file__)))
+        done = subprocess.run([sys.executable, "-m", "corrgraph.cli", "quantile", "--sigma",
+                               str(sigma)], env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True)
+        assert done.returncode == 5
+        assert done.stderr == f"error: {sigma}: matrix is not square\n"
+
+
+class TestExitCodeTable:
+    """Library errors reach ``main``, which maps every command's through one table."""
+
+    @pytest.mark.parametrize("error, code, line", [
+        (DegenerateInputError("column 2 has zero empirical variance", column=2), 3,
+         "error: degenerate input: column 2 has zero empirical variance\n"),
+        (ModelError("not positive definite"), 4, "error: not positive definite\n"),
+        (NotPositiveDefiniteError("not symmetric"), 5, "error: not symmetric\n"),
+        (SingularityError("unit correlation"), 5, "error: unit correlation\n"),
+        (ConfigError("bad key"), 1, "error: bad key\n"),
+        (ValueError("too large"), 1, "error: too large\n"),
+    ])
+    def test_library_error_exit_code(self, tmp_path, monkeypatch, capsys, error, code, line):
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, "sbm_adjacency", fail)
+        assert run(["model", "--p", "8", "--p-intra", "0.5", "--p-inter", "0.1",
+                    "--rho", "0.1", "--output", str(tmp_path / "m")]) == code
+        assert capsys.readouterr() == ("", line)
+
+    def test_other_errors_propagate(self, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("a bug")
+
+        monkeypatch.setattr(cli, "sbm_adjacency", fail)
+        with pytest.raises(RuntimeError, match="a bug"):
+            run(["model", "--p", "8", "--p-intra", "0.5", "--p-inter", "0.1",
+                 "--rho", "0.1", "--output", str(tmp_path / "m")])

@@ -138,6 +138,18 @@ class TestCholeskyPsd:
             with pytest.raises(NotPositiveDefiniteError, match="symmetric"):
                 cholesky_psd(sigma)
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_entry_refused(self, value):
+        # On the diagonal or off it, far from the first row block, on one side
+        # only (so sigma is asymmetric too) or on both: it is named as non-finite.
+        for cells in (((1999, 1999),), ((1999, 3),), ((3, 1999),), ((3, 1999), (1999, 3))):
+            sigma = np.eye(2000)
+            for a, b in cells:
+                sigma[a, b] = value
+            with pytest.raises(NotPositiveDefiniteError,
+                               match="^matrix contains non-finite entries$"):
+                cholesky_psd(sigma)
+
     def test_jitter_goes_on_a_copy(self):
         g = np.random.default_rng(5).normal(size=(60, 20))
         sigma = g @ g.T  # rank 20
@@ -423,6 +435,11 @@ class TestMemoryGuard:
 
 
 class TestMaxGaussQuantile:
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_sigma_refused(self, value):
+        with pytest.raises(NotPositiveDefiniteError, match="non-finite"):
+            max_gauss_quantile(np.array([[1.0, 0.0], [0.0, value]]), 0.05, 1000)
+
     def test_scalar_case_matches_normal_quantile(self):
         est = max_gauss_quantile(np.eye(1), 0.05, 40000, seed=3)
         assert est.value == pytest.approx(norm.ppf(0.975), abs=0.03)

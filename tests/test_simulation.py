@@ -21,6 +21,8 @@ from corrgraph import (
     sbm_adjacency,
 )
 from corrgraph import core, simulation
+from corrgraph import quantiles
+from corrgraph.errors import DegenerateInputError
 
 
 def path_graph(p):
@@ -90,6 +92,12 @@ class TestCorrelationModel:
         model = correlation_model(AdjacencyMatrix(np.zeros((3, 3), dtype=int)), 0.99)
         assert model.rho_bound == math.inf
         assert not model.h1_mask().any()
+
+    def test_nan_rho_refused(self):
+        with pytest.raises(ConfigError, match="^rho must be finite, got nan$"):
+            correlation_model(path_graph(4), math.nan)
+        with pytest.raises(ModelError):
+            correlation_model(path_graph(4), math.inf)
 
     def test_h1_mask_matches_adjacency(self):
         model = correlation_model(path_graph(5), 0.3)
@@ -317,3 +325,123 @@ class TestSharedDraws:
         rows = run_experiment(ExperimentConfig(**SMALL))
         assert all(row.failed_replicates == 0 for row in rows)
         assert len(calls) == SMALL["replicates"]
+
+
+class Reached(Exception):
+    pass
+
+
+def reach(*args, **kwargs):
+    raise Reached
+
+
+def reach_degenerate(*args, **kwargs):
+    raise DegenerateInputError("column 1 has zero empirical variance", column=1)
+
+
+class TestMemoryGuards:
+    """Sizes that exceed physical memory (64 MB here) are refused before anything is allocated."""
+
+    @pytest.fixture(autouse=True)
+    def small_machine(self, monkeypatch):
+        monkeypatch.setattr(quantiles.os, "sysconf",
+                            lambda name: 4096 if name == "SC_PAGE_SIZE" else (1 << 26) // 4096)
+
+    def test_sbm_adjacency_sized_before_pair_indices(self, monkeypatch):
+        # 2.25 floats per p x p entry: 72 MB at p=2000, 18 MB at p=1000.
+        monkeypatch.setattr(simulation, "pair_indices", reach)
+        with pytest.raises(ValueError, match=r"^SBM adjacency needs about 0\.1 GB at p=2000, more "
+                                             r"than the 0\.1 GB of physical memory; use a smaller p$"):
+            sbm_adjacency(2000, 0.5, 0.1)
+        with pytest.raises(Reached):
+            sbm_adjacency(1000, 0.5, 0.1)
+
+    def test_correlation_model_sized_before_gamma(self, monkeypatch):
+        # Four p x p float arrays: 72 MB at p=1500, 32 MB at p=1000.
+        monkeypatch.setattr(simulation.np.linalg, "eigvalsh", reach)
+        with pytest.raises(ValueError, match=r"^correlation model needs about 0\.1 GB at p=1500"):
+            correlation_model(AdjacencyMatrix(np.zeros((1500, 1500), dtype=np.int8)), 0.1)
+        with pytest.raises(Reached):
+            correlation_model(AdjacencyMatrix(np.zeros((1000, 1000), dtype=np.int8)), 0.1)
+
+    @pytest.mark.parametrize("shape, fits", [
+        # The results: 3 floats and a flag per replicate and cell, 25 bytes.
+        ({"replicates": 3_000_000}, False),
+        ({"replicates": 2_000}, True),
+        # One replicate's samples: about 2.25 floats per entry, 43 MB here,
+        # for each replicate in flight.
+        ({"n": (300_000,)}, True),
+        ({"n": (300_000,), "threads": 2}, False),
+        # The second-order pair-product chunks: 4 n-vectors per pair (m=28).
+        ({"n": (100_000,), "stats": (StatKind.SECOND_ORDER,)}, False),
+    ])
+    def test_run_experiment_sized_before_first_replicate(self, monkeypatch, shape, fits):
+        monkeypatch.setattr(simulation, "_replicate_work", reach)
+        config = ExperimentConfig(**{
+            "p": 8, "p_inter": (0.2,), "rho": (0.2,), "n": (60,), "stats": (StatKind.FISHER,),
+            "procedures": (ProcedureKind(Method.SIDAK),), "replicates": 2, **shape})
+        if fits:
+            with pytest.raises(Reached):
+                run_experiment(config)
+        else:
+            with pytest.raises(ValueError, match=rf"^simulation needs about \d+\.\d GB for "
+                                                 rf"{config.replicates} replicates at "
+                                                 rf"n={config.n[0]}, p=8, more than"):
+                run_experiment(config)
+
+
+class TestGivenUpReplicates:
+    CONFIG = dict(
+        p=6,
+        p_inter=(0.2,),
+        rho=(0.3,),
+        n=(60,),
+        stats=(StatKind.FISHER, StatKind.SECOND_ORDER),
+        procedures=(ProcedureKind(Method.BONFERRONI), ProcedureKind(Method.SIDAK, True)),
+        replicates=6,
+        seed=9,
+    )
+
+    def test_replicates_that_never_sample_are_left_out(self, monkeypatch):
+        # Replicates 1 and 3 draw degenerate data on every attempt; the
+        # metrics are those of the other four.
+        current, failed, outs = [None], [], {}
+        make_rng, sample, work = simulation.make_rng, simulation.sample_gaussian, \
+            simulation._replicate_work
+
+        def tagging_make_rng(*key):
+            if key[1] == simulation._STREAM_REPLICATE:
+                current[0] = key[5]
+            return make_rng(*key)
+
+        def sample_or_fail(model, n, rng=None):
+            if current[0] in (1, 3):
+                failed.append(current[0])
+                raise DegenerateInputError("column 1 has zero empirical variance", column=1)
+            return sample(model, n, rng=rng)
+
+        def recording_work(config, model_cache, pi_idx, rho_idx, n_idx, r):
+            outs[r] = work(config, model_cache, pi_idx, rho_idx, n_idx, r)
+            return outs[r]
+
+        monkeypatch.setattr(simulation, "make_rng", tagging_make_rng)
+        monkeypatch.setattr(simulation, "sample_gaussian", sample_or_fail)
+        monkeypatch.setattr(simulation, "_replicate_work", recording_work)
+        rows = run_experiment(ExperimentConfig(**self.CONFIG))
+        assert failed == [1] * simulation._MAX_RETRIES + [3] * simulation._MAX_RETRIES
+        assert outs[1] is None and outs[3] is None
+        kept = np.array([outs[r] for r in (0, 2, 4, 5)])
+        assert np.isfinite(kept).all()
+        for row, (s_idx, k_idx) in zip(rows, np.ndindex(2, 2)):
+            assert (row.replicates, row.failed_replicates) == (4, 2)
+            cell = kept[:, s_idx, k_idx]
+            means, ses = cell.mean(axis=0), cell.std(axis=0, ddof=1) / 2.0
+            assert [row.fwer, row.power, row.fdp] == pytest.approx(means, rel=1e-12, abs=0)
+            assert [row.fwer_se, row.power_se, row.fdp_se] == pytest.approx(ses, rel=1e-12, abs=0)
+
+    def test_every_replicate_given_up(self, monkeypatch):
+        monkeypatch.setattr(simulation, "sample_gaussian", reach_degenerate)
+        for row in run_experiment(ExperimentConfig(**self.CONFIG)):
+            assert (row.replicates, row.failed_replicates) == (0, 6)
+            assert all(math.isnan(v) for v in (row.fwer, row.fwer_se, row.power, row.power_se,
+                                               row.fdp, row.fdp_se))
