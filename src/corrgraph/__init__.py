@@ -38,7 +38,6 @@ from .procedures import (
 from .quantiles import (
     DrawMatrix,
     MaxRecords,
-    QuantileEstimate,
     bootstrap_draw_matrix,
     cholesky_psd,
     max_gauss_quantile,
@@ -58,7 +57,6 @@ from .simulation import (
     sbm_adjacency,
 )
 from .stats import (
-    FourthMoments,
     PairCovariance,
     PValueVector,
     StatKind,
@@ -81,7 +79,6 @@ __all__ = [
     "DegenerateInputError",
     "DrawMatrix",
     "ExperimentConfig",
-    "FourthMoments",
     "MaxRecords",
     "Method",
     "MetricsRow",
@@ -90,7 +87,6 @@ __all__ = [
     "PValueVector",
     "PairCovariance",
     "ProcedureKind",
-    "QuantileEstimate",
     "RejectionSet",
     "SampleMatrix",
     "SingularityError",

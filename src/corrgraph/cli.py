@@ -18,8 +18,8 @@ Exit codes
 2  malformed input CSV (message carries the line number)
 3  degenerate data column (message names the column) or bootstrap resamples
 4  correlation model not positive definite
-5  covariance matrix non-finite / not symmetric / not positive semi-definite /
-   singular
+5  covariance CSV unreadable or empty, or covariance matrix non-finite / not
+   symmetric / not positive semi-definite / singular
 
 Every command maps library errors in one place: ``main``'s ``_EXIT_CODES``
 table.  Only the CSV and config readers and the flag checks set a code of their own.
@@ -186,11 +186,14 @@ def _read_matrix_csv(path: str, code: int) -> np.ndarray:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # loadtxt warns on an empty file
-            return np.loadtxt(path, delimiter=",", ndmin=2)
+            matrix = np.loadtxt(path, delimiter=",", ndmin=2)
     except OSError as exc:
         raise _CliError(code, f"cannot open {path}: {exc}")
     except ValueError as exc:
         raise _CliError(code, f"{path}: malformed matrix CSV: {exc}")
+    if matrix.size == 0:
+        raise _CliError(code, f"{path}: matrix CSV is empty")
+    return matrix
 
 
 def _format_cells(values: np.ndarray) -> list[str]:
@@ -381,13 +384,12 @@ def cmd_model(args) -> int:
 def cmd_quantile(args) -> int:
     sigma = _read_matrix_csv(args.sigma, EXIT_BAD_SIGMA)
     try:
-        estimate = max_gauss_quantile(sigma, args.alpha, args.draws, seed=args.seed)
+        threshold, jitter = max_gauss_quantile(sigma, args.alpha, args.draws, seed=args.seed)
     except NotPositiveDefiniteError as exc:
         raise _CliError(EXIT_BAD_SIGMA, f"{args.sigma}: {exc}")
     print(
-        f"threshold={_fmt(estimate.value)} alpha={_fmt(estimate.alpha)} "
-        f"draws={estimate.draws} m={sigma.shape[0]} seed={estimate.seed} "
-        f"jitter={_fmt(estimate.jitter)}"
+        f"threshold={_fmt(threshold)} alpha={_fmt(args.alpha)} draws={args.draws} "
+        f"m={sigma.shape[0]} seed={args.seed} jitter={_fmt(jitter)}"
     )
     return EXIT_OK
 

@@ -157,7 +157,9 @@ class CorrelationMatrix:
 
 
 def _owned_array(values) -> np.ndarray:
-    """``values`` itself if it is a float64 ndarray that owns its data, else a copy."""
+    """``values`` itself if it is a float64 ndarray that owns its data, else a copy:
+    how every array result (samples, statistics, p-values, covariances, draws)
+    takes over its values before marking them read-only in place."""
     if isinstance(values, np.ndarray) and values.dtype == np.float64 and values.flags.owndata:
         return values
     return np.array(values, dtype=float)
@@ -171,10 +173,7 @@ def empirical_correlation(samples: SampleMatrix) -> CorrelationMatrix:
     """
     x = samples.data - samples.data.mean(axis=0)
     norms = np.sqrt(np.einsum("ij,ij->j", x, x))
-    corr = (x.T @ x) / np.outer(norms, norms)
-    corr = np.clip((corr + corr.T) / 2.0, -1.0, 1.0)
-    np.fill_diagonal(corr, 1.0)
-    return CorrelationMatrix(corr)
+    return CorrelationMatrix((x.T @ x) / np.outer(norms, norms))
 
 
 def _correlation(samples: SampleMatrix) -> CorrelationMatrix:

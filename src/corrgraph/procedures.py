@@ -52,7 +52,7 @@ from .errors import NotPositiveDefiniteError
 from .quantiles import _MIN_GAUSS_DRAWS, _SCAN_ENTRIES, DrawMatrix, MaxRecords
 from .quantiles import _check_alpha, _reduce_draws
 from .quantiles import quantile_from_draws, sidak_threshold
-from .stats import _PAIR_CHUNK, PValueVector, StatKind, StatVector, _influence, _kind_tuple
+from .stats import PValueVector, StatKind, StatVector, _influence, _kind_tuple
 from .stats import _delta_divisor, p_values
 
 __all__ = [
@@ -75,6 +75,7 @@ DEFAULT_MAXT_DRAWS = 1000
 # The GEMMs' last bits do, and on _PAIR_CHUNK, the pair columns per chunk of
 # fourth-moment draws, so both are part of the seed contract.
 _PERTURBATION_ENTRIES = 1 << 15
+_PAIR_CHUNK = 128
 
 
 class Method(str, enum.Enum):

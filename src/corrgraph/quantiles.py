@@ -67,7 +67,6 @@ from .rng import make_rng
 from .stats import StatKind, _kind_tuple, _transform
 
 __all__ = [
-    "QuantileEstimate",
     "DrawMatrix",
     "MaxRecords",
     "sidak_threshold",
@@ -402,17 +401,6 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
 
 
-@dataclass(frozen=True)
-class QuantileEstimate:
-    """A max-statistic threshold with the metadata needed to reproduce it."""
-
-    value: float
-    alpha: float
-    draws: int
-    seed: int | None
-    jitter: float
-
-
 def sidak_threshold(alpha: float, m: int) -> float:
     """Sidak critical value Phi^-1((1 - alpha)^(1/m) / 2 + 1/2).
 
@@ -501,14 +489,14 @@ def quantile_from_draws(draw_matrix: DrawMatrix, alpha: float, subset=None) -> f
 
 def max_gauss_quantile(
     sigma: np.ndarray, alpha: float, draws: int, seed: int | None = 0
-) -> QuantileEstimate:
+) -> tuple[float, float]:
     """Monte Carlo (1-alpha)-quantile of the sup-norm of N_m(0, Sigma).
 
-    Simulates ``draws`` i.i.d. vectors L xi with L from :func:`cholesky_psd`
-    in blocks of ``_BLOCK_ENTRIES`` (part of the seed contract), keeping only
-    their rowwise maxima, so B is not limited by the memory of a B x m matrix.
-    Alpha, the draw count and the memory of the maxima (held twice) are
-    checked first.
+    Returns (threshold, jitter).  Simulates ``draws`` i.i.d. vectors L xi with
+    L L^T = Sigma + jitter I from :func:`cholesky_psd`, in blocks of
+    ``_BLOCK_ENTRIES`` (part of the seed contract), keeping only their rowwise
+    maxima, so B is not limited by the memory of a B x m matrix.  Alpha, the
+    draw count and the memory of the maxima (held twice) are checked first.
     """
     _check_alpha(alpha)
     if draws < _MIN_GAUSS_DRAWS:
@@ -520,11 +508,10 @@ def max_gauss_quantile(
     rng = make_rng(seed if seed is not None else 0)
     width = factor.shape[1]
     rows = max(1, _BLOCK_ENTRIES // max(width, 1))
-    value = _max_quantile(np.concatenate([
+    return _max_quantile(np.concatenate([
         np.abs(rng.standard_normal((min(rows, draws - a), width)) @ factor.T).max(axis=1)
         for a in range(0, draws, rows)
-    ]), alpha)
-    return QuantileEstimate(value=value, alpha=alpha, draws=draws, seed=seed, jitter=jitter)
+    ]), alpha), jitter
 
 
 def bootstrap_draw_matrix(

@@ -50,7 +50,7 @@ from .quantiles import (
     bootstrap_draw_matrix,
 )
 from .rng import make_rng
-from .stats import _PAIR_CHUNK, StatKind, statistic
+from .stats import StatKind, _product_pairs, statistic
 
 __all__ = [
     "AdjacencyMatrix",
@@ -110,14 +110,6 @@ class CorrelationModel:
     rho: float
     adjacency: AdjacencyMatrix
     min_eigenvalue: float
-
-    @property
-    def p(self) -> int:
-        return self.gamma.p
-
-    @property
-    def m(self) -> int:
-        return self.gamma.m
 
     def h1_mask(self) -> np.ndarray:
         return self.adjacency.edge_mask()
@@ -404,10 +396,13 @@ def run_experiment(config: ExperimentConfig) -> list[MetricsRow]:
     (replicates x kinds x procedures x 3 floats) and the sample arrays of the
     replicates in flight exceed physical memory.  Peak RSS of one replicate at
     n=10^6, p=8 and n=2x10^5, p=40 measured about 2.25 floats per sample
-    entry, plus 3-4 n-vectors per pair of a second-order pair-product chunk.
+    entry; the second-order statistic adds 2 more (its standardized copy) and,
+    by tracemalloc, 4 n-vectors per pair of a pair-product chunk.
     """
     n, m = max(config.n, default=0), config.p * (config.p - 1) // 2
-    per_row = 2.25 * config.p + 4 * min(m, _PAIR_CHUNK) * (StatKind.SECOND_ORDER in config.stats)
+    per_row = 2.25 * config.p
+    if StatKind.SECOND_ORDER in config.stats:
+        per_row += 2 * config.p + 4 * min(m, _product_pairs(n))
     _check_memory("simulation",
                   config.replicates * (3 * len(config.stats) * len(config.procedures) + 0.125)
                   + config.threads * n * per_row,

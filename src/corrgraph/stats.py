@@ -45,7 +45,6 @@ __all__ = [
     "StatVector",
     "PValueVector",
     "PairCovariance",
-    "FourthMoments",
     "statistic",
     "p_values",
     "omega_gaussian",
@@ -58,9 +57,11 @@ __all__ = [
 # statistic (p-value underflows to 0) instead of an infinity.
 SATURATION_EPS = 1e-12
 
-# Pair columns per chunk of n x k pair products: the second-order statistic
-# and the fourth-moment max-T draws work one chunk at a time.
-_PAIR_CHUNK = 128
+# Entries per chunk of n x k pair products in the second-order statistic
+# (512 kB): k = max(1, _PRODUCT_ENTRIES // n) pairs, so the temporaries stay
+# bounded at any n.  Each pair's mean and variance reduce over its own rows, so
+# the values do not depend on k.
+_PRODUCT_ENTRIES = 1 << 16
 
 
 class StatKind(str, enum.Enum):
@@ -88,10 +89,9 @@ class StatVector:
     n: int
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        values = _owned_array(self.values)
         if not np.all(np.isfinite(values)):
             raise ValueError("statistic vector contains non-finite entries")
-        values = values.copy()
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
@@ -107,18 +107,13 @@ class PValueVector:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        values = _owned_array(self.values)
         if not np.all(np.isfinite(values)):
             raise ValueError("p-value vector contains non-finite entries")
         if np.any((values < 0.0) | (values > 1.0)):
             raise ValueError("p-values outside [0, 1]")
-        values = values.copy()
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
-
-    @property
-    def m(self) -> int:
-        return self.values.size
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,34 +134,6 @@ class PairCovariance:
             raise ValueError("pair covariance must be square")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
-
-    @property
-    def m(self) -> int:
-        return self.values.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class FourthMoments:
-    """Standardized sample ``x`` (n x p, divisor n) plus the correlations.
-
-    The plug-in fourth moment rho_{ijkl} is the column mean of
-    x_i x_j x_k x_l; it is never formed as a p^4 array.
-    """
-
-    x: np.ndarray
-    corr: np.ndarray
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        corr = np.asarray(self.corr, dtype=float)
-        if x.ndim != 2 or corr.shape != (x.shape[1], x.shape[1]):
-            raise ValueError("standardized sample shape does not match corr")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "corr", corr)
-
-    @property
-    def p(self) -> int:
-        return self.corr.shape[0]
 
 
 def _transform(rho: np.ndarray, n: int, kind: StatKind) -> np.ndarray:
@@ -196,8 +163,9 @@ def _second_order_statistic(samples: SampleMatrix) -> StatVector:
     x = standardize(samples).data
     i, j = pair_indices(samples.p)
     zbar, theta = np.empty(i.size), np.empty(i.size)
-    for a in range(0, i.size, _PAIR_CHUNK):
-        pairs = slice(a, a + _PAIR_CHUNK)
+    width = _product_pairs(n)
+    for a in range(0, i.size, width):
+        pairs = slice(a, a + width)
         z = x[:, i[pairs]] * x[:, j[pairs]]
         zbar[pairs] = z.mean(axis=0)
         theta[pairs] = z.var(axis=0)
@@ -209,6 +177,11 @@ def _second_order_statistic(samples: SampleMatrix) -> StatVector:
         )
     values = np.sqrt(n) * zbar / np.sqrt(theta)
     return StatVector(kind=StatKind.SECOND_ORDER, values=values, n=n)
+
+
+def _product_pairs(n: int) -> int:
+    """Pairs per chunk of the second-order statistic's n x k pair products."""
+    return max(1, _PRODUCT_ENTRIES // max(n, 1))
 
 
 def p_values(stats: StatVector) -> PValueVector:
@@ -275,21 +248,23 @@ def _delta_divisor(r: np.ndarray, kind: StatKind) -> np.ndarray:
     return d
 
 
-def fourth_moments(samples: SampleMatrix) -> FourthMoments:
-    """Plug-in fourth moments: the standardized sample and its correlations."""
-    return FourthMoments(x=standardize(samples).data, corr=_correlation(samples).values)
+def fourth_moments(samples: SampleMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Plug-in fourth moments as (x, corr), the standardized sample (divisor n) and its
+    correlations: rho_ijkl is the column mean of x_i x_j x_k x_l, never formed."""
+    return standardize(samples).data, _correlation(samples).values
 
 
-def omega_general(moments: FourthMoments, kind: StatKind) -> PairCovariance:
-    """Asymptotic covariance from fourth moments (general distributions).
+def omega_general(moments: tuple[np.ndarray, np.ndarray], kind: StatKind) -> PairCovariance:
+    """Asymptotic covariance from :func:`fourth_moments` (general distributions).
 
     Omega = Psi^T Psi / n, with Psi the n x m matrix of :func:`_influence`.
     """
     kind = StatKind(kind)
-    i, j = pair_indices(moments.p)
-    psi = _influence(np.ascontiguousarray(moments.x.T), moments.corr[i, j], i, j, kind)
+    x, corr = moments
+    i, j = pair_indices(x.shape[1])
+    psi = _influence(np.ascontiguousarray(x.T), corr[i, j], i, j, kind)
     omega = psi.T @ psi
-    omega /= moments.x.shape[0]
+    omega /= x.shape[0]
     return PairCovariance(omega, kind=kind, source="fourth-moment-plugin")
 
 

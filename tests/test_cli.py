@@ -240,6 +240,12 @@ class TestTestCommand:
         assert code == 2
         assert "line 3" in capsys.readouterr().err
 
+    def test_missing_csv_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "missing.csv"
+        assert run(["test", "--input", str(path), "--stat", "fisher", "--method", "sidak",
+                    "--output", str(tmp_path / "e.csv")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot open {path}: ")
+
     def test_non_numeric_cell(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1.0,x\n2.0,3.0\n")
@@ -729,6 +735,31 @@ class TestSimulateCommand:
         assert (tmp_path / "from_config.csv").exists()
 
 
+    @pytest.mark.parametrize("extra, message", [
+        (None, "config must be a JSON object"),
+        ({"procedures": [{"stepdown": True}]}, "procedures: entries need a 'method' key"),
+        ({"procedures": [{"method": "sidak", "order": 2}]}, "procedures: unknown keys ['order']"),
+    ])
+    def test_config_shape_errors_exit_one(self, tmp_path, capsys, extra, message):
+        cfg = self.make_config(tmp_path, **(extra or {}))
+        if extra is None:  # the same keys, as a JSON array of one object
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps([json.loads(path.read_text())]))
+        out = tmp_path / "m.csv"
+        assert run(["simulate", "--config", cfg, "--output", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+        assert not out.exists()
+
+    def test_one_replicate_writes_empty_standard_errors(self, tmp_path):
+        out = tmp_path / "m.csv"
+        assert run(["simulate", "--config", self.make_config(tmp_path, replicates=1),
+                    "--output", str(out)]) == 0
+        with open(out, newline="") as fh:
+            (row,) = list(csv.DictReader(fh))
+        assert (row["replicates"], row["failed_replicates"]) == ("1", "0")
+        assert all(row[name] != "" for name in ("fwer", "power", "fdp"))
+        assert [row[name] for name in ("fwer_se", "power_se", "fdp_se")] == ["", "", ""]
+
     @pytest.mark.parametrize("extra", [
         {"procedures": [{"method": "bh"}]},
         {"procedures": [{"method": "bootrw"}], "bootrw_draws": 10},
@@ -940,16 +971,28 @@ class TestQuantileCommand:
         assert run(["quantile", "--sigma", str(sigma)]) == 5
         assert capsys.readouterr() == ("", f"error: {sigma}: matrix contains non-finite entries\n")
 
+    @pytest.mark.parametrize("text, message", [
+        (None, "cannot open {path}: "),
+        ("1,0\n0,x\n", "{path}: malformed matrix CSV: "),
+    ])
+    def test_unreadable_sigma_exit_five(self, tmp_path, capsys, text, message):
+        sigma = tmp_path / "sigma.csv"
+        if text is not None:
+            sigma.write_text(text)
+        assert run(["quantile", "--sigma", str(sigma)]) == 5
+        assert capsys.readouterr().err.startswith("error: " + message.format(path=sigma))
+
     def test_empty_sigma_exit_five_with_one_line(self, tmp_path):
         # Run as a process, so that a warning from loadtxt would reach stderr.
         sigma = tmp_path / "sigma.csv"
-        sigma.write_text("")
         src = os.path.dirname(os.path.dirname(os.path.abspath(corrgraph.__file__)))
-        done = subprocess.run([sys.executable, "-m", "corrgraph.cli", "quantile", "--sigma",
-                               str(sigma)], env={**os.environ, "PYTHONPATH": src},
-                              capture_output=True, text=True)
-        assert done.returncode == 5
-        assert done.stderr == f"error: {sigma}: matrix is not square\n"
+        for text in ("", "\n\n\n"):
+            sigma.write_text(text)
+            done = subprocess.run([sys.executable, "-m", "corrgraph.cli", "quantile", "--sigma",
+                                   str(sigma)], env={**os.environ, "PYTHONPATH": src},
+                                  capture_output=True, text=True)
+            assert done.returncode == 5
+            assert done.stderr == f"error: {sigma}: matrix CSV is empty\n"
 
 
 class TestExitCodeTable:

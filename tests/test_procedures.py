@@ -673,7 +673,6 @@ def array_dataclasses():
     yield lambda: StatVector(sv.kind, sv.values, sv.n)
     yield lambda: PValueVector(p_values(sv).values)
     yield lambda: stats.PairCovariance(sigma.copy(), kind=StatKind.FISHER, source="oracle")
-    yield lambda: fourth_moments(sample)
     yield lambda: DrawMatrix(sigma.copy(), provenance="parametric-gaussian")
     yield lambda: gauss_draw_matrix(corr, sv.kind, 100, make_rng(0), stats=sv)
     yield lambda: run_procedure(sv, 0.05, ProcedureKind(Method.SIDAK, True))

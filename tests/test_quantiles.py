@@ -441,14 +441,14 @@ class TestMaxGaussQuantile:
             max_gauss_quantile(np.array([[1.0, 0.0], [0.0, value]]), 0.05, 1000)
 
     def test_scalar_case_matches_normal_quantile(self):
-        est = max_gauss_quantile(np.eye(1), 0.05, 40000, seed=3)
-        assert est.value == pytest.approx(norm.ppf(0.975), abs=0.03)
+        threshold, _ = max_gauss_quantile(np.eye(1), 0.05, 40000, seed=3)
+        assert threshold == pytest.approx(norm.ppf(0.975), abs=0.03)
 
     def test_deterministic_in_seed(self):
         sigma = np.eye(4)
-        a = max_gauss_quantile(sigma, 0.05, 1000, seed=1).value
-        b = max_gauss_quantile(sigma, 0.05, 1000, seed=1).value
-        c = max_gauss_quantile(sigma, 0.05, 1000, seed=2).value
+        a = max_gauss_quantile(sigma, 0.05, 1000, seed=1)[0]
+        b = max_gauss_quantile(sigma, 0.05, 1000, seed=1)[0]
+        c = max_gauss_quantile(sigma, 0.05, 1000, seed=2)[0]
         assert a == b
         assert a != c
 

@@ -372,8 +372,11 @@ class TestMemoryGuards:
         # for each replicate in flight.
         ({"n": (300_000,)}, True),
         ({"n": (300_000,), "threads": 2}, False),
-        # The second-order pair-product chunks: 4 n-vectors per pair (m=28).
-        ({"n": (100_000,), "stats": (StatKind.SECOND_ORDER,)}, False),
+        # The second-order statistic: 2 more floats per entry and 4 n-vectors
+        # per pair of a chunk of max(1, 2^16 // n) pairs, 76 MB at n=250,000
+        # and 30 MB at n=100,000, where chunks of all 28 pairs took 104 MB.
+        ({"n": (250_000,), "stats": (StatKind.SECOND_ORDER,)}, False),
+        ({"n": (100_000,), "stats": (StatKind.SECOND_ORDER,)}, True),
     ])
     def test_run_experiment_sized_before_first_replicate(self, monkeypatch, shape, fits):
         monkeypatch.setattr(simulation, "_replicate_work", reach)

@@ -373,13 +373,13 @@ def second_order_oracle(samples):
     return np.sqrt(samples.n) * z.mean(axis=0) / np.sqrt(z.var(axis=0))
 
 
-@pytest.mark.parametrize("chunk", [None, 1, 7])
+@pytest.mark.parametrize("chunk", [None, 1, 7, 128])
 def test_second_order_chunks_match_full_products(monkeypatch, chunk):
-    if chunk is not None:
-        monkeypatch.setattr(stats_module, "_PAIR_CHUNK", chunk)
     rng = np.random.default_rng(30)
     samples = SampleMatrix(rng.standard_t(5, size=(300, 24)) @ (np.eye(24) + 0.2))
-    assert samples.m > stats_module._PAIR_CHUNK  # more than one chunk
+    if chunk is not None:  # pairs per chunk
+        monkeypatch.setattr(stats_module, "_PRODUCT_ENTRIES", chunk * samples.n)
+        assert samples.m > stats_module._product_pairs(samples.n)  # more than one chunk
     got = statistic(samples, StatKind.SECOND_ORDER).values
     assert np.array_equal(got, second_order_oracle(samples))
 
@@ -387,7 +387,7 @@ def test_second_order_chunks_match_full_products(monkeypatch, chunk):
 @pytest.mark.parametrize("chunk", [None, 7])
 def test_second_order_names_degenerate_pair_in_later_chunk(monkeypatch, chunk):
     if chunk is not None:
-        monkeypatch.setattr(stats_module, "_PAIR_CHUNK", chunk)
+        monkeypatch.setattr(stats_module, "_PRODUCT_ENTRIES", chunk * 30)
     rng = np.random.default_rng(31)
     signs = np.array([1.0] * 15 + [-1.0] * 15)
     rng.shuffle(signs)
@@ -407,6 +407,19 @@ def test_second_order_memory_is_chunked():
         tracemalloc.stop()
     # The full 2000 x 4950 product matrix alone is 79 MB.
     assert peak < 20e6
+
+
+def test_second_order_chunks_are_bounded_in_entries():
+    samples = SampleMatrix(np.random.default_rng(33).normal(size=(200_000, 6)))
+    tracemalloc.start()
+    try:
+        statistic(samples, StatKind.SECOND_ORDER)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Standardizing holds three sample-sized arrays at once; chunks of all 15
+    # pairs would hold four temporaries of 2.5 samples each at this n.
+    assert peak < 4 * samples.data.nbytes
 
 
 def test_pair_covariance_takes_fresh_array():
