@@ -206,6 +206,11 @@ def _format_cells(values: np.ndarray) -> list[str]:
     return cells
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise _CliError(EXIT_USAGE, "--seed must be >= 0")
+
+
 def _fmt(value) -> str:
     if isinstance(value, enum.Enum):
         return str(value.value)
@@ -221,6 +226,7 @@ def cmd_test(args) -> int:
         raise _CliError(EXIT_USAGE, "--fourth-moment applies only to --method maxt")
     if args.draws is not None and args.method not in ("bootrw", "maxt"):
         raise _CliError(EXIT_USAGE, "--draws applies only to --method bootrw or maxt")
+    _check_seed(args.seed)
     kind = _STAT_FLAGS[args.stat]
     method = _METHOD_FLAGS[args.method]
     draws = args.draws
@@ -231,7 +237,7 @@ def cmd_test(args) -> int:
     stats = statistic(samples, kind)
     draw_matrix = None
     if method is Method.BOOT_RW:
-        draw_matrix = bootstrap_draw_matrix(samples, kind, draws, seed=args.seed,
+        draw_matrix = bootstrap_draw_matrix(samples, kind, draws, make_rng(args.seed),
                                             stats=stats, stepdown=args.step_down)
     elif method is Method.MAX_T:
         draw_matrix = gauss_draw_matrix(_correlation(samples), kind, draws, make_rng(args.seed),
@@ -369,7 +375,8 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_model(args) -> int:
-    adjacency = sbm_adjacency(args.p, args.p_intra, args.p_inter, seed=args.seed)
+    _check_seed(args.seed)
+    adjacency = sbm_adjacency(args.p, args.p_intra, args.p_inter, make_rng(args.seed))
     model = correlation_model(adjacency, args.rho)
     np.savetxt(args.output + ".adjacency.csv", adjacency.values, fmt="%d", delimiter=",")
     np.savetxt(args.output + ".gamma.csv", model.gamma.values, fmt="%.10g", delimiter=",")
@@ -382,9 +389,10 @@ def cmd_model(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_quantile(args) -> int:
+    _check_seed(args.seed)
     sigma = _read_matrix_csv(args.sigma, EXIT_BAD_SIGMA)
     try:
-        threshold, jitter = max_gauss_quantile(sigma, args.alpha, args.draws, seed=args.seed)
+        threshold, jitter = max_gauss_quantile(sigma, args.alpha, args.draws, make_rng(args.seed))
     except NotPositiveDefiniteError as exc:
         raise _CliError(EXIT_BAD_SIGMA, f"{args.sigma}: {exc}")
     print(

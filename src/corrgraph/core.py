@@ -191,8 +191,8 @@ def _correlation(samples: SampleMatrix) -> CorrelationMatrix:
 def standardize(samples: SampleMatrix) -> SampleMatrix:
     """Center each column to mean 0 and scale to empirical variance 1.
 
-    Uses divisor n in the variance.
+    Uses divisor n in the variance.  Centers and scales one n x p copy in place.
     """
     x = samples.data - samples.data.mean(axis=0)
-    sd = x.std(axis=0)
-    return SampleMatrix(x / sd, column_names=samples.column_names)
+    x /= x.std(axis=0)
+    return SampleMatrix(x, column_names=samples.column_names)

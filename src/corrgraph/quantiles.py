@@ -63,7 +63,6 @@ import numpy as np
 
 from .core import SampleMatrix, _correlation, _owned_array, standardize
 from .errors import DegenerateInputError, NotPositiveDefiniteError
-from .rng import make_rng
 from .stats import StatKind, _kind_tuple, _transform
 
 __all__ = [
@@ -488,12 +487,12 @@ def quantile_from_draws(draw_matrix: DrawMatrix, alpha: float, subset=None) -> f
 
 
 def max_gauss_quantile(
-    sigma: np.ndarray, alpha: float, draws: int, seed: int | None = 0
+    sigma: np.ndarray, alpha: float, draws: int, rng: np.random.Generator
 ) -> tuple[float, float]:
     """Monte Carlo (1-alpha)-quantile of the sup-norm of N_m(0, Sigma).
 
-    Returns (threshold, jitter).  Simulates ``draws`` i.i.d. vectors L xi with
-    L L^T = Sigma + jitter I from :func:`cholesky_psd`, in blocks of
+    Returns (threshold, jitter).  Simulates ``draws`` i.i.d. vectors L xi from
+    ``rng``, with L L^T = Sigma + jitter I from :func:`cholesky_psd`, in blocks of
     ``_BLOCK_ENTRIES`` (part of the seed contract), keeping only their rowwise
     maxima, so B is not limited by the memory of a B x m matrix.  Alpha, the
     draw count and the memory of the maxima (held twice) are checked first.
@@ -505,7 +504,6 @@ def max_gauss_quantile(
                   f"for {draws} draws at m={np.shape(sigma)[0] if np.ndim(sigma) else 1}",
                   "use fewer draws")
     factor, jitter = cholesky_psd(sigma)
-    rng = make_rng(seed if seed is not None else 0)
     width = factor.shape[1]
     rows = max(1, _BLOCK_ENTRIES // max(width, 1))
     return _max_quantile(np.concatenate([
@@ -518,16 +516,15 @@ def bootstrap_draw_matrix(
     samples: SampleMatrix,
     kind: StatKind | tuple[StatKind, ...],
     draws: int,
-    seed: int | None = 0,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
     stats=None,
     stepdown: bool = True,
 ) -> DrawMatrix | MaxRecords | tuple:
     """B centered statistic vectors on nonparametric resamples of the rows.
 
-    Each resample takes n rows i.i.d. with replacement; the statistic is
-    centered at the full-sample estimate (Romano-Wolf convention) so the
-    resampled law approximates the null law of the statistic.  The moments of
+    Each resample takes n rows i.i.d. with replacement from ``rng``; the
+    statistic is centered at the full-sample estimate (Romano-Wolf convention)
+    so the resampled law approximates the null law of the statistic.  The moments of
     all resamples are GEMMs of their count weights W against the standardized
     sample, one pair block x_c x_{c+1..p} at a time.  Degenerate resamples
     (see ``_DEGENERATE``) are redrawn from the same stream after the batch;
@@ -549,8 +546,6 @@ def bootstrap_draw_matrix(
     kinds, single = _kind_tuple(kind)
     if draws < _MIN_BOOTSTRAP_DRAWS:
         raise ValueError(f"need at least {_MIN_BOOTSTRAP_DRAWS} bootstrap draws, got {draws}")
-    if rng is None:
-        rng = make_rng(seed if seed is not None else 0)
     # Per draw row: W with its index matrix and bincount, and 4 B x (p - 1) block temporaries.
     return _reduce_draws(_bootstrap_blocks(samples, kinds, draws, rng), kinds, single, draws,
                          samples.m, "nonparametric-bootstrap", stats, stepdown, "bootrw",

@@ -1,7 +1,10 @@
 """Deterministic, splittable random number streams.
 
-All randomness in the package flows through :func:`make_rng`.  Streams are
-built on numpy's counter-based Philox generator keyed through
+All randomness in the package flows through :func:`make_rng`.  Every sampler
+takes one required ``rng`` Generator; a seed becomes a Generator only where it
+enters the program, at the CLI's ``--seed`` and in ``run_experiment``'s named
+substreams of ``ExperimentConfig.seed``.  Streams are built on numpy's
+counter-based Philox generator keyed through
 ``SeedSequence(master, spawn_key=stream)``, so the stream identified by a
 tuple such as ``(cell_index, replicate)`` is a pure function of the master
 seed and the tuple, independent of execution order and of worker threads.

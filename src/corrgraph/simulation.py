@@ -125,10 +125,9 @@ def sbm_adjacency(
     p: int,
     p_intra: float,
     p_inter: float,
-    seed: int | None = 0,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> AdjacencyMatrix:
-    """Two-community SBM adjacency draw; each unordered pair drawn once.
+    """Two-community SBM adjacency draw; each unordered pair drawn once from ``rng``.
 
     A p that would not fit in physical memory is refused (ValueError) before
     anything is allocated: the pair indexes, the edge probabilities and
@@ -141,8 +140,6 @@ def sbm_adjacency(
         if not 0.0 <= value <= 1.0:
             raise ConfigError(f"{name} must be in [0, 1], got {value}")
     _check_memory("SBM adjacency", 2.25 * p * p, f"at p={p}", "use a smaller p")
-    if rng is None:
-        rng = make_rng(seed if seed is not None else 0)
     i, j = pair_indices(p)
     half = p // 2
     same_block = (i < half) == (j < half)
@@ -192,17 +189,9 @@ def correlation_model(adjacency: AdjacencyMatrix, rho: float) -> CorrelationMode
     )
 
 
-def sample_gaussian(
-    model: CorrelationModel | CorrelationMatrix,
-    n: int,
-    seed: int | None = 0,
-    rng: np.random.Generator | None = None,
-) -> SampleMatrix:
-    """n i.i.d. N(0, Gamma) rows via the Cholesky factor of Gamma."""
-    gamma = model.gamma if isinstance(model, CorrelationModel) else model
+def sample_gaussian(gamma: CorrelationMatrix, n: int, rng: np.random.Generator) -> SampleMatrix:
+    """n i.i.d. N(0, Gamma) rows from ``rng`` via the Cholesky factor of Gamma."""
     factor = np.linalg.cholesky(gamma.values)
-    if rng is None:
-        rng = make_rng(seed if seed is not None else 0)
     return SampleMatrix(rng.standard_normal((n, gamma.p)) @ factor.T)
 
 
@@ -334,7 +323,7 @@ def _draw_matrices(method, config, data, gamma, qrng, svs) -> tuple:
     """
     stepdown = any(pk.method is method and pk.stepdown for pk in config.procedures)
     if method is Method.BOOT_RW:
-        return bootstrap_draw_matrix(data, config.stats, config.bootrw_draws, rng=qrng,
+        return bootstrap_draw_matrix(data, config.stats, config.bootrw_draws, qrng,
                                      stats=svs, stepdown=stepdown)
     if method is Method.MAX_T:
         return gauss_draw_matrix(_correlation(data), config.stats, config.maxt_draws, qrng,
@@ -361,11 +350,11 @@ def _replicate_work(config, model_cache, pi_idx, rho_idx, n_idx, r):
         rng = make_rng(config.seed, _STREAM_REPLICATE, pi_idx, rho_idx, n_idx, r, attempt)
         try:
             if config.adjacency_per_replicate:
-                adjacency = sbm_adjacency(config.p, config.p_intra, p_inter, rng=rng)
+                adjacency = sbm_adjacency(config.p, config.p_intra, p_inter, rng)
                 model = correlation_model(adjacency, rho)
             else:
                 model = model_cache[(pi_idx, rho_idx)]
-            data = sample_gaussian(model, n, rng=rng)
+            data = sample_gaussian(model.gamma, n, rng)
             h1 = model.h1_mask()
             svs = tuple(statistic(data, kind) for kind in config.stats)
             qrng = make_rng(config.seed, _STREAM_QUANTILE, pi_idx, rho_idx, n_idx, r, attempt, 0)
@@ -413,12 +402,8 @@ def run_experiment(config: ExperimentConfig) -> list[MetricsRow]:
     model_cache: dict[tuple[int, int], CorrelationModel] = {}
     if not config.adjacency_per_replicate:
         for pi_idx, p_inter in enumerate(config.p_inter):
-            adjacency = sbm_adjacency(
-                config.p,
-                config.p_intra,
-                p_inter,
-                rng=make_rng(config.seed, _STREAM_ADJACENCY, pi_idx),
-            )
+            adjacency = sbm_adjacency(config.p, config.p_intra, p_inter,
+                                      make_rng(config.seed, _STREAM_ADJACENCY, pi_idx))
             for rho_idx, rho in enumerate(config.rho):
                 model_cache[(pi_idx, rho_idx)] = correlation_model(adjacency, rho)
 

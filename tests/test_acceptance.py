@@ -130,7 +130,7 @@ def test_criterion_02_identity_collapse():
 def test_criterion_03_gauss_quantile_matches_sidak():
     worst = 0.0
     for m in (1, 10, 325):
-        threshold, _ = max_gauss_quantile(np.eye(m), 0.05, 200_000, seed=3)
+        threshold, _ = max_gauss_quantile(np.eye(m), 0.05, 200_000, make_rng(3))
         worst = max(worst, abs(threshold - sidak_threshold(0.05, m)))
     report(3, worst < 0.02, f"max |MC quantile - Sidak| = {worst:.4f} (< 0.02), m in {{1,10,325}}")
 
@@ -265,7 +265,7 @@ def test_criterion_08_null_model_rejections():
     gamma = CorrelationMatrix(np.eye(26))
     counts = []
     for seed in range(500):
-        data = sample_gaussian(gamma, 122, rng=make_rng(8, seed))
+        data = sample_gaussian(gamma, 122, make_rng(8, seed))
         sv = statistic(data, StatKind.FISHER)
         rs = run_procedure(sv, 0.05, ProcedureKind(Method.SIDAK, True))
         counts.append(len(rs.rejected))
@@ -316,7 +316,7 @@ def test_criterion_11_pd_boundary():
     while checked < 100:
         p = int(rng.integers(4, 14)) * 2
         adjacency = sbm_adjacency(p, float(rng.uniform(0.2, 0.9)),
-                                  float(rng.uniform(0.05, 0.5)), rng=rng)
+                                  float(rng.uniform(0.05, 0.5)), rng)
         lam = np.linalg.eigvalsh(adjacency.values.astype(float))[0]
         if lam >= 0.0:  # empty graph: no finite boundary
             continue

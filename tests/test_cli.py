@@ -24,6 +24,7 @@ from corrgraph import (
     cli,
     correlation_model,
     flat_to_pair,
+    make_rng,
     run_procedure,
     sample_gaussian,
     sbm_adjacency,
@@ -36,9 +37,9 @@ from corrgraph.errors import ConfigError, ModelError, NotPositiveDefiniteError, 
 
 @pytest.fixture()
 def data_csv(tmp_path):
-    adj = sbm_adjacency(6, 0.8, 0.1, seed=3)
+    adj = sbm_adjacency(6, 0.8, 0.1, make_rng(3))
     model = correlation_model(adj, 0.35)
-    samples = sample_gaussian(model, 150, seed=5)
+    samples = sample_gaussian(model.gamma, 150, make_rng(5))
     path = tmp_path / "data.csv"
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -869,7 +870,7 @@ class TestModelCommand:
     def test_matrices_match_oracle(self, tmp_path):
         assert run(["model", "--p", "60", "--p-intra", "0.5", "--p-inter", "0.05",
                     "--rho", "0.1", "--seed", "3", "--output", str(tmp_path / "model")]) == 0
-        adjacency = sbm_adjacency(60, 0.5, 0.05, seed=3)
+        adjacency = sbm_adjacency(60, 0.5, 0.05, make_rng(3))
         oracle_write_matrix_csv(str(tmp_path / "a.csv"), adjacency.values)
         oracle_write_matrix_csv(str(tmp_path / "g.csv"), correlation_model(adjacency, 0.1).gamma.values)
         assert (tmp_path / "model.adjacency.csv").read_bytes() == (tmp_path / "a.csv").read_bytes()
@@ -1024,3 +1025,22 @@ class TestExitCodeTable:
         with pytest.raises(RuntimeError, match="a bug"):
             run(["model", "--p", "8", "--p-intra", "0.5", "--p-inter", "0.1",
                  "--rho", "0.1", "--output", str(tmp_path / "m")])
+
+
+@pytest.mark.parametrize("argv", [
+    ["test", "--stat", "fisher", "--method", "sidak"],
+    ["test", "--stat", "fisher", "--method", "bonferroni", "--step-down"],
+    ["test", "--stat", "fisher", "--method", "bootrw"],
+    ["test", "--stat", "fisher", "--method", "maxt"],
+    ["model", "--p", "8", "--p-intra", "0.5", "--p-inter", "0.1", "--rho", "0.1"],
+    ["quantile"],
+])
+def test_negative_seed_exits_one(tmp_path, data_csv, capsys, argv):
+    path, _ = data_csv
+    np.savetxt(tmp_path / "sigma.csv", np.eye(3), delimiter=",")
+    where = {"test": ["--input", path, "--output", str(tmp_path / "o.csv")],
+             "model": ["--output", str(tmp_path / "m")],
+             "quantile": ["--sigma", str(tmp_path / "sigma.csv")]}[argv[0]]
+    assert run([*argv, *where, "--seed", "-1"]) == 1
+    assert capsys.readouterr() == ("", "error: --seed must be >= 0\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "sigma.csv"]

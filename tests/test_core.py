@@ -1,5 +1,7 @@
 """Pair indexing, sample/correlation containers, empirical correlation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -186,3 +188,15 @@ def test_standardize_divisor_n():
     s = standardize(SampleMatrix(rng.normal(size=(30, 4)) * 3.0 + 1.0))
     assert np.allclose(s.data.mean(axis=0), 0.0, atol=1e-12)
     assert np.allclose(s.data.var(axis=0), 1.0, atol=1e-12)
+
+
+def test_standardize_holds_one_copy():
+    samples = SampleMatrix(np.random.default_rng(21).normal(size=(20_000, 40)))
+    tracemalloc.start()
+    try:
+        standardize(samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The centered copy, scaled in place, and one reduction temporary of its size.
+    assert peak < 2.5 * samples.data.nbytes

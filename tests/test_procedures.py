@@ -98,7 +98,7 @@ class TestSingleStep:
         from corrgraph import statistic
 
         sv = statistic(samples, StatKind.EMPIRICAL)
-        dm = bootstrap_draw_matrix(samples, StatKind.EMPIRICAL, 200, seed=1)
+        dm = bootstrap_draw_matrix(samples, StatKind.EMPIRICAL, 200, make_rng(1))
         rs = run_procedure(sv, 0.05, ProcedureKind(Method.BOOT_RW), draw_matrix=dm)
         assert 0 in rs.rejected  # the planted (1,2) edge
 
@@ -349,7 +349,7 @@ class TestGaussDrawMatrix:
         sample = tdata(80, 12, seed=6)
         corr = empirical_correlation(sample)
         if route == "oracle":
-            corr = correlation_model(sbm_adjacency(12, 0.6, 0.2, seed=2), 0.1).gamma
+            corr = correlation_model(sbm_adjacency(12, 0.6, 0.2, make_rng(2)), 0.1).gamma
         multipliers = sample if route == "fourth-moment" else None
         for kinds in (tuple(StatKind), tuple(StatKind)[::-1], [StatKind.FISHER, StatKind.STUDENT]):
             got = gauss_draw_matrix(corr, kinds, 300, make_rng(4), sample=multipliers)
@@ -410,7 +410,7 @@ class TestMaxRecordsPath:
             method = Method.BOOT_RW
 
             def build(stepdown):
-                return bootstrap_draw_matrix(sample, kinds, 60, seed=8, stats=svs,
+                return bootstrap_draw_matrix(sample, kinds, 60, make_rng(8), stats=svs,
                                              stepdown=stepdown)
         else:
             method, multipliers = Method.MAX_T, sample if route == "fourth-moment" else None
@@ -462,7 +462,7 @@ class TestRowMaxima:
         svs = tuple(corrgraph.statistic(sample, kind) for kind in kinds)
         if route == "bootstrap":
             def build(**kwargs):
-                return bootstrap_draw_matrix(sample, tuple(kinds), 60, seed=seed, **kwargs)
+                return bootstrap_draw_matrix(sample, tuple(kinds), 60, make_rng(seed), **kwargs)
         else:
             corr = (CorrelationMatrix(random_correlation_matrix(p, make_rng(seed)))
                     if route == "oracle" else empirical_correlation(sample))
@@ -666,7 +666,7 @@ def array_dataclasses():
     sample = tdata(30, 4, seed=1)
     sv = corrgraph.statistic(sample, StatKind.FISHER)
     corr = empirical_correlation(sample)
-    adjacency = sbm_adjacency(4, 0.6, 0.2, seed=2)
+    adjacency = sbm_adjacency(4, 0.6, 0.2, make_rng(2))
     sigma = np.eye(6) + 0.1
     yield lambda: SampleMatrix(sample.data)
     yield lambda: CorrelationMatrix(corr.values)

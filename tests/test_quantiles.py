@@ -429,36 +429,36 @@ class TestMemoryGuard:
         # temporaries per draw, and 6 per kind for its draw matrix row.
         samples = SampleMatrix(np.random.default_rng(2).normal(size=(10, 4)))
         with pytest.raises(self.Reached):
-            bootstrap_draw_matrix(samples, StatKind.FISHER, 150_000)
+            bootstrap_draw_matrix(samples, StatKind.FISHER, 150_000, make_rng(0))
         with pytest.raises(ValueError, match=r"^bootrw needs about 0\.1 GB for 150000 draws"):
-            bootstrap_draw_matrix(samples, tuple(StatKind), 150_000)
+            bootstrap_draw_matrix(samples, tuple(StatKind), 150_000, make_rng(0))
 
 
 class TestMaxGaussQuantile:
     @pytest.mark.parametrize("value", [np.inf, np.nan])
     def test_non_finite_sigma_refused(self, value):
         with pytest.raises(NotPositiveDefiniteError, match="non-finite"):
-            max_gauss_quantile(np.array([[1.0, 0.0], [0.0, value]]), 0.05, 1000)
+            max_gauss_quantile(np.array([[1.0, 0.0], [0.0, value]]), 0.05, 1000, make_rng(0))
 
     def test_scalar_case_matches_normal_quantile(self):
-        threshold, _ = max_gauss_quantile(np.eye(1), 0.05, 40000, seed=3)
+        threshold, _ = max_gauss_quantile(np.eye(1), 0.05, 40000, make_rng(3))
         assert threshold == pytest.approx(norm.ppf(0.975), abs=0.03)
 
     def test_deterministic_in_seed(self):
         sigma = np.eye(4)
-        a = max_gauss_quantile(sigma, 0.05, 1000, seed=1)[0]
-        b = max_gauss_quantile(sigma, 0.05, 1000, seed=1)[0]
-        c = max_gauss_quantile(sigma, 0.05, 1000, seed=2)[0]
+        a = max_gauss_quantile(sigma, 0.05, 1000, make_rng(1))[0]
+        b = max_gauss_quantile(sigma, 0.05, 1000, make_rng(1))[0]
+        c = max_gauss_quantile(sigma, 0.05, 1000, make_rng(2))[0]
         assert a == b
         assert a != c
 
     def test_minimum_draws_enforced(self):
         with pytest.raises(ValueError):
-            max_gauss_quantile(np.eye(2), 0.05, 99)
+            max_gauss_quantile(np.eye(2), 0.05, 99, make_rng(0))
 
     def test_not_psd_raises(self):
         with pytest.raises(NotPositiveDefiniteError):
-            max_gauss_quantile(np.array([[1.0, 2.0], [2.0, 1.0]]), 0.05, 200)
+            max_gauss_quantile(np.array([[1.0, 2.0], [2.0, 1.0]]), 0.05, 200, make_rng(0))
 
 
 class TestBootstrap:
@@ -469,7 +469,7 @@ class TestBootstrap:
 
     @pytest.mark.parametrize("kind", list(StatKind))
     def test_shape_and_centering(self, samples, kind):
-        dm = bootstrap_draw_matrix(samples, kind, 200, seed=4)
+        dm = bootstrap_draw_matrix(samples, kind, 200, make_rng(4))
         assert dm.b == 200 and dm.m == samples.m
         assert dm.provenance == "nonparametric-bootstrap"
         # Centered at the full-sample estimate: means near 0 at scale
@@ -477,15 +477,15 @@ class TestBootstrap:
         assert np.max(np.abs(dm.draws.mean(axis=0))) < 0.5
 
     def test_deterministic_in_seed(self, samples):
-        a = bootstrap_draw_matrix(samples, StatKind.EMPIRICAL, 60, seed=5)
-        b = bootstrap_draw_matrix(samples, StatKind.EMPIRICAL, 60, seed=5)
-        c = bootstrap_draw_matrix(samples, StatKind.EMPIRICAL, 60, seed=6)
+        a = bootstrap_draw_matrix(samples, StatKind.EMPIRICAL, 60, make_rng(5))
+        b = bootstrap_draw_matrix(samples, StatKind.EMPIRICAL, 60, make_rng(5))
+        c = bootstrap_draw_matrix(samples, StatKind.EMPIRICAL, 60, make_rng(6))
         assert np.array_equal(a.draws, b.draws)
         assert not np.array_equal(a.draws, c.draws)
 
     def test_minimum_draws(self, samples):
         with pytest.raises(ValueError):
-            bootstrap_draw_matrix(samples, StatKind.EMPIRICAL, 49)
+            bootstrap_draw_matrix(samples, StatKind.EMPIRICAL, 49, make_rng(0))
 
     def test_degenerate_resamples_raise(self, samples):
         class StuckRng:
@@ -493,14 +493,14 @@ class TestBootstrap:
                 return np.zeros(size, dtype=int)  # always resample row 0
 
         with pytest.raises(DegenerateInputError):
-            bootstrap_draw_matrix(samples, StatKind.EMPIRICAL, 50, rng=StuckRng())
+            bootstrap_draw_matrix(samples, StatKind.EMPIRICAL, 50, StuckRng())
 
     @pytest.mark.parametrize("kind", list(StatKind))
     @pytest.mark.parametrize("n,p", [(59, 4), (60, 4), (500, 26)])
     def test_matches_per_resample_loop(self, kind, n, p):
         data = np.random.default_rng(n * p).normal(size=(n, p)) @ (np.eye(p) + 0.2)
         samples = SampleMatrix(data)
-        got = bootstrap_draw_matrix(samples, kind, 100, seed=9).draws
+        got = bootstrap_draw_matrix(samples, kind, 100, make_rng(9)).draws
         want = loop_bootstrap_draws(samples, kind, 100, make_rng(9))
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
@@ -521,7 +521,7 @@ class TestBootstrap:
                 return out
 
         rng = FirstRowStuck()
-        got = bootstrap_draw_matrix(samples, kind, 60, rng=rng).draws
+        got = bootstrap_draw_matrix(samples, kind, 60, rng).draws
         assert rng.sizes == [(60, samples.n), (1, samples.n)]
         assert np.all(np.isfinite(got))
         # The stream's 61st resample replaces row 0; rows 1..59 are unchanged.
@@ -536,10 +536,10 @@ class TestBootstrap:
         samples = SampleMatrix(np.random.default_rng(n + p).normal(size=(n, p)) @ (np.eye(p) + 0.2))
         plain = (StatKind.EMPIRICAL, StatKind.STUDENT, StatKind.FISHER)
         for kinds in (plain, plain[::-1] + (StatKind.SECOND_ORDER,), (StatKind.SECOND_ORDER,)):
-            got = bootstrap_draw_matrix(samples, kinds, 100, seed=9)
+            got = bootstrap_draw_matrix(samples, kinds, 100, make_rng(9))
             assert isinstance(got, tuple) and len(got) == len(kinds)
             for kind, dm in zip(kinds, got):
-                want = bootstrap_draw_matrix(samples, kind, 100, seed=9)
+                want = bootstrap_draw_matrix(samples, kind, 100, make_rng(9))
                 assert dm.provenance == "nonparametric-bootstrap"
                 assert np.array_equal(dm.draws, want.draws), kind
 
@@ -557,10 +557,10 @@ class TestBootstrap:
                 return out
 
         rng = FirstRowStuck()
-        got = bootstrap_draw_matrix(samples, tuple(StatKind), 60, rng=rng)
+        got = bootstrap_draw_matrix(samples, tuple(StatKind), 60, rng)
         assert rng.sizes == [(60, samples.n), (1, samples.n)]
         for kind, dm in zip(StatKind, got):
-            want = bootstrap_draw_matrix(samples, kind, 60, rng=FirstRowStuck())
+            want = bootstrap_draw_matrix(samples, kind, 60, FirstRowStuck())
             assert np.array_equal(dm.draws, want.draws), kind
 
 
@@ -596,9 +596,9 @@ class TestBootstrapRecords:
                                else gen.integers(-levels, levels + 1, size=m).astype(float),
                                samples.n) for kind in StatKind)
         rng = FirstResampleStuck(seed)
-        recs = bootstrap_draw_matrix(samples, tuple(StatKind), 60, rng=rng, stats=svs)
+        recs = bootstrap_draw_matrix(samples, tuple(StatKind), 60, rng, stats=svs)
         assert rng.sizes == [(60, samples.n), (1, samples.n)]
-        mats = bootstrap_draw_matrix(samples, tuple(StatKind), 60, rng=FirstResampleStuck(seed))
+        mats = bootstrap_draw_matrix(samples, tuple(StatKind), 60, FirstResampleStuck(seed))
         for sv, rec, dm in zip(svs, recs, mats):
             assert isinstance(rec, MaxRecords) and (rec.b, rec.m) == (60, m)
             t_abs = np.abs(sv.values)
@@ -614,9 +614,9 @@ class TestBootstrapRecords:
     def test_single_kind_matches_tuple(self):
         samples = SampleMatrix(np.random.default_rng(3).normal(size=(50, 9)))
         svs = tuple(statistic(samples, kind) for kind in StatKind)
-        recs = bootstrap_draw_matrix(samples, tuple(StatKind), 80, seed=2, stats=svs)
+        recs = bootstrap_draw_matrix(samples, tuple(StatKind), 80, make_rng(2), stats=svs)
         for sv, rec in zip(svs, recs):
-            alone = bootstrap_draw_matrix(samples, sv.kind, 80, seed=2, stats=sv)
+            alone = bootstrap_draw_matrix(samples, sv.kind, 80, make_rng(2), stats=sv)
             assert np.array_equal(rec.positions, alone.positions)
             assert np.array_equal(rec.values, alone.values)
 
@@ -625,7 +625,8 @@ class TestBootstrapRecords:
         sv = statistic(samples, StatKind.FISHER)
         for stepdown in (False, True):
             with pytest.raises(ValueError, match="do not match"):
-                bootstrap_draw_matrix(samples, StatKind.STUDENT, 60, stats=sv, stepdown=stepdown)
+                bootstrap_draw_matrix(samples, StatKind.STUDENT, 60, make_rng(0), stats=sv,
+                                      stepdown=stepdown)
 
 
 def test_draw_matrix_takes_fresh_array():

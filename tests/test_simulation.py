@@ -15,6 +15,7 @@ from corrgraph import (
     StatKind,
     correlation_model,
     empirical_correlation,
+    make_rng,
     replicate_metrics,
     run_experiment,
     sample_gaussian,
@@ -47,14 +48,14 @@ class TestAdjacency:
 
     def test_sbm_odd_p_rejected(self):
         with pytest.raises(ConfigError):
-            sbm_adjacency(7, 0.5, 0.1)
+            sbm_adjacency(7, 0.5, 0.1, make_rng(0))
         with pytest.raises(ConfigError):
-            sbm_adjacency(8, 1.5, 0.1)
+            sbm_adjacency(8, 1.5, 0.1, make_rng(0))
         with pytest.raises(ConfigError):
-            sbm_adjacency(8, 0.5, -0.1)
+            sbm_adjacency(8, 0.5, -0.1, make_rng(0))
 
     def test_sbm_extreme_probabilities(self):
-        a = sbm_adjacency(10, 1.0, 0.0, seed=0).values
+        a = sbm_adjacency(10, 1.0, 0.0, make_rng(0)).values
         blocks = np.zeros(10, dtype=bool)
         blocks[:5] = True
         for i in range(10):
@@ -62,9 +63,9 @@ class TestAdjacency:
                 assert a[i, j] == (1 if blocks[i] == blocks[j] else 0)
 
     def test_sbm_deterministic_in_seed(self):
-        a = sbm_adjacency(12, 0.6, 0.2, seed=5).values
-        b = sbm_adjacency(12, 0.6, 0.2, seed=5).values
-        c = sbm_adjacency(12, 0.6, 0.2, seed=6).values
+        a = sbm_adjacency(12, 0.6, 0.2, make_rng(5)).values
+        b = sbm_adjacency(12, 0.6, 0.2, make_rng(5)).values
+        c = sbm_adjacency(12, 0.6, 0.2, make_rng(6)).values
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -107,16 +108,16 @@ class TestCorrelationModel:
 class TestSampling:
     def test_shape_and_determinism(self):
         model = correlation_model(path_graph(4), 0.3)
-        a = sample_gaussian(model, 50, seed=1)
-        b = sample_gaussian(model, 50, seed=1)
-        c = sample_gaussian(model, 50, seed=2)
+        a = sample_gaussian(model.gamma, 50, make_rng(1))
+        b = sample_gaussian(model.gamma, 50, make_rng(1))
+        c = sample_gaussian(model.gamma, 50, make_rng(2))
         assert a.data.shape == (50, 4)
         assert np.array_equal(a.data, b.data)
         assert not np.array_equal(a.data, c.data)
 
     def test_large_sample_recovers_gamma(self):
         model = correlation_model(path_graph(4), 0.4)
-        s = sample_gaussian(model, 200000, seed=3)
+        s = sample_gaussian(model.gamma, 200000, make_rng(3))
         got = empirical_correlation(s).values
         assert np.max(np.abs(got - model.gamma.values)) < 0.02
 
@@ -352,9 +353,9 @@ class TestMemoryGuards:
         monkeypatch.setattr(simulation, "pair_indices", reach)
         with pytest.raises(ValueError, match=r"^SBM adjacency needs about 0\.1 GB at p=2000, more "
                                              r"than the 0\.1 GB of physical memory; use a smaller p$"):
-            sbm_adjacency(2000, 0.5, 0.1)
+            sbm_adjacency(2000, 0.5, 0.1, make_rng(0))
         with pytest.raises(Reached):
-            sbm_adjacency(1000, 0.5, 0.1)
+            sbm_adjacency(1000, 0.5, 0.1, make_rng(0))
 
     def test_correlation_model_sized_before_gamma(self, monkeypatch):
         # Four p x p float arrays: 72 MB at p=1500, 32 MB at p=1000.
@@ -417,11 +418,11 @@ class TestGivenUpReplicates:
                 current[0] = key[5]
             return make_rng(*key)
 
-        def sample_or_fail(model, n, rng=None):
+        def sample_or_fail(gamma, n, rng):
             if current[0] in (1, 3):
                 failed.append(current[0])
                 raise DegenerateInputError("column 1 has zero empirical variance", column=1)
-            return sample(model, n, rng=rng)
+            return sample(gamma, n, rng)
 
         def recording_work(config, model_cache, pi_idx, rho_idx, n_idx, r):
             outs[r] = work(config, model_cache, pi_idx, rho_idx, n_idx, r)
@@ -448,3 +449,27 @@ class TestGivenUpReplicates:
             assert (row.replicates, row.failed_replicates) == (0, 6)
             assert all(math.isnan(v) for v in (row.fwer, row.fwer_se, row.power, row.power_se,
                                                row.fdp, row.fdp_se))
+
+
+def test_sampler_streams_are_pinned():
+    # Recorded values of each sampler's stream at a fixed seed.  GEMM results
+    # can vary in their last bits with the CPU, hence the relative tolerance.
+    threshold, jitter = quantiles.max_gauss_quantile(np.eye(3), 0.05, 1000, make_rng(9))
+    assert threshold == pytest.approx(2.361321402, rel=1e-9) and jitter == 0.0
+
+    samples = core.SampleMatrix(np.random.default_rng(0).standard_normal((30, 4)))
+    draws = quantiles.bootstrap_draw_matrix(samples, StatKind.FISHER, 100, make_rng(2)).draws
+    assert np.allclose(draws[0], [-0.4427921347752223, -1.7058232024194724, -1.8569453069594528,
+                                  -0.22752411634077152, 0.13818047501151187, 0.5015264671639803],
+                       rtol=1e-9, atol=0.0)
+
+    gamma = correlation_model(sbm_adjacency(6, 0.6, 0.2, make_rng(1)), 0.2).gamma
+    row = sample_gaussian(gamma, 20, make_rng(5)).data[0]
+    assert np.allclose(row, [-0.7515655465895388, 0.6877728074493911, 0.3901592518698108,
+                             -0.7259213134212424, -0.43885548214289033, 0.7785105593232419],
+                       rtol=1e-9, atol=0.0)
+
+    adjacency = sbm_adjacency(12, 0.5, 0.1, make_rng(4))
+    i, j = np.nonzero(np.triu(adjacency.values))
+    assert list(zip(i.tolist(), j.tolist())) == [(0, 1), (0, 4), (1, 9), (2, 5), (3, 4), (6, 10),
+                                                 (6, 11), (7, 11), (8, 10), (9, 10)]

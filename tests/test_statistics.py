@@ -417,7 +417,7 @@ def test_second_order_chunks_are_bounded_in_entries():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # Standardizing holds three sample-sized arrays at once; chunks of all 15
+    # Standardizing holds two sample-sized arrays at once; chunks of all 15
     # pairs would hold four temporaries of 2.5 samples each at this n.
     assert peak < 4 * samples.data.nbytes
 
