@@ -47,15 +47,15 @@ from .errors import (
     NotPositiveDefiniteError,
     SingularityError,
 )
-from .procedures import (
+from .procedures import Method, ProcedureKind, run_procedure
+from .quantiles import (
     DEFAULT_BOOTSTRAP_DRAWS,
     DEFAULT_MAXT_DRAWS,
-    Method,
-    ProcedureKind,
+    _check_alpha,
+    bootstrap_draw_matrix,
     gauss_draw_matrix,
-    run_procedure,
+    max_gauss_quantile,
 )
-from .quantiles import _check_alpha, bootstrap_draw_matrix, max_gauss_quantile
 from .rng import make_rng
 from .simulation import (
     ExperimentConfig,
@@ -182,17 +182,17 @@ def _scan_samples_csv(path: str) -> tuple[tuple[str, ...], np.ndarray]:
     return names, data
 
 
-def _read_matrix_csv(path: str, code: int) -> np.ndarray:
+def _read_matrix_csv(path: str) -> np.ndarray:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # loadtxt warns on an empty file
             matrix = np.loadtxt(path, delimiter=",", ndmin=2)
     except OSError as exc:
-        raise _CliError(code, f"cannot open {path}: {exc}")
+        raise _CliError(EXIT_BAD_SIGMA, f"cannot open {path}: {exc}")
     except ValueError as exc:
-        raise _CliError(code, f"{path}: malformed matrix CSV: {exc}")
+        raise _CliError(EXIT_BAD_SIGMA, f"{path}: malformed matrix CSV: {exc}")
     if matrix.size == 0:
-        raise _CliError(code, f"{path}: matrix CSV is empty")
+        raise _CliError(EXIT_BAD_SIGMA, f"{path}: matrix CSV is empty")
     return matrix
 
 
@@ -348,12 +348,13 @@ def load_config(path: str) -> tuple[ExperimentConfig, str | None]:
 def cmd_simulate(args) -> int:
     config, config_output = load_config(args.config)
     overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.threads is not None:
-        overrides["threads"] = args.threads
-    if args.reps is not None:
-        overrides["replicates"] = args.reps
+    for flag, key, least in (("seed", "seed", 0), ("threads", "threads", 1),
+                             ("reps", "replicates", 1)):
+        value = getattr(args, flag)
+        if value is not None:
+            if value < least:
+                raise _CliError(EXIT_USAGE, f"--{flag} must be >= {least}")
+            overrides[key] = value
     if overrides:
         config = replace(config, **overrides)
     output = args.output or config_output
@@ -390,7 +391,7 @@ def cmd_model(args) -> int:
 
 def cmd_quantile(args) -> int:
     _check_seed(args.seed)
-    sigma = _read_matrix_csv(args.sigma, EXIT_BAD_SIGMA)
+    sigma = _read_matrix_csv(args.sigma)
     try:
         threshold, jitter = max_gauss_quantile(sigma, args.alpha, args.draws, make_rng(args.seed))
     except NotPositiveDefiniteError as exc:

@@ -1,5 +1,14 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "CorrGraphError",
+    "DegenerateInputError",
+    "NotPositiveDefiniteError",
+    "SingularityError",
+    "ModelError",
+    "ConfigError",
+]
+
 
 class CorrGraphError(Exception):
     """Base class for all package-specific errors."""

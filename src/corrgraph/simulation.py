@@ -35,19 +35,15 @@ import numpy as np
 
 from .core import CorrelationMatrix, SampleMatrix, _correlation, pair_indices
 from .errors import ConfigError, DegenerateInputError, ModelError
-from .procedures import (
-    DEFAULT_BOOTSTRAP_DRAWS,
-    DEFAULT_MAXT_DRAWS,
-    Method,
-    ProcedureKind,
-    gauss_draw_matrix,
-    run_procedure,
-)
+from .procedures import Method, ProcedureKind, run_procedure
 from .quantiles import (
     _MIN_BOOTSTRAP_DRAWS,
     _MIN_GAUSS_DRAWS,
+    DEFAULT_BOOTSTRAP_DRAWS,
+    DEFAULT_MAXT_DRAWS,
     _check_memory,
     bootstrap_draw_matrix,
+    gauss_draw_matrix,
 )
 from .rng import make_rng
 from .stats import StatKind, _product_pairs, statistic

@@ -1,6 +1,8 @@
 """End-to-end CLI tests: subcommands, file formats, exit codes, determinism."""
 
 import csv
+import importlib
+import importlib.util
 import json
 import math
 import os
@@ -162,6 +164,18 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_benchmark_span_names_resolve():
+    # bench/spans.py wraps these attributes on every traced benchmark run.
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "bench", "spans.py")
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [(module, attr) for module, attr, _ in spans.SPANS
+               if not hasattr(importlib.import_module(module), attr)]
+    assert missing == []
 
 
 class TestTestCommand:
@@ -326,8 +340,8 @@ class TestTestCommand:
             raise Reached
             yield
 
-        for module, name in ((quantiles, "_bootstrap_blocks"), (procedures, "_perturbation_blocks"),
-                             (procedures, "_multiplier_blocks")):
+        for module, name in ((quantiles, "_bootstrap_blocks"), (quantiles, "_perturbation_blocks"),
+                             (quantiles, "_multiplier_blocks")):
             monkeypatch.setattr(module, name, first_block)
         monkeypatch.setattr(quantiles.os, "sysconf",
                             lambda name: 4096 if name == "SC_PAGE_SIZE" else (1 << 30) // 4096)
@@ -418,8 +432,8 @@ class TestTestCommand:
                 return values
             return wrapped
 
-        monkeypatch.setattr(procedures, "_delta_divisor", poison(stats._delta_divisor))
-        monkeypatch.setattr(procedures, "_influence", poison(stats._influence))
+        monkeypatch.setattr(quantiles, "_delta_divisor", poison(stats._delta_divisor))
+        monkeypatch.setattr(quantiles, "_influence", poison(stats._influence))
         path, _ = data_csv
         out = tmp_path / "o.csv"
         for step_down in ([], ["--step-down"]):
@@ -810,6 +824,15 @@ class TestSimulateCommand:
                     "--output", out, "--threads", "2"]) == 0
         assert run(["simulate", "--config", self.make_config(tmp_path), "--output", out]) == 0
         assert [cfg.threads for cfg in seen] == [4, 2, 1]
+
+    @pytest.mark.parametrize("flag, value, least", [("--seed", "-1", 0), ("--threads", "0", 1),
+                                                     ("--reps", "0", 1)])
+    def test_bad_override_flag_exits_one(self, tmp_path, capsys, flag, value, least):
+        out = tmp_path / "m.csv"
+        assert run(["simulate", "--config", self.make_config(tmp_path), "--output", str(out),
+                    flag, value]) == 1
+        assert capsys.readouterr() == ("", f"error: {flag} must be >= {least}\n")
+        assert not out.exists()
 
     def test_nan_rho_exit_one(self, tmp_path, capsys):
         # json.load reads NaN; the model refuses it before it builds Gamma.

@@ -41,7 +41,7 @@ from corrgraph import (
     sidak_threshold,
 )
 import corrgraph
-from corrgraph import procedures, stats
+from corrgraph import procedures, quantiles, stats
 from corrgraph.procedures import _gauss_draw_matrix
 
 
@@ -242,8 +242,8 @@ class TestGaussDrawMatrix:
         want = [_gauss_draw_matrix(corr, kind, 500, make_rng(5), sample=sample).draws
                 for kind in StatKind]
         # 6 perturbations per block (84 blocks) and 7 pair columns per chunk.
-        monkeypatch.setattr(procedures, "_PERTURBATION_ENTRIES", 1000)
-        monkeypatch.setattr(procedures, "_PAIR_CHUNK", 7)
+        monkeypatch.setattr(quantiles, "_PERTURBATION_ENTRIES", 1000)
+        monkeypatch.setattr(quantiles, "_PAIR_CHUNK", 7)
         for kind, expect in zip(StatKind, want):
             got = _gauss_draw_matrix(corr, kind, 500, make_rng(5), sample=sample).draws
             np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12)
@@ -252,7 +252,7 @@ class TestGaussDrawMatrix:
     def test_blocks_match_plain_numpy_reference(self, monkeypatch, p, entries):
         # 4 (p = 5) or 6 (p = 12) perturbations per block, the last one short.
         # The reference multiplies in another order: agreement to 1e-12.
-        monkeypatch.setattr(procedures, "_PERTURBATION_ENTRIES", entries)
+        monkeypatch.setattr(quantiles, "_PERTURBATION_ENTRIES", entries)
         corr = random_correlation_matrix(p, make_rng(21))
         draws, block, width = 150, entries // (p * p), p * (p + 1) // 2
         got = _gauss_draw_matrix(corr, tuple(StatKind), draws, make_rng(22))
@@ -271,7 +271,7 @@ class TestGaussDrawMatrix:
         rng = make_rng(24)
         _gauss_draw_matrix(corr, StatKind.FISHER, draws, rng)
         serial = make_rng(24)
-        block = procedures._PERTURBATION_ENTRIES // (p * p)
+        block = quantiles._PERTURBATION_ENTRIES // (p * p)
         for a in range(0, draws, block):
             serial.standard_normal((min(block, draws - a), p * (p + 1) // 2))
         assert np.array_equal(rng.random(3), serial.random(3))
@@ -289,8 +289,8 @@ class TestGaussDrawMatrix:
         with pytest.raises(ValueError, match="non-finite"):  # raised by the step-down fold
             _gauss_draw_matrix(corr, StatKind.FISHER, 1000, FaultyNoise(3, "nan"), stats=sv)
         assert threading.active_count() == before
-        blocks = procedures._perturbation_blocks(corr.values, (StatKind.FISHER,), 1000,
-                                                 make_rng(27))
+        blocks = quantiles._perturbation_blocks(corr.values, (StatKind.FISHER,), 1000,
+                                                make_rng(27))
         next(blocks)
         assert threading.active_count() == before + 1
         blocks.close()

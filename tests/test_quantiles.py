@@ -26,7 +26,7 @@ from corrgraph import (
     quantile_from_draws,
     sidak_threshold,
 )
-from corrgraph import procedures, quantiles
+from corrgraph import quantiles
 from corrgraph.core import empirical_correlation, pair_indices, standardize
 from corrgraph.quantiles import _fold_records, _max_quantile, _max_records, _reduce_draws
 from corrgraph.stats import _transform, statistic
@@ -409,7 +409,7 @@ class TestMemoryGuard:
             yield
 
         monkeypatch.setattr(quantiles, "_bootstrap_blocks", first_block)
-        monkeypatch.setattr(procedures, "_perturbation_blocks", first_block)
+        monkeypatch.setattr(quantiles, "_perturbation_blocks", first_block)
         monkeypatch.setattr(quantiles.os, "sysconf",
                             lambda name: 4096 if name == "SC_PAGE_SIZE" else (1 << 26) // 4096)
 
