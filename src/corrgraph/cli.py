@@ -39,7 +39,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 
-from .core import SampleMatrix, _correlation, pair_indices
+from .core import SampleMatrix, pair_indices
 from .errors import (
     ConfigError,
     DegenerateInputError,
@@ -47,19 +47,13 @@ from .errors import (
     NotPositiveDefiniteError,
     SingularityError,
 )
-from .procedures import Method, ProcedureKind, run_procedure
-from .quantiles import (
-    DEFAULT_BOOTSTRAP_DRAWS,
-    DEFAULT_MAXT_DRAWS,
-    _check_alpha,
-    bootstrap_draw_matrix,
-    gauss_draw_matrix,
-    max_gauss_quantile,
-)
+from .procedures import Method, ProcedureKind, _decisions
+from .quantiles import _check_alpha, max_gauss_quantile
 from .rng import make_rng
 from .simulation import (
     ExperimentConfig,
     MetricsRow,
+    _integer,
     correlation_model,
     run_experiment,
     sbm_adjacency,
@@ -227,24 +221,13 @@ def cmd_test(args) -> int:
     if args.draws is not None and args.method not in ("bootrw", "maxt"):
         raise _CliError(EXIT_USAGE, "--draws applies only to --method bootrw or maxt")
     _check_seed(args.seed)
-    kind = _STAT_FLAGS[args.stat]
-    method = _METHOD_FLAGS[args.method]
-    draws = args.draws
-    if draws is None:
-        draws = DEFAULT_MAXT_DRAWS if method is Method.MAX_T else DEFAULT_BOOTSTRAP_DRAWS
     _check_alpha(args.alpha)
     samples = _read_samples_csv(args.input)
-    stats = statistic(samples, kind)
-    draw_matrix = None
-    if method is Method.BOOT_RW:
-        draw_matrix = bootstrap_draw_matrix(samples, kind, draws, make_rng(args.seed),
-                                            stats=stats, stepdown=args.step_down)
-    elif method is Method.MAX_T:
-        draw_matrix = gauss_draw_matrix(_correlation(samples), kind, draws, make_rng(args.seed),
-                                        sample=samples if args.fourth_moment else None,
-                                        stats=stats, stepdown=args.step_down)
-    result = run_procedure(
-        stats, args.alpha, ProcedureKind(method, stepdown=args.step_down), draw_matrix
+    stats = statistic(samples, _STAT_FLAGS[args.stat])
+    counts = {} if args.draws is None else {"bootrw_draws": args.draws, "maxt_draws": args.draws}
+    ((_, _, result),) = _decisions(
+        samples, (stats,), (ProcedureKind(_METHOD_FLAGS[args.method], args.step_down),),
+        args.alpha, make_rng(args.seed), **counts, fourth_moment=args.fourth_moment,
     )
     names = samples.column_names or tuple(str(c + 1) for c in range(samples.p))
     _write_edges(args.output, names, stats.values, result.pvalues.values,
@@ -340,6 +323,9 @@ def load_config(path: str) -> tuple[ExperimentConfig, str | None]:
                 raise _CliError(EXIT_USAGE, f"{path}: procedures: {exc}")
         doc["procedures"] = tuple(procs)
     try:
+        # A config's n must be a JSON integer; ExperimentConfig reads strings for Python callers.
+        if isinstance(doc.get("n"), list):
+            doc["n"] = [_integer("n", v) for v in doc["n"]]
         return ExperimentConfig(**doc), output
     except (ConfigError, TypeError, ValueError) as exc:
         raise _CliError(EXIT_USAGE, f"{path}: {exc}")
@@ -391,6 +377,7 @@ def cmd_model(args) -> int:
 
 def cmd_quantile(args) -> int:
     _check_seed(args.seed)
+    _check_alpha(args.alpha)
     sigma = _read_matrix_csv(args.sigma)
     try:
         threshold, jitter = max_gauss_quantile(sigma, args.alpha, args.draws, make_rng(args.seed))

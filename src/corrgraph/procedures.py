@@ -15,19 +15,21 @@ Ties follow the printed rules: non-strict for the p-value rule
 (p <= alpha/m), strict for statistic rules (|T| > t).
 
 :func:`run_procedure` is the one entry point for all five.  The resampled
-rules read their threshold from draws the caller builds first with
+rules read their threshold from draws built first with
 :func:`~corrgraph.quantiles.bootstrap_draw_matrix` or
 :func:`~corrgraph.quantiles.gauss_draw_matrix` (:mod:`corrgraph.quantiles`
 makes every draw): a ``DrawMatrix``, or, given the statistic vectors, their
 ``MaxRecords``: the prefix maxima for a step-down, or each row's maximum
-over all pairs for a single-step rule.  The step-down loop re-applies the
-rule to the surviving index set until a fixpoint and keeps one mask, of the
-surviving pairs, whose complement is the rejection mask.  The survivors are
-always the pairs with |T| at most the last threshold, so MaxRecords give each
-resampled quantile from the prefix maxima of the draws, with no B x m
-matrix; a DrawMatrix is re-read on the surviving subset by
-``quantile_from_draws``.  Either way every quantile comes from one set of
-draws, so the thresholds are exactly decreasing.
+over all pairs for a single-step rule.  ``corrgraph test`` and every
+simulation replicate go from a sample to its rejection sets through
+:func:`_decisions`, the one place that builds those draws.  The step-down
+loop re-applies the rule to the surviving index set until a fixpoint and
+keeps one mask, of the surviving pairs, whose complement is the rejection
+mask.  The survivors are always the pairs with |T| at most the last
+threshold, so MaxRecords give each resampled quantile from the prefix maxima
+of the draws, with no B x m matrix; a DrawMatrix is re-read on the surviving
+subset by ``quantile_from_draws``.  Either way every quantile comes from one
+set of draws, so the thresholds are exactly decreasing.
 """
 
 from __future__ import annotations
@@ -39,8 +41,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _correlation
 from .errors import NotPositiveDefiniteError
-from .quantiles import DrawMatrix, MaxRecords, _check_alpha, gauss_draw_matrix
+from .quantiles import DEFAULT_BOOTSTRAP_DRAWS, DEFAULT_MAXT_DRAWS, DrawMatrix, MaxRecords
+from .quantiles import _check_alpha, bootstrap_draw_matrix, gauss_draw_matrix
 from .quantiles import quantile_from_draws, sidak_threshold
 from .stats import PValueVector, StatVector, p_values
 
@@ -60,6 +64,8 @@ _gauss_draw_matrix = gauss_draw_matrix
 
 
 class Method(str, enum.Enum):
+    """A rejection rule; the declaration order is the order :func:`_decisions` draws in."""
+
     BONFERRONI = "bonferroni"
     SIDAK = "sidak"
     BOOT_RW = "bootrw"
@@ -178,6 +184,42 @@ def run_procedure(
         pvalues=pvals,
         pair_thresholds=pair_thr,
     )
+
+
+def _decisions(samples, stats, procedures, alpha, rng, bootrw_draws=DEFAULT_BOOTSTRAP_DRAWS,
+               maxt_draws=DEFAULT_MAXT_DRAWS, oracle=None, fourth_moment=False):
+    """Yield (kind index, procedure index, RejectionSet) for each of ``stats``,
+    the statistic vectors of ``samples``, and each of ``procedures``.
+
+    Methods run in :class:`Method` order, so one method's draws are alive at
+    a time, and each resampled method draws once from ``rng`` for every kind
+    (common random numbers for the paired comparison of the kinds; the first
+    kind's draws are those of that kind alone): ``bootrw`` resamples
+    ``samples``, ``maxt`` draws at their correlation (with ``fourth_moment``,
+    from the fourth-moment plug-in) and ``oracle-maxt`` at ``oracle``.  The
+    draws come as MaxRecords: prefix-max records when a step-down of the
+    method runs, else row maxima, so no B x m draws are held.
+    """
+    kinds = tuple(sv.kind for sv in stats)
+    for method in Method:
+        used = [k for k, pk in enumerate(procedures) if pk.method is method]
+        if not used:
+            continue
+        stepdown = any(procedures[k].stepdown for k in used)
+        if method is Method.BOOT_RW:
+            draws = bootstrap_draw_matrix(samples, kinds, bootrw_draws, rng, stats=stats,
+                                          stepdown=stepdown)
+        elif method in (Method.MAX_T, Method.ORACLE_MAX_T):
+            plug_in = method is Method.MAX_T
+            draws = gauss_draw_matrix(_correlation(samples) if plug_in else oracle, kinds,
+                                      maxt_draws, rng,
+                                      sample=samples if plug_in and fourth_moment else None,
+                                      stats=stats, stepdown=stepdown)
+        else:
+            draws = (None,) * len(stats)
+        for s_idx, dm in enumerate(draws):
+            for k_idx in used:
+                yield s_idx, k_idx, run_procedure(stats[s_idx], alpha, procedures[k_idx], dm)
 
 
 def bh_fdr(pvalues: PValueVector, alpha: float) -> RejectionSet:

@@ -28,7 +28,8 @@ Three Monte Carlo routes fill one:
 Both builders take one StatKind, for one result, or a tuple of kinds, for
 one result per kind from one set of draws; each kind's draws are then those
 of a single-kind call on the same generator state (for the bootstrap, unless
-a second-order theta forced a shared redraw).
+a second-order theta forced a shared redraw).  A tuple of one kind, as
+``corrgraph test`` passes, gives exactly the draws of the single-kind call.
 
 :func:`quantile_from_draws` reads the empirical (1 - alpha)-quantile as the
 order statistic of rank ceil((1 - alpha) B), a conservative right-continuous
@@ -559,7 +560,7 @@ def bootstrap_draw_matrix(
     correlations; the second-order kind runs its own moment GEMM.  A
     degenerate resample is redrawn for every kind, so each kind's draws equal
     those of a single-kind call on the same stream unless a second-order
-    theta forced a redraw.
+    theta forced a redraw; with a tuple of one kind they always do.
 
     The result is a DrawMatrix, or, given ``stats`` (the StatVector of each
     kind, in the same form as ``kind``), a MaxRecords of the same draws, with
@@ -673,8 +674,8 @@ def gauss_draw_matrix(corr, kind: StatKind | tuple[StatKind, ...], draws: int,
     ``kind`` is one StatKind, which returns one result, or a tuple of kinds,
     which returns one result per kind, in that order, from one set of
     perturbations: each block's S (or the multipliers xi) is drawn once and
-    mapped per kind, so each kind's draws equal those of a single-kind call on
-    the same stream.  The result is a DrawMatrix, or, given ``stats`` (the
+    mapped per kind, so each kind's draws, a tuple of one kind's too, equal
+    those of a single-kind call on the same stream.  The result is a DrawMatrix, or, given ``stats`` (the
     StatVector of each kind, in the same form as ``kind``), a MaxRecords of
     the same draws, with no B x m matrix held (see ``_reduce_draws``).
     """

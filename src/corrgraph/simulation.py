@@ -14,14 +14,10 @@ from named substreams of the master seed (see :mod:`corrgraph.rng`), so
 results are bit-identical for a fixed seed at any ``threads``; the BLAS
 thread count can change the draws' last bits (see :mod:`corrgraph.rng`).
 
-Every statistic kind of a replicate reads one set of resamples per method
-(common random numbers for the paired comparison of the kinds): one
-quantile stream per (replicate, attempt) feeds the tuple form of
-``bootstrap_draw_matrix``, then of ``gauss_draw_matrix`` for ``maxt`` and
-for ``oracle-maxt``, in that order.  Every builder gets the statistic vectors
-and returns MaxRecords: prefix-max records when a step-down of that method
-runs, else each draw row's maximum over all pairs.  So no B x m draws are
-held.  The first kind's rows are those of a config with that kind alone.
+Every replicate goes from its sample to its rejection sets through
+:func:`corrgraph.procedures._decisions`, fed by one quantile stream per
+(replicate, attempt); its docstring gives the order in which the methods
+draw from that stream and how every statistic kind shares their draws.
 """
 
 from __future__ import annotations
@@ -33,17 +29,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CorrelationMatrix, SampleMatrix, _correlation, pair_indices
+from .core import CorrelationMatrix, SampleMatrix, pair_indices
 from .errors import ConfigError, DegenerateInputError, ModelError
-from .procedures import Method, ProcedureKind, run_procedure
+from .procedures import Method, ProcedureKind, _decisions
 from .quantiles import (
     _MIN_BOOTSTRAP_DRAWS,
     _MIN_GAUSS_DRAWS,
     DEFAULT_BOOTSTRAP_DRAWS,
     DEFAULT_MAXT_DRAWS,
     _check_memory,
-    bootstrap_draw_matrix,
-    gauss_draw_matrix,
 )
 from .rng import make_rng
 from .stats import StatKind, _product_pairs, statistic
@@ -311,31 +305,9 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
     return mean, float(values.std(ddof=1) / math.sqrt(values.size))
 
 
-def _draw_matrices(method, config, data, gamma, qrng, svs) -> tuple:
-    """One MaxRecords per statistic kind for ``method``, all from one set of draws.
-
-    They are full prefix-max records when a step-down of ``method`` runs, and
-    otherwise only each draw row's maximum, for the single-step rule.
-    """
-    stepdown = any(pk.method is method and pk.stepdown for pk in config.procedures)
-    if method is Method.BOOT_RW:
-        return bootstrap_draw_matrix(data, config.stats, config.bootrw_draws, qrng,
-                                     stats=svs, stepdown=stepdown)
-    if method is Method.MAX_T:
-        return gauss_draw_matrix(_correlation(data), config.stats, config.maxt_draws, qrng,
-                                 stats=svs, stepdown=stepdown)
-    if method is Method.ORACLE_MAX_T:
-        return gauss_draw_matrix(gamma, config.stats, config.maxt_draws, qrng, stats=svs,
-                                 stepdown=stepdown)
-    return (None,) * len(config.stats)
-
-
 def _replicate_work(config, model_cache, pi_idx, rho_idx, n_idx, r):
     """Metrics for a single replicate: one sample, all stats and procedures.
 
-    The procedures run method by method, so only one method's draws are
-    alive at a time; each resampled method builds them for every kind
-    from one quantile stream, in the order bootrw, maxt, oracle-maxt.
     Returns an array of shape (n_stats, n_procs, 3) or None if every retry
     produced degenerate data.
     """
@@ -355,15 +327,10 @@ def _replicate_work(config, model_cache, pi_idx, rho_idx, n_idx, r):
             svs = tuple(statistic(data, kind) for kind in config.stats)
             qrng = make_rng(config.seed, _STREAM_QUANTILE, pi_idx, rho_idx, n_idx, r, attempt, 0)
             out = np.empty((len(config.stats), len(config.procedures), 3))
-            for method in Method:  # declared in stream order: bootrw, maxt, oracle-maxt
-                used = [k for k, pk in enumerate(config.procedures) if pk.method is method]
-                if not used:
-                    continue
-                draws = _draw_matrices(method, config, data, model.gamma, qrng, svs)
-                for s_idx, dm in enumerate(draws):
-                    for k_idx in used:
-                        rs = run_procedure(svs[s_idx], config.alpha, config.procedures[k_idx], dm)
-                        out[s_idx, k_idx] = replicate_metrics(rs.mask, h1)
+            for s_idx, k_idx, rs in _decisions(data, svs, config.procedures, config.alpha, qrng,
+                                               config.bootrw_draws, config.maxt_draws,
+                                               oracle=model.gamma):
+                out[s_idx, k_idx] = replicate_metrics(rs.mask, h1)
             return out
         except (DegenerateInputError, ModelError):
             continue

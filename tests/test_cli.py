@@ -358,9 +358,10 @@ class TestTestCommand:
         def refuse(*args, **kwargs):
             raise AssertionError("work done before alpha was checked")
 
-        for name in ("_read_samples_csv", "statistic", "bootstrap_draw_matrix",
-                     "gauss_draw_matrix"):
-            monkeypatch.setattr(cli, name, refuse)
+        for module, name in ((cli, "_read_samples_csv"), (cli, "statistic"),
+                             (procedures, "bootstrap_draw_matrix"),
+                             (procedures, "gauss_draw_matrix")):
+            monkeypatch.setattr(module, name, refuse)
         path, _ = data_csv
         out = tmp_path / "o.csv"
         assert main(["test", "--input", path, "--stat", "fisher", "--method", method,
@@ -792,6 +793,8 @@ class TestSimulateCommand:
         {"procedures": [{"method": "sidak", "stepdown": "false"}]},
         {"procedures": [{"method": "sidak", "stepdown": 1}]},
         {"adjacency_per_replicate": "false"},
+        {"n": ["500"]},
+        {"n": ["26.0"]},
     ])
     def test_bad_config_values_exit_one(self, tmp_path, capsys, extra):
         cfg = self.make_config(tmp_path, **extra)
@@ -975,6 +978,9 @@ class TestQuantileCommand:
         np.savetxt(sigma, np.eye(3), delimiter=",")
         assert run(["quantile", "--sigma", str(sigma), "--alpha", "1.5"]) == 1
         assert capsys.readouterr().err == "error: alpha must be in (0, 1), got 1.5\n"
+        # Nor is a missing Sigma read first.
+        assert run(["quantile", "--sigma", str(tmp_path / "missing.csv"), "--alpha", "2"]) == 1
+        assert capsys.readouterr().err == "error: alpha must be in (0, 1), got 2.0\n"
 
     def test_oversized_draws_exit_one(self, tmp_path, monkeypatch, capsys):
         def refuse(*args, **kwargs):

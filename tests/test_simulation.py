@@ -21,7 +21,7 @@ from corrgraph import (
     sample_gaussian,
     sbm_adjacency,
 )
-from corrgraph import core, simulation
+from corrgraph import core, procedures, simulation
 from corrgraph import quantiles
 from corrgraph.errors import DegenerateInputError
 
@@ -256,11 +256,11 @@ class TestSharedDraws:
     def test_one_builder_call_per_method_per_replicate(self, monkeypatch, stats):
         calls = []
         for name in ("bootstrap_draw_matrix", "gauss_draw_matrix"):
-            def spy(data, kind, *args, _real=getattr(simulation, name), _name=name, **kwargs):
+            def spy(data, kind, *args, _real=getattr(procedures, name), _name=name, **kwargs):
                 calls.append((_name, kind))
                 return _real(data, kind, *args, **kwargs)
 
-            monkeypatch.setattr(simulation, name, spy)
+            monkeypatch.setattr(procedures, name, spy)
         rows = run_experiment(ExperimentConfig(**{**SMALL, "stats": stats}))
         assert all(row.failed_replicates == 0 for row in rows)
         reps = SMALL["replicates"]
@@ -276,12 +276,12 @@ class TestSharedDraws:
             ProcedureKind(Method.ORACLE_MAX_T), ProcedureKind(Method.ORACLE_MAX_T, True),
         )})
         records = run_experiment(config)
-        real = simulation.gauss_draw_matrix
+        real = procedures.gauss_draw_matrix
 
         def draw_matrix(*args, stats, **kwargs):
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(simulation, "gauss_draw_matrix", draw_matrix)
+        monkeypatch.setattr(procedures, "gauss_draw_matrix", draw_matrix)
         assert run_experiment(config) == records
         assert all(row.failed_replicates == 0 for row in records)
 
@@ -297,19 +297,19 @@ class TestSharedDraws:
         )})
         flags = []
         for name in ("bootstrap_draw_matrix", "gauss_draw_matrix"):
-            def spy(*args, _real=getattr(simulation, name), **kwargs):
+            def spy(*args, _real=getattr(procedures, name), **kwargs):
                 flags.append(kwargs["stepdown"])
                 return _real(*args, **kwargs)
 
-            monkeypatch.setattr(simulation, name, spy)
+            monkeypatch.setattr(procedures, name, spy)
         reduced = run_experiment(config)
         assert flags == [True, True, False] * SMALL["replicates"]
         monkeypatch.undo()
         for name in ("bootstrap_draw_matrix", "gauss_draw_matrix"):
-            def draw_matrix(*args, stats, stepdown, _real=getattr(simulation, name), **kwargs):
+            def draw_matrix(*args, stats, stepdown, _real=getattr(procedures, name), **kwargs):
                 return _real(*args, **kwargs)
 
-            monkeypatch.setattr(simulation, name, draw_matrix)
+            monkeypatch.setattr(procedures, name, draw_matrix)
         assert run_experiment(config) == reduced
         assert all(row.failed_replicates == 0 for row in reduced)
 
@@ -461,6 +461,18 @@ def test_sampler_streams_are_pinned():
     draws = quantiles.bootstrap_draw_matrix(samples, StatKind.FISHER, 100, make_rng(2)).draws
     assert np.allclose(draws[0], [-0.4427921347752223, -1.7058232024194724, -1.8569453069594528,
                                   -0.22752411634077152, 0.13818047501151187, 0.5015264671639803],
+                       rtol=1e-9, atol=0.0)
+
+    # The Gaussian max-T routes: at the plug-in correlation and the fourth-moment plug-in.
+    corr = empirical_correlation(samples)
+    draws = quantiles.gauss_draw_matrix(corr, StatKind.FISHER, 100, make_rng(3)).draws
+    assert np.allclose(draws[0], [1.5808991773592809, -1.0315381723291486, 0.7922859360382996,
+                                  1.6836989733155678, -0.649351055535039, 0.8950331828484697],
+                       rtol=1e-9, atol=0.0)
+    draws = quantiles.gauss_draw_matrix(corr, StatKind.FISHER, 100, make_rng(3),
+                                        sample=samples).draws
+    assert np.allclose(draws[0], [1.3444125177592163, -0.47350289984553984, 0.7287520056995871,
+                                  0.3212072372459328, -1.870737661870517, 2.035609458174528],
                        rtol=1e-9, atol=0.0)
 
     gamma = correlation_model(sbm_adjacency(6, 0.6, 0.2, make_rng(1)), 0.2).gamma
