@@ -1,7 +1,8 @@
 """Command-line interface: test, simulate, model, quantile.
 
 All interchange is CSV; the simulate command is driven by a JSON config
-document (schema tag ``corrgraph-config-v1``, unknown keys rejected).
+document (schema tag ``corrgraph-config-v1``, unknown keys rejected).  Every
+reader skips a UTF-8 byte-order mark at the start of its file.
 Variable indexes are 1-based in every user-facing file, 0-based internally.
 
 ``test`` parses the data CSV body with one ``np.loadtxt`` call; a row-by-row
@@ -53,7 +54,6 @@ from .rng import make_rng
 from .simulation import (
     ExperimentConfig,
     MetricsRow,
-    _integer,
     correlation_model,
     run_experiment,
     sbm_adjacency,
@@ -109,7 +109,7 @@ def _read_samples_csv(path: str) -> SampleMatrix:
     verdict stands: the data, or the error with its line number.
     """
     try:
-        handle = open(path, newline="", encoding="utf-8")
+        handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise _CliError(EXIT_BAD_CSV, f"cannot open {path}: {exc}")
     data = None
@@ -141,7 +141,7 @@ def _scan_samples_csv(path: str) -> tuple[tuple[str, ...], np.ndarray]:
     included.  Cells are read with ``float``, so it also accepts what
     ``np.loadtxt`` refuses, such as ``1_0`` or a quoted number.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
@@ -180,7 +180,7 @@ def _read_matrix_csv(path: str) -> np.ndarray:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # loadtxt warns on an empty file
-            matrix = np.loadtxt(path, delimiter=",", ndmin=2)
+            matrix = np.loadtxt(path, delimiter=",", ndmin=2, encoding="utf-8-sig")
     except OSError as exc:
         raise _CliError(EXIT_BAD_SIGMA, f"cannot open {path}: {exc}")
     except ValueError as exc:
@@ -292,7 +292,7 @@ _CONFIG_KEYS = {field.name for field in fields(ExperimentConfig)} | {"schema", "
 def load_config(path: str) -> tuple[ExperimentConfig, str | None]:
     """Parse a JSON run-config document into an ExperimentConfig."""
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             doc = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         raise _CliError(EXIT_USAGE, f"cannot read config {path}: {exc}")
@@ -323,9 +323,6 @@ def load_config(path: str) -> tuple[ExperimentConfig, str | None]:
                 raise _CliError(EXIT_USAGE, f"{path}: procedures: {exc}")
         doc["procedures"] = tuple(procs)
     try:
-        # A config's n must be a JSON integer; ExperimentConfig reads strings for Python callers.
-        if isinstance(doc.get("n"), list):
-            doc["n"] = [_integer("n", v) for v in doc["n"]]
         return ExperimentConfig(**doc), output
     except (ConfigError, TypeError, ValueError) as exc:
         raise _CliError(EXIT_USAGE, f"{path}: {exc}")

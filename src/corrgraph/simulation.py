@@ -23,9 +23,12 @@ draw from that stream and how every statistic kind shares their draws.
 from __future__ import annotations
 
 import math
-import operator
+import numbers
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
+from itertools import product
 
 import numpy as np
 
@@ -60,6 +63,11 @@ _STREAM_REPLICATE = 2
 _STREAM_QUANTILE = 3
 
 _MAX_RETRIES = 10
+
+# Replicates submitted to the pool at a time: ``ThreadPoolExecutor.map``
+# submits all it is given at once and holds a task for each, about ten
+# times a replicate's own results, until the caller reads it.
+_IN_FLIGHT = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,14 +209,16 @@ def replicate_metrics(rejected_mask: np.ndarray, h1_mask: np.ndarray) -> tuple[f
     return float(false_rej > 0), tdp, float(fdp)
 
 
-def _integer(name: str, value) -> int:
-    """``value`` if it is an integer (a numpy integer too); ConfigError for a float or bool."""
-    if isinstance(value, (bool, np.bool_)):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+def _number(name: str, value, kind: type = int):
+    """``value`` as ``kind``, int or float; ConfigError for a bool, a string or None.
+
+    numpy scalars count; a float such as 26.0 is not an integer.
+    """
+    number = numbers.Integral if kind is int else numbers.Real
+    if not isinstance(value, number) or isinstance(value, bool):
+        raise ConfigError(f"{name} must be {'an integer' if kind is int else 'a number'}, "
+                          f"got {value!r}")
+    return kind(value)
 
 
 @dataclass(frozen=True)
@@ -235,12 +245,12 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name in ("p", "replicates", "bootrw_draws", "maxt_draws", "seed", "threads"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
-        object.__setattr__(self, "p_inter", tuple(float(v) for v in self.p_inter))
-        object.__setattr__(self, "rho", tuple(float(v) for v in self.rho))
-        object.__setattr__(
-            self, "n", tuple(int(v) if isinstance(v, str) else _integer("n", v) for v in self.n)
-        )
+            object.__setattr__(self, name, _number(name, getattr(self, name)))
+        for name in ("p_intra", "alpha"):
+            object.__setattr__(self, name, _number(name, getattr(self, name), float))
+        for name, kind in (("p_inter", float), ("rho", float), ("n", int)):
+            values = tuple(_number(name, v, kind) for v in getattr(self, name))
+            object.__setattr__(self, name, values)
         object.__setattr__(self, "stats", tuple(StatKind(s) for s in self.stats))
         object.__setattr__(
             self,
@@ -250,6 +260,9 @@ class ExperimentConfig:
                 for pk in self.procedures
             ),
         )
+        for name in ("p_inter", "rho", "n", "stats", "procedures"):
+            if not getattr(self, name):
+                raise ConfigError(f"{name} needs at least one entry")
         if self.replicates < 1:
             raise ConfigError("replicates must be >= 1")
         if not 0.0 < self.alpha < 1.0:
@@ -343,20 +356,25 @@ def run_experiment(config: ExperimentConfig) -> list[MetricsRow]:
     Deterministic for a fixed master seed and BLAS thread count at any
     ``config.threads``: every replicate's randomness is a pure function of its
     grid coordinates and the aggregation happens in fixed replicate order.
+    The replicates run in the calling thread at ``threads=1``, else on one
+    pool for the whole call, at most ``_IN_FLIGHT`` of them submitted at a
+    time.  Each cell keeps the results of the replicates that sampled, in
+    order, and counts the others as failed; it holds no failure mask.
 
     Before anything is drawn it refuses (ValueError) a grid whose cell results
     (replicates x kinds x procedures x 3 floats) and the sample arrays of the
-    replicates in flight exceed physical memory.  Peak RSS of one replicate at
-    n=10^6, p=8 and n=2x10^5, p=40 measured about 2.25 floats per sample
-    entry; the second-order statistic adds 2 more (its standardized copy) and,
-    by tracemalloc, 4 n-vectors per pair of a pair-product chunk.
+    ``threads`` replicates running at once exceed physical memory.  Peak RSS
+    of one replicate at n=10^6, p=8 and n=2x10^5, p=40 measured about 2.25
+    floats per sample entry; the second-order statistic adds 2 more (its
+    standardized copy) and, by tracemalloc, 4 n-vectors per pair of a
+    pair-product chunk.
     """
-    n, m = max(config.n, default=0), config.p * (config.p - 1) // 2
+    n, m = max(config.n), config.p * (config.p - 1) // 2
     per_row = 2.25 * config.p
     if StatKind.SECOND_ORDER in config.stats:
         per_row += 2 * config.p + 4 * min(m, _product_pairs(n))
     _check_memory("simulation",
-                  config.replicates * (3 * len(config.stats) * len(config.procedures) + 0.125)
+                  config.replicates * 3 * len(config.stats) * len(config.procedures)
                   + config.threads * n * per_row,
                   f"for {config.replicates} replicates at n={n}, p={config.p}",
                   "use fewer replicates or a smaller n")
@@ -371,51 +389,42 @@ def run_experiment(config: ExperimentConfig) -> list[MetricsRow]:
                 model_cache[(pi_idx, rho_idx)] = correlation_model(adjacency, rho)
 
     rows: list[MetricsRow] = []
-    for pi_idx, p_inter in enumerate(config.p_inter):
-        for rho_idx, rho in enumerate(config.rho):
-            for n_idx, n in enumerate(config.n):
-                shape = (config.replicates, len(config.stats), len(config.procedures), 3)
-                results = np.full(shape, np.nan)
-                failed = np.zeros(config.replicates, dtype=bool)
-
-                def work(r):
-                    out = _replicate_work(config, model_cache, pi_idx, rho_idx, n_idx, r)
-                    if out is None:
-                        failed[r] = True
-                    else:
-                        results[r] = out
-
-                if config.threads > 1:
-                    with ThreadPoolExecutor(max_workers=config.threads) as pool:
-                        list(pool.map(work, range(config.replicates)))
-                else:
-                    for r in range(config.replicates):
-                        work(r)
-
-                ok = ~failed
-                n_failed = int(failed.sum())
-                for s_idx, kind in enumerate(config.stats):
-                    for k_idx, pk in enumerate(config.procedures):
-                        cell = results[ok, s_idx, k_idx, :]
-                        fwer, fwer_se = _mean_se(cell[:, 0])
-                        power, power_se = _mean_se(cell[:, 1])
-                        fdp, fdp_se = _mean_se(cell[:, 2])
-                        rows.append(
-                            MetricsRow(
-                                stat=kind,
-                                method=pk.method,
-                                stepdown=pk.stepdown,
-                                n=n,
-                                p_inter=p_inter,
-                                rho=rho,
-                                replicates=int(ok.sum()),
-                                fwer=fwer,
-                                fwer_se=fwer_se,
-                                power=power,
-                                power_se=power_se,
-                                fdp=fdp,
-                                fdp_se=fdp_se,
-                                failed_replicates=n_failed,
-                            )
+    shape = (config.replicates, len(config.stats), len(config.procedures), 3)
+    replicates = range(config.replicates)
+    with ThreadPoolExecutor(config.threads) if config.threads > 1 else nullcontext() as pool:
+        run = map if pool is None else pool.map
+        for (pi_idx, p_inter), (rho_idx, rho), (n_idx, n) in product(
+                enumerate(config.p_inter), enumerate(config.rho), enumerate(config.n)):
+            work = partial(_replicate_work, config, model_cache, pi_idx, rho_idx, n_idx)
+            results = np.empty(shape)
+            kept = 0
+            for start in range(0, config.replicates, _IN_FLIGHT):
+                for out in run(work, replicates[start:start + _IN_FLIGHT]):
+                    if out is not None:
+                        results[kept] = out
+                        kept += 1
+            for s_idx, kind in enumerate(config.stats):
+                for k_idx, pk in enumerate(config.procedures):
+                    cell = results[:kept, s_idx, k_idx, :]
+                    fwer, fwer_se = _mean_se(cell[:, 0])
+                    power, power_se = _mean_se(cell[:, 1])
+                    fdp, fdp_se = _mean_se(cell[:, 2])
+                    rows.append(
+                        MetricsRow(
+                            stat=kind,
+                            method=pk.method,
+                            stepdown=pk.stepdown,
+                            n=n,
+                            p_inter=p_inter,
+                            rho=rho,
+                            replicates=kept,
+                            fwer=fwer,
+                            fwer_se=fwer_se,
+                            power=power,
+                            power_se=power_se,
+                            fdp=fdp,
+                            fdp_se=fdp_se,
+                            failed_replicates=config.replicates - kept,
                         )
+                    )
     return rows

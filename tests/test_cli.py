@@ -55,6 +55,14 @@ def run(argv):
     return main(argv)
 
 
+def bom_copy(path, name):
+    """A copy of the file at ``path``, beside it as ``name``, that starts with a UTF-8 BOM."""
+    copy = os.path.join(os.path.dirname(path), name)
+    with open(path, "rb") as src, open(copy, "wb") as dst:
+        dst.write(b"\xef\xbb\xbf" + src.read())
+    return copy
+
+
 # ---------------------------------------------------------------------------
 # Oracles: the row-by-row reader and the per-pair writers that the CLI used
 # before the bulk parse and the vectorized writers.
@@ -201,6 +209,27 @@ class TestTestCommand:
             assert int(row["i"]) < int(row["j"])
             assert 0.0 <= float(row["p_value"]) <= 1.0
             assert row["rejected"] in ("0", "1")
+
+    @pytest.mark.parametrize("quoted", [False, True])
+    def test_byte_order_mark_ignored(self, tmp_path, data_csv, capsys, quoted):
+        # A quoted cell sends the file to the row-by-row scanner.
+        path, _ = data_csv
+        if quoted:
+            with open(path, newline="") as fh:
+                lines = fh.read().split("\n")
+            lines[1] = '"' + lines[1].replace(",", '","') + '"'
+            path = str(tmp_path / "quoted.csv")
+            with open(path, "w", newline="") as fh:
+                fh.write("\n".join(lines))
+        outputs = []
+        for source in (path, bom_copy(path, "bom.csv")):
+            edges, graph = tmp_path / "edges.csv", tmp_path / "graph.dot"
+            assert run(["test", "--input", source, "--stat", "fisher", "--method", "maxt",
+                        "--step-down", "--output", str(edges), "--graph-output", str(graph),
+                        "--graph-format", "dot"]) == 0
+            outputs.append((edges.read_bytes(), graph.read_bytes(), capsys.readouterr()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0].split(b"\r\n")[1].startswith(b"1,2,v1,v2,")
 
     @pytest.mark.parametrize("method", ["bonferroni", "sidak", "bootrw", "maxt"])
     def test_all_methods_run(self, tmp_path, data_csv, method):
@@ -729,6 +758,14 @@ class TestSimulateCommand:
         assert run(["simulate", "--config", cfg, "--output", str(b), "--threads", "2"]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_byte_order_mark_ignored(self, tmp_path):
+        cfg = self.make_config(tmp_path)
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        assert run(["simulate", "--config", cfg, "--output", str(plain)]) == 0
+        assert run(["simulate", "--config", bom_copy(cfg, "bom.json"),
+                    "--output", str(marked)]) == 0
+        assert plain.read_bytes() == marked.read_bytes()
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = self.make_config(tmp_path, bogus=1)
         assert run(["simulate", "--config", cfg, "--output", str(tmp_path / "x")]) == 1
@@ -795,6 +832,13 @@ class TestSimulateCommand:
         {"adjacency_per_replicate": "false"},
         {"n": ["500"]},
         {"n": ["26.0"]},
+        {"p_inter": ["0.1"]},
+        {"p_inter": [True]},
+        {"p_intra": True},
+        {"alpha": "0.05"},
+        {"p_intra": "0.6"},
+        {"stats": []},
+        {"procedures": []},
     ])
     def test_bad_config_values_exit_one(self, tmp_path, capsys, extra):
         cfg = self.make_config(tmp_path, **extra)
@@ -950,6 +994,15 @@ class TestQuantileCommand:
                     "--draws", "2000", "--seed", "1"]) == 0
         out = capsys.readouterr().out
         assert "threshold=" in out and "m=3" in out
+
+    def test_byte_order_mark_ignored(self, tmp_path, capsys):
+        sigma = tmp_path / "sigma.csv"
+        np.savetxt(sigma, np.eye(3) * 0.5 + 0.5, delimiter=",")
+        outputs = []
+        for source in (str(sigma), bom_copy(str(sigma), "bom.csv")):
+            assert run(["quantile", "--sigma", source, "--draws", "500", "--seed", "2"]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
 
     def test_asymmetric_exit_five(self, tmp_path):
         sigma = tmp_path / "sigma.csv"

@@ -1,6 +1,10 @@
 """SBM models, Gaussian sampling, replicate metrics and the experiment grid."""
 
 import math
+import re
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -146,7 +150,7 @@ class TestExperimentConfig:
             p=8,
             p_inter=[0.1],
             rho=[0.2],
-            n=["100"],
+            n=[100],
             stats=["student"],
             procedures=(("bonferroni", True),),
             replicates=5,
@@ -154,6 +158,8 @@ class TestExperimentConfig:
         assert cfg.n == (100,)
         assert cfg.stats == (StatKind.STUDENT,)
         assert cfg.procedures[0] == ProcedureKind(Method.BONFERRONI, True)
+        with pytest.raises(ConfigError):
+            ExperimentConfig(n=["100"])
 
     def test_numpy_integers_accepted(self):
         cfg = ExperimentConfig(p=np.int64(8), n=(np.int32(60),), replicates=np.int64(2),
@@ -172,6 +178,30 @@ class TestExperimentConfig:
             ExperimentConfig(p_inter=(0.1, 1.1))
         with pytest.raises(ConfigError):
             ExperimentConfig(threads=0)
+
+    @pytest.mark.parametrize("field, message", [
+        ({"p_inter": ["0.1"]}, "p_inter must be a number, got '0.1'"),
+        ({"p_inter": [True]}, "p_inter must be a number, got True"),
+        ({"rho": [None]}, "rho must be a number, got None"),
+        ({"p_intra": True}, "p_intra must be a number, got True"),
+        ({"p_intra": "0.6"}, "p_intra must be a number, got '0.6'"),
+        ({"alpha": "0.05"}, "alpha must be a number, got '0.05'"),
+        ({"n": [60.0]}, "n must be an integer, got 60.0"),
+        ({"p_inter": []}, "p_inter needs at least one entry"),
+        ({"rho": ()}, "rho needs at least one entry"),
+        ({"n": []}, "n needs at least one entry"),
+        ({"stats": []}, "stats needs at least one entry"),
+        ({"procedures": ()}, "procedures needs at least one entry"),
+    ])
+    def test_fields_read_by_type(self, field, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            ExperimentConfig(**field)
+
+    def test_reals_accept_integers_and_numpy_scalars(self):
+        cfg = ExperimentConfig(p_intra=1, p_inter=(0, np.float32(0.5)), rho=(np.float64(0.2),),
+                               alpha=np.float64(0.05))
+        assert (cfg.p_intra, cfg.p_inter, cfg.rho, cfg.alpha) == (1.0, (0.0, 0.5), (0.2,), 0.05)
+        assert all(type(v) is float for v in (cfg.p_intra, *cfg.p_inter, *cfg.rho, cfg.alpha))
 
 
 SMALL = dict(
@@ -234,6 +264,50 @@ class TestRunExperiment:
         cfg = ExperimentConfig(**{**SMALL, "adjacency_per_replicate": True, "replicates": 4})
         rows = run_experiment(cfg)
         assert len(rows) == 10
+
+    @pytest.mark.parametrize("threads, pools", [(1, 0), (2, 1)])
+    def test_one_pool_per_call_and_bounded_submissions(self, monkeypatch, threads, pools):
+        # Two cells of 8 replicates, submitted 3 at a time: the rows are those
+        # of one unbounded submission at threads=1.
+        config = ExperimentConfig(**{**SMALL, "n": (60, 80), "threads": threads})
+        expected = run_experiment(replace(config, threads=1))
+        opened, submitted = [], []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                opened.append(self)
+
+            def map(self, fn, *iterables, **kwargs):
+                submitted.append(len(iterables[0]))
+                return super().map(fn, *iterables, **kwargs)
+
+        monkeypatch.setattr(simulation, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(simulation, "_IN_FLIGHT", 3)
+        assert run_experiment(config) == expected
+        assert len(opened) == pools
+        assert submitted == [3, 3, 2, 3, 3, 2][:6 * pools]
+
+    def test_replicates_in_flight_are_bounded(self, monkeypatch):
+        # ThreadPoolExecutor.map holds a task of about ten times a replicate's
+        # results for every replicate submitted; only _IN_FLIGHT are.
+        replicates, kinds, procs = 30_000, 2, 4
+        monkeypatch.setattr(simulation, "_replicate_work",
+                            lambda *args: np.full((kinds, procs, 3), 0.5))
+        config = ExperimentConfig(
+            p=8, p_inter=(0.2,), rho=(0.2,), n=(60,), stats=(StatKind.FISHER, StatKind.STUDENT),
+            procedures=tuple(ProcedureKind(method, stepdown)
+                             for method in (Method.BONFERRONI, Method.SIDAK)
+                             for stepdown in (False, True)),
+            replicates=replicates, threads=2)
+        tracemalloc.start()
+        try:
+            row = run_experiment(config)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (row.replicates, row.fwer) == (replicates, 0.5)
+        assert peak < 2 * replicates * kinds * procs * 3 * 8
 
 
 class TestSharedDraws:
@@ -366,7 +440,7 @@ class TestMemoryGuards:
             correlation_model(AdjacencyMatrix(np.zeros((1000, 1000), dtype=np.int8)), 0.1)
 
     @pytest.mark.parametrize("shape, fits", [
-        # The results: 3 floats and a flag per replicate and cell, 25 bytes.
+        # The results: 3 floats per replicate and cell, 24 bytes.
         ({"replicates": 3_000_000}, False),
         ({"replicates": 2_000}, True),
         # One replicate's samples: about 2.25 floats per entry, 43 MB here,
