@@ -307,7 +307,7 @@ def load_config(path: str) -> tuple[ExperimentConfig, str | None]:
         )
     output = doc.pop("output", None)
     doc.pop("schema")
-    if "procedures" in doc:
+    if isinstance(doc.get("procedures"), list):  # anything else is refused by ExperimentConfig
         procs = []
         for entry in doc["procedures"]:
             if not isinstance(entry, dict) or "method" not in entry:

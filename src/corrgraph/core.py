@@ -158,7 +158,7 @@ class CorrelationMatrix:
 
 def _owned_array(values) -> np.ndarray:
     """``values`` itself if it is a float64 ndarray that owns its data, else a copy:
-    how every array result (samples, statistics, p-values, covariances, draws)
+    how every array result (samples, statistics, p-values, covariances)
     takes over its values before marking them read-only in place."""
     if isinstance(values, np.ndarray) and values.dtype == np.float64 and values.flags.owndata:
         return values

@@ -15,21 +15,20 @@ Ties follow the printed rules: non-strict for the p-value rule
 (p <= alpha/m), strict for statistic rules (|T| > t).
 
 :func:`run_procedure` is the one entry point for all five.  The resampled
-rules read their threshold from draws built first with
-:func:`~corrgraph.quantiles.bootstrap_draw_matrix` or
-:func:`~corrgraph.quantiles.gauss_draw_matrix` (:mod:`corrgraph.quantiles`
-makes every draw): a ``DrawMatrix``, or, given the statistic vectors, their
-``MaxRecords``: the prefix maxima for a step-down, or each row's maximum
-over all pairs for a single-step rule.  ``corrgraph test`` and every
-simulation replicate go from a sample to its rejection sets through
-:func:`_decisions`, the one place that builds those draws.  The step-down
-loop re-applies the rule to the surviving index set until a fixpoint and
-keeps one mask, of the surviving pairs, whose complement is the rejection
-mask.  The survivors are always the pairs with |T| at most the last
-threshold, so MaxRecords give each resampled quantile from the prefix maxima
-of the draws, with no B x m matrix; a DrawMatrix is re-read on the surviving
-subset by ``quantile_from_draws``.  Either way every quantile comes from one
-set of draws, so the thresholds are exactly decreasing.
+rules read every threshold from the ``MaxRecords`` of their draws, built
+first by :func:`~corrgraph.quantiles.bootstrap_draw_matrix` or
+:func:`~corrgraph.quantiles.gauss_draw_matrix` given the statistic vectors
+(:mod:`corrgraph.quantiles` makes every draw), or by
+``MaxRecords.from_draws`` from a B x m array: the prefix maxima for a
+step-down, or each row's maximum over all pairs for a single-step rule.
+``corrgraph test`` and every simulation replicate go from a sample to its
+rejection sets through :func:`_decisions`, the one place that builds those
+draws.  The step-down loop re-applies the rule to the surviving index set
+until a fixpoint and keeps one mask, of the surviving pairs, whose
+complement is the rejection mask.  The survivors are always the pairs with
+|T| at most the last threshold, so each resampled quantile is read from the
+prefix maxima over the survivors, with no B x m array.  Every quantile comes
+from one set of draws, so the thresholds are exactly decreasing.
 """
 
 from __future__ import annotations
@@ -43,9 +42,8 @@ import numpy as np
 
 from .core import _correlation
 from .errors import NotPositiveDefiniteError
-from .quantiles import DEFAULT_BOOTSTRAP_DRAWS, DEFAULT_MAXT_DRAWS, DrawMatrix, MaxRecords
-from .quantiles import _check_alpha, bootstrap_draw_matrix, gauss_draw_matrix
-from .quantiles import quantile_from_draws, sidak_threshold
+from .quantiles import DEFAULT_BOOTSTRAP_DRAWS, DEFAULT_MAXT_DRAWS, MaxRecords
+from .quantiles import _check_alpha, bootstrap_draw_matrix, gauss_draw_matrix, sidak_threshold
 from .stats import PValueVector, StatVector, p_values
 
 __all__ = [
@@ -123,17 +121,16 @@ def run_procedure(
     stats: StatVector,
     alpha: float,
     procedure: ProcedureKind,
-    draw_matrix: DrawMatrix | MaxRecords | None = None,
+    records: MaxRecords | None = None,
 ) -> RejectionSet:
     """Apply a procedure (single-step or step-down) to a statistic vector.
 
-    ``bootrw``, ``maxt`` and ``oracle-maxt`` read their threshold from
-    ``draw_matrix``: B resampled statistic vectors of width m, or the
-    MaxRecords of such draws built for ``stats``.  Bonferroni and Sidak need
-    none.  The pairs alive after each step are those with |T| at most its
-    threshold, so with MaxRecords each threshold is a quantile over a prefix
-    of their |T| order, of the length of the alive set; row maxima answer
-    only the first step, over all m pairs.
+    ``bootrw``, ``maxt`` and ``oracle-maxt`` read every threshold from
+    ``records``, the MaxRecords of B resampled statistic vectors built for
+    ``stats``; Bonferroni and Sidak need none.  The pairs alive after each
+    step are those with |T| at most its threshold, so each threshold is a
+    quantile over a prefix of their |T| order, of the length of the alive
+    set; row maxima answer only the first step, over all m pairs.
     """
     _check_alpha(alpha)
     method = procedure.method
@@ -142,13 +139,16 @@ def run_procedure(
     t_abs = np.abs(stats.values)
     m = t_abs.size
     pvals = p_values(stats)
-    if draw_matrix is None and method not in (Method.BONFERRONI, Method.SIDAK):
-        raise ValueError(f"{method.value} requires a draw matrix")
-    if draw_matrix is not None and draw_matrix.m != m:
-        raise ValueError("draw matrix width does not match statistic vector")
-    records = isinstance(draw_matrix, MaxRecords)
-    if records and draw_matrix.order is not None and \
-            np.any(np.diff(t_abs[draw_matrix.order]) < 0.0):
+    if records is None and method not in (Method.BONFERRONI, Method.SIDAK):
+        raise ValueError(f"{method.value} requires max records")
+    if records is not None and not isinstance(records, MaxRecords):
+        raise ValueError(f"thresholds are read from MaxRecords, got {type(records).__name__}; "
+                         "build them with the draw builder's stats= or with "
+                         "MaxRecords.from_draws(draws, stats, stepdown=True)")
+    if records is not None and records.m != m:
+        raise ValueError("max records width does not match statistic vector")
+    if records is not None and records.order is not None and \
+            np.any(np.diff(t_abs[records.order]) < 0.0):
         raise ValueError("max records are not in the |T| order of the statistic vector")
 
     alive = np.ones(m, dtype=bool)
@@ -165,10 +165,7 @@ def run_procedure(
             thr = sidak_threshold(alpha, subset.size)
             newly = subset[t_abs[subset] > thr]
         else:
-            if records:
-                thr = draw_matrix.quantile(alpha, subset.size)
-            else:
-                thr = quantile_from_draws(draw_matrix, alpha, subset)
+            thr = records.quantile(alpha, subset.size)
             newly = subset[t_abs[subset] > thr]
         thresholds.append(float(thr))
         pair_thr[subset] = thr

@@ -3,9 +3,9 @@
 :func:`sidak_threshold` inverts the normal tail with the standard library's
 ``statistics.NormalDist().inv_cdf`` (Wichura's AS 241, about 1e-16 relative).
 
-Every draw of the max statistic is made here.  A ``DrawMatrix`` holds B
-simulated statistic vectors whose rowwise sup-norm is the max statistic.
-Three Monte Carlo routes fill one:
+Every draw of the max statistic is made here.  B draws are B simulated
+statistic vectors, a B x m array whose rowwise sup-norm is the max
+statistic.  Three Monte Carlo routes make them:
 
 - :func:`gauss_draw_matrix` draws from the Gaussian limit N_m(0, Omega) of
   the statistics without forming Omega.  At a plug-in or oracle correlation
@@ -43,13 +43,14 @@ needs only each draw row's maximum over a prefix, a step function with about
 ln m steps for exchangeable columns (the successive maxima of Westfall and
 Young, 1993; Romano and Wolf, 2005), and a single-step rule needs only its
 maximum over all m pairs.  :class:`MaxRecords` keeps those steps, or those
-row maxima, in place of the B x m draws.  Each draw route is one generator
-of blocks of draws, and :func:`_reduce_draws` reduces the blocks as they are
-made, into a DrawMatrix, row maxima or prefix-max records, so a step-down and
-a single-step rule read the same draws, and :meth:`MaxRecords.quantile`
-returns what :func:`quantile_from_draws` returns on the same prefix.  A
-``DrawMatrix`` and :func:`quantile_from_draws`, for arbitrary subsets, stay
-as the library API for small m.
+row maxima, in place of the B x m draws; they are the one source of every
+resampled threshold.  Each draw route is one generator of blocks of draws,
+and :func:`_reduce_draws` reduces the blocks as they are made, into the B x m
+array, row maxima or prefix-max records, so a step-down and a single-step
+rule read the same draws, and :meth:`MaxRecords.quantile` returns what
+:func:`quantile_from_draws` returns on the same prefix.
+:meth:`MaxRecords.from_draws` reduces a B x m array made elsewhere, and
+:func:`quantile_from_draws` reads any subset of one.
 
 :func:`max_gauss_quantile` (``corrgraph quantile``, any m x m Sigma) factors
 Sigma with :func:`cholesky_psd` and streams Gaussian blocks, keeping only
@@ -72,13 +73,12 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .core import CorrelationMatrix, SampleMatrix, _correlation, _owned_array, num_pairs
+from .core import CorrelationMatrix, SampleMatrix, _correlation, num_pairs
 from .core import pair_indices, standardize
 from .errors import DegenerateInputError, NotPositiveDefiniteError
 from .stats import StatKind, _delta_divisor, _influence, _kind_tuple, _transform
 
 __all__ = [
-    "DrawMatrix",
     "MaxRecords",
     "sidak_threshold",
     "cholesky_psd",
@@ -129,36 +129,6 @@ _DEGENERATE = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
-class DrawMatrix:
-    """B x m matrix of simulated/resampled statistic vectors.
-
-    provenance is "parametric-gaussian" or "nonparametric-bootstrap".  A
-    float64 ndarray that owns its data is taken over, not copied: it is
-    marked read-only in place.  Any other input is copied first.
-    """
-
-    draws: np.ndarray
-    provenance: str
-
-    def __post_init__(self):
-        draws = _owned_array(self.draws)
-        if draws.ndim != 2 or draws.shape[0] < 1:
-            raise ValueError("draw matrix must be B x m with B >= 1")
-        if not np.isfinite(draws).all():
-            raise ValueError("draw matrix contains non-finite entries")
-        draws.flags.writeable = False
-        object.__setattr__(self, "draws", draws)
-
-    @property
-    def b(self) -> int:
-        return self.draws.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.draws.shape[1]
-
-
-@dataclass(frozen=True, eq=False)
 class MaxRecords:
     """Prefix maxima of B draw rows over the m pairs taken in ascending |T| order.
 
@@ -186,12 +156,24 @@ class MaxRecords:
             if getattr(self, name) is not None:
                 getattr(self, name).flags.writeable = False
 
+    @classmethod
+    def from_draws(cls, draws, stats, stepdown: bool = True) -> MaxRecords:
+        """The MaxRecords of B x m ``draws`` (from any law) for the StatVector
+        ``stats``: a copy reduced as one block, as a builder given ``stats``
+        reduces its own; with ``stepdown`` false, the row maxima."""
+        draws = np.array(draws, dtype=float)
+        if draws.ndim != 2 or 0 in draws.shape:
+            raise ValueError("draw matrix must be B x m with B, m >= 1")
+        return _reduce_draws(iter([(stats.kind, slice(None), slice(None), draws)]),
+                             (stats.kind,), True, *draws.shape, stats=stats, stepdown=stepdown)
+
     @property
     def b(self) -> int:
         return self.starts.size
 
     def quantile(self, alpha: float, length: int) -> float:
-        """:func:`quantile_from_draws` on the pairs ``order[:length]``.
+        """:func:`quantile_from_draws` on the pairs ``order[:length]``: the
+        threshold of every resampled rule, over the pairs alive at a step.
 
         A row's maximum over that prefix is its last record before ``length``.
         """
@@ -346,24 +328,23 @@ class _RecordFold:
         return _max_records(self.order, self.draws, self.held)
 
 
-def _reduce_draws(blocks, kinds: tuple, single: bool, draws: int, m: int, provenance: str,
-                  stats=None, stepdown: bool = True, label: str = "resampling",
-                  route_floats: float = 0.0):
+def _reduce_draws(blocks, kinds: tuple, single: bool, draws: int, m: int, stats=None,
+                  stepdown: bool = True, label: str = "resampling", route_floats: float = 0.0):
     """A draw builder's result, reduced from its route's blocks of draws as they are made.
 
     ``blocks`` yields (kind, rows, pairs, block): ``block`` holds the draws
     of rows ``rows`` (a slice or indexes) on pairs ``pairs`` (a slice); it
     may be overwritten, and is not kept.  A block of None drops its rows,
     which the route draws again.  Without ``stats`` each kind's result is its
-    DrawMatrix.  Given ``stats`` (the StatVector of each kind, in the form of
-    ``kind``; vectors that do not match the kinds and pairs are refused) it
-    is its MaxRecords: for a single-step rule (``stepdown`` false) each row's
-    max |draw| over all pairs, else the prefix maxima in ascending |T| order
-    (a stable argsort).
+    B x m float64 array of draws.  Given ``stats`` (the StatVector of each
+    kind, in the form of ``kind``; vectors that do not match the kinds and
+    pairs are refused) it is its MaxRecords: for a single-step rule
+    (``stepdown`` false) each row's max |draw| over all pairs, else the prefix
+    maxima in ascending |T| order (a stable argsort).  Non-finite draws raise.
 
     Before it allocates or takes a block, it refuses, as ``label``, draws
     that exceed physical memory: per draw the route's ``route_floats`` and,
-    per kind, a DrawMatrix row of m floats, a row maximum, or about ln m + 1
+    per kind, a draw row of m floats, a row maximum, or about ln m + 1
     records of 3 words plus 4 fold peaks per octave of m.
     """
     if stats is None:
@@ -392,13 +373,11 @@ def _reduce_draws(blocks, kinds: tuple, single: bool, draws: int, m: int, proven
             out[k][rows] = 0.0 if block is None else \
                 np.maximum(out[k][rows], np.abs(block, out=block).max(axis=1))
     for k, v in out.items():
-        if stats is None:
-            out[k] = DrawMatrix(v, provenance=provenance)
-        elif stepdown:
+        if stats is not None and stepdown:
             out[k] = v.result()
         elif not np.isfinite(v).all():
             raise ValueError("draw matrix contains non-finite entries")
-        else:
+        elif stats is not None:
             out[k] = MaxRecords(order=None, starts=np.arange(draws),
                                 positions=np.zeros(draws, dtype=np.int32), values=v, m=m)
     return out[kinds[0]] if single else tuple(out[k] for k in kinds)
@@ -480,11 +459,15 @@ def cholesky_psd(sigma: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _subset_array(subset, m: int) -> np.ndarray:
+    """Sorted distinct pair indexes; a mask or floats, read as indexes, would name other pairs."""
     if subset is None:
         return np.arange(m)
-    idx = np.unique(np.asarray(subset, dtype=int))
+    idx = np.asarray(subset)
     if idx.size == 0:
         raise ValueError("subset must be non-empty")
+    if not np.issubdtype(idx.dtype, np.integer):
+        raise ValueError(f"subset must hold integer pair indexes, got dtype {idx.dtype}")
+    idx = np.unique(idx)
     if idx[0] < 0 or idx[-1] >= m:
         raise IndexError(f"subset indexes out of range [0, {m})")
     return idx
@@ -496,17 +479,23 @@ def _max_quantile(maxima: np.ndarray, alpha: float) -> float:
     return float(np.partition(maxima, rank - 1)[rank - 1])
 
 
-def quantile_from_draws(draw_matrix: DrawMatrix, alpha: float, subset=None) -> float:
+def quantile_from_draws(draws: np.ndarray, alpha: float, subset=None) -> float:
     """(1 - alpha)-quantile of the subset-restricted rowwise max-abs draw.
 
-    Order statistic of rank ceil((1 - alpha) B).  Reusing one DrawMatrix
-    across nested subsets makes the result exactly monotone in the subset.
-    The maxima run over column chunks, so no B x |subset| copy is made.
+    ``draws`` is a B x m array.  Order statistic of rank ceil((1 - alpha) B).
+    Reusing one array across nested subsets makes the result exactly
+    monotone in the subset.  The maxima run over column chunks, so no
+    B x |subset| copy is made; a non-finite draw in the subset is refused.
     """
-    idx = _subset_array(subset, draw_matrix.m)
-    maxima, cols = np.zeros(draw_matrix.b), max(1, _SCAN_ENTRIES // draw_matrix.b)
+    draws = np.asarray(draws, dtype=float)
+    if draws.ndim != 2 or 0 in draws.shape:
+        raise ValueError("draw matrix must be B x m with B, m >= 1")
+    idx = _subset_array(subset, draws.shape[1])
+    maxima, cols = np.zeros(draws.shape[0]), max(1, _SCAN_ENTRIES // draws.shape[0])
     for a in range(0, idx.size, cols):
-        np.maximum(maxima, np.abs(draw_matrix.draws[:, idx[a : a + cols]]).max(axis=1), out=maxima)
+        np.maximum(maxima, np.abs(draws[:, idx[a : a + cols]]).max(axis=1), out=maxima)
+    if not np.isfinite(maxima).all():
+        raise ValueError("draw matrix contains non-finite entries")
     return _max_quantile(maxima, alpha)
 
 
@@ -543,7 +532,7 @@ def bootstrap_draw_matrix(
     rng: np.random.Generator,
     stats=None,
     stepdown: bool = True,
-) -> DrawMatrix | MaxRecords | tuple:
+) -> np.ndarray | MaxRecords | tuple:
     """B centered statistic vectors on nonparametric resamples of the rows.
 
     Each resample takes n rows i.i.d. with replacement from ``rng``; the
@@ -562,18 +551,18 @@ def bootstrap_draw_matrix(
     those of a single-kind call on the same stream unless a second-order
     theta forced a redraw; with a tuple of one kind they always do.
 
-    The result is a DrawMatrix, or, given ``stats`` (the StatVector of each
-    kind, in the same form as ``kind``), a MaxRecords of the same draws, with
-    no B x m matrix held (see ``_reduce_draws``).  A degenerate resample's
-    draws are dropped, and its redraw's take their place.
+    The result is the B x m float64 array of draws, or, given ``stats`` (the
+    StatVector of each kind, in the same form as ``kind``), a MaxRecords of
+    the same draws, with no B x m array held (see ``_reduce_draws``): the
+    form :func:`~corrgraph.procedures.run_procedure` reads.  A degenerate
+    resample's draws are dropped, and its redraw's take their place.
     """
     kinds, single = _kind_tuple(kind)
     if draws < _MIN_BOOTSTRAP_DRAWS:
         raise ValueError(f"need at least {_MIN_BOOTSTRAP_DRAWS} bootstrap draws, got {draws}")
     # Per draw row: W with its index matrix and bincount, and 4 B x (p - 1) block temporaries.
     return _reduce_draws(_bootstrap_blocks(samples, kinds, draws, rng), kinds, single, draws,
-                         samples.m, "nonparametric-bootstrap", stats, stepdown, "bootrw",
-                         3 * samples.n + 4 * (samples.p - 1))
+                         samples.m, stats, stepdown, "bootrw", 3 * samples.n + 4 * (samples.p - 1))
 
 
 def _bootstrap_blocks(samples: SampleMatrix, kinds: tuple, draws: int, rng: np.random.Generator):
@@ -660,7 +649,7 @@ def _second_order_draws(moments, mc, mr, m2c, m2r, scale, zbar, n):
 
 def gauss_draw_matrix(corr, kind: StatKind | tuple[StatKind, ...], draws: int,
                       rng: np.random.Generator, sample=None, stats=None,
-                      stepdown: bool = True) -> DrawMatrix | MaxRecords | tuple:
+                      stepdown: bool = True) -> np.ndarray | MaxRecords | tuple:
     """``draws`` rows from N(0, Omega), Omega the pair covariance of ``kind`` statistics.
 
     Omega is never formed.  Without ``sample`` a row is psi(L H L^T): L L^T =
@@ -675,21 +664,26 @@ def gauss_draw_matrix(corr, kind: StatKind | tuple[StatKind, ...], draws: int,
     which returns one result per kind, in that order, from one set of
     perturbations: each block's S (or the multipliers xi) is drawn once and
     mapped per kind, so each kind's draws, a tuple of one kind's too, equal
-    those of a single-kind call on the same stream.  The result is a DrawMatrix, or, given ``stats`` (the
-    StatVector of each kind, in the same form as ``kind``), a MaxRecords of
-    the same draws, with no B x m matrix held (see ``_reduce_draws``).
+    those of a single-kind call on the same stream.  The result is the
+    B x m float64 array of draws, or, given ``stats`` (the StatVector of each
+    kind, in the same form as ``kind``), a MaxRecords of the same draws, with
+    no B x m array held (see ``_reduce_draws``): the form
+    :func:`~corrgraph.procedures.run_procedure` reads.
+
+    ``corr`` is a CorrelationMatrix, or an array that is made one, so an
+    array that is not a correlation matrix is refused with a ValueError.
     """
     kinds, single = _kind_tuple(kind)
     if draws < _MIN_GAUSS_DRAWS:
         raise ValueError(f"need at least {_MIN_GAUSS_DRAWS} draws, got {draws}")
-    corr = np.asarray(corr.values if isinstance(corr, CorrelationMatrix) else corr, dtype=float)
+    corr = (corr if isinstance(corr, CorrelationMatrix) else CorrelationMatrix(corr)).values
     if corr.shape[0] < 2:
         raise ValueError(f"need at least 2 variables, got p={corr.shape[0]}")
     blocks = (_perturbation_blocks(corr, kinds, draws, rng) if sample is None
               else _multiplier_blocks(corr, sample, kinds, draws, rng))
     with contextlib.closing(blocks):  # held per fourth-moment draw: xi and 4 chunk columns
         return _reduce_draws(blocks, kinds, single, draws, num_pairs(corr.shape[0]),
-                             "parametric-gaussian", stats, stepdown, "maxt",
+                             stats, stepdown, "maxt",
                              0 if sample is None else sample.n + 4 * _PAIR_CHUNK)
 
 

@@ -248,6 +248,9 @@ class ExperimentConfig:
             object.__setattr__(self, name, _number(name, getattr(self, name)))
         for name in ("p_intra", "alpha"):
             object.__setattr__(self, name, _number(name, getattr(self, name), float))
+        for name in ("p_inter", "rho", "n", "stats", "procedures"):  # not a string or a scalar
+            if not isinstance(getattr(self, name), (list, tuple)):
+                raise ConfigError(f"{name} must be a list, got {getattr(self, name)!r}")
         for name, kind in (("p_inter", float), ("rho", float), ("n", int)):
             values = tuple(_number(name, v, kind) for v in getattr(self, name))
             object.__setattr__(self, name, values)

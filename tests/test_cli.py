@@ -792,6 +792,12 @@ class TestSimulateCommand:
         (None, "config must be a JSON object"),
         ({"procedures": [{"stepdown": True}]}, "procedures: entries need a 'method' key"),
         ({"procedures": [{"method": "sidak", "order": 2}]}, "procedures: unknown keys ['order']"),
+        ({"p_inter": 0.1}, "p_inter must be a list, got 0.1"),
+        ({"rho": 0.2}, "rho must be a list, got 0.2"),
+        ({"n": 100}, "n must be a list, got 100"),
+        ({"stats": "fisher"}, "stats must be a list, got 'fisher'"),
+        ({"procedures": "bonferroni"}, "procedures must be a list, got 'bonferroni'"),
+        ({"procedures": {"method": "sidak"}}, "procedures must be a list, got {'method': 'sidak'}"),
     ])
     def test_config_shape_errors_exit_one(self, tmp_path, capsys, extra, message):
         cfg = self.make_config(tmp_path, **(extra or {}))

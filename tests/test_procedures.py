@@ -1,5 +1,6 @@
 """Single-step and step-down procedures, BH, and the MTP2 check."""
 
+import re
 import sys
 import threading
 import tracemalloc
@@ -13,7 +14,7 @@ from scipy.stats import norm
 
 from corrgraph import (
     CorrelationMatrix,
-    DrawMatrix,
+    MaxRecords,
     Method,
     NotPositiveDefiniteError,
     ProcedureKind,
@@ -48,8 +49,31 @@ from corrgraph.procedures import _gauss_draw_matrix
 def sigma_draw_matrix(sigma, draws, rng):
     """Oracle: ``draws`` rows xi @ L^T from N(0, sigma), L from cholesky_psd."""
     factor, _ = cholesky_psd(sigma)
-    rows = rng.standard_normal((draws, factor.shape[1])) @ factor.T
-    return DrawMatrix(rows, provenance="parametric-gaussian")
+    return rng.standard_normal((draws, factor.shape[1])) @ factor.T
+
+
+def scan_rule(sv, alpha, procedure, draws):
+    """Oracle: (thresholds, mask, pair thresholds) of a resampled rule on the
+    B x m ``draws``, each threshold a scan of the pairs alive at its step."""
+    t_abs = np.abs(sv.values)
+    alive, thresholds, pair_thr = np.ones(sv.m, dtype=bool), [], np.empty(sv.m)
+    while True:
+        subset = np.flatnonzero(alive)
+        thresholds.append(quantile_from_draws(draws, alpha, subset))
+        pair_thr[subset] = thresholds[-1]
+        newly = subset[t_abs[subset] > thresholds[-1]]
+        alive[newly] = False
+        if newly.size == 0 or not procedure.stepdown or not alive.any():
+            return tuple(thresholds), ~alive, pair_thr
+
+
+def assert_matches_scan(rs, sv, draws):
+    """The RejectionSet ``rs`` equals the scan of ``draws`` at every step."""
+    thresholds, mask, pair_thr = scan_rule(sv, rs.alpha, rs.procedure, draws)
+    assert rs.thresholds == thresholds
+    assert rs.iterations == len(thresholds)
+    assert np.array_equal(rs.pair_thresholds, pair_thr)
+    assert np.array_equal(rs.mask, mask)
 
 
 def stats_from_pvalues(pvals):
@@ -85,8 +109,8 @@ class TestSingleStep:
 
     def test_maxt_identity_close_to_sidak(self):
         sv = stats_from_pvalues([1e-6, 0.2, 0.04, 0.8])
-        dm = sigma_draw_matrix(np.eye(4), 50000, make_rng(2))
-        rs = run_procedure(sv, 0.05, ProcedureKind(Method.MAX_T), draw_matrix=dm)
+        rec = MaxRecords.from_draws(sigma_draw_matrix(np.eye(4), 50000, make_rng(2)), sv)
+        rs = run_procedure(sv, 0.05, ProcedureKind(Method.MAX_T), records=rec)
         assert rs.thresholds[0] == pytest.approx(sidak_threshold(0.05, 4), abs=0.03)
         assert 0 in rs.rejected
 
@@ -98,8 +122,8 @@ class TestSingleStep:
         from corrgraph import statistic
 
         sv = statistic(samples, StatKind.EMPIRICAL)
-        dm = bootstrap_draw_matrix(samples, StatKind.EMPIRICAL, 200, make_rng(1))
-        rs = run_procedure(sv, 0.05, ProcedureKind(Method.BOOT_RW), draw_matrix=dm)
+        rec = bootstrap_draw_matrix(samples, StatKind.EMPIRICAL, 200, make_rng(1), stats=sv)
+        rs = run_procedure(sv, 0.05, ProcedureKind(Method.BOOT_RW), records=rec)
         assert 0 in rs.rejected  # the planted (1,2) edge
 
     def test_required_context(self):
@@ -112,9 +136,12 @@ class TestSingleStep:
             run_procedure(sv, 0.05, ProcedureKind(Method.BH))
         with pytest.raises(ValueError):
             run_procedure(sv, 1.5, ProcedureKind(Method.BONFERRONI))
-        dm = DrawMatrix(np.zeros((100, 3)) + 1.0, provenance="parametric-gaussian")
-        with pytest.raises(ValueError):
-            run_procedure(sv, 0.05, ProcedureKind(Method.MAX_T), draw_matrix=dm)
+        wide = MaxRecords.from_draws(np.ones((100, 3)), stats_from_pvalues([0.01, 0.5, 0.2]))
+        with pytest.raises(ValueError, match="width"):
+            run_procedure(sv, 0.05, ProcedureKind(Method.MAX_T), records=wide)
+        named = re.escape("MaxRecords.from_draws(draws, stats, stepdown=True)")
+        with pytest.raises(ValueError, match=named):
+            run_procedure(sv, 0.05, ProcedureKind(Method.MAX_T), records=np.ones((100, 2)))
 
     def test_not_pd_sigma_raises(self):
         # Valid entries, but the smallest eigenvalue is -0.8.
@@ -222,7 +249,7 @@ class TestGaussDrawMatrix:
     def test_unit_noise_reproduces_omega(self, route, p, kind):
         corr, sample = draw_law(route, p, seed=p)
         width = p * (p + 1) // 2 if sample is None else sample.n
-        d = _gauss_draw_matrix(corr, kind, max(width, 100), UnitNoise(), sample=sample).draws
+        d = _gauss_draw_matrix(corr, kind, max(width, 100), UnitNoise(), sample=sample)
         np.testing.assert_allclose(d.T @ d, route_omega(route, corr, sample, kind),
                                    rtol=0, atol=1e-13)
 
@@ -231,7 +258,7 @@ class TestGaussDrawMatrix:
         corr, sample = draw_law(route, 5, seed=1, n=20)
         for kind in StatKind:
             rows = np.vstack([_gauss_draw_matrix(corr, kind, 100_000, make_rng(seed),
-                                                 sample=sample).draws for seed in range(4)])
+                                                 sample=sample) for seed in range(4)])
             want = route_omega(route, corr, sample, kind)
             got = rows.T @ rows / rows.shape[0]
             assert np.max(np.abs(got - want)) < 0.01 * np.max(np.abs(want))
@@ -239,13 +266,13 @@ class TestGaussDrawMatrix:
     @pytest.mark.parametrize("route", ["gaussian", "fourth-moment"])
     def test_independent_of_block_size(self, monkeypatch, route):
         corr, sample = draw_law(route, 12, seed=3)
-        want = [_gauss_draw_matrix(corr, kind, 500, make_rng(5), sample=sample).draws
+        want = [_gauss_draw_matrix(corr, kind, 500, make_rng(5), sample=sample)
                 for kind in StatKind]
         # 6 perturbations per block (84 blocks) and 7 pair columns per chunk.
         monkeypatch.setattr(quantiles, "_PERTURBATION_ENTRIES", 1000)
         monkeypatch.setattr(quantiles, "_PAIR_CHUNK", 7)
         for kind, expect in zip(StatKind, want):
-            got = _gauss_draw_matrix(corr, kind, 500, make_rng(5), sample=sample).draws
+            got = _gauss_draw_matrix(corr, kind, 500, make_rng(5), sample=sample)
             np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("p, entries", [(5, 100), (12, 1000)])
@@ -260,7 +287,7 @@ class TestGaussDrawMatrix:
         normals = np.vstack([serial.standard_normal((min(block, draws - a), width))
                              for a in range(0, draws, block)])
         for kind, dm in zip(StatKind, got):
-            np.testing.assert_allclose(dm.draws, psi_reference(corr, kind, normals),
+            np.testing.assert_allclose(dm, psi_reference(corr, kind, normals),
                                        rtol=0, atol=1e-12)
 
     def test_generator_state_matches_serial_draws(self):
@@ -302,7 +329,7 @@ class TestGaussDrawMatrix:
         corr = random_correlation_matrix(26, make_rng(28))
 
         def draws(seed):
-            return _gauss_draw_matrix(corr, StatKind.FISHER, 1000, make_rng(seed)).draws
+            return _gauss_draw_matrix(corr, StatKind.FISHER, 1000, make_rng(seed))
 
         want = [draws(seed) for seed in range(4)]
         interval = sys.getswitchinterval()
@@ -326,8 +353,8 @@ class TestGaussDrawMatrix:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert dm.draws.shape == (1000, 2016)
-            assert peak < 1.3 * dm.draws.nbytes, route
+            assert dm.shape == (1000, 2016)
+            assert peak < 1.3 * dm.nbytes, route
 
     @pytest.mark.parametrize("route, p, kind", [
         ("gaussian", 26, StatKind.FISHER),
@@ -356,8 +383,8 @@ class TestGaussDrawMatrix:
             assert isinstance(got, tuple) and len(got) == len(kinds)
             for kind, dm in zip(kinds, got):
                 want = gauss_draw_matrix(corr, kind, 300, make_rng(4), sample=multipliers)
-                assert isinstance(want, DrawMatrix)
-                assert np.array_equal(dm.draws, want.draws), kind
+                assert isinstance(want, np.ndarray) and want.dtype == np.float64
+                assert np.array_equal(dm, want), kind
 
     def test_public_builder_is_the_traced_one(self):
         assert corrgraph.gauss_draw_matrix is _gauss_draw_matrix
@@ -371,11 +398,23 @@ class TestGaussDrawMatrix:
             with pytest.raises(SingularityError):
                 _gauss_draw_matrix(corr, kind, 100, make_rng(0))
         dm = _gauss_draw_matrix(corr, StatKind.EMPIRICAL, 100, make_rng(0))
-        assert np.all(np.isfinite(dm.draws))
+        assert np.all(np.isfinite(dm))
+
+    @pytest.mark.parametrize("corr, words", [
+        (np.array([[1.0, 0.5, 0.0], [0.2, 1.0, 0.0], [0.0, 0.0, 1.0]]), "not symmetric"),
+        (2.0 * np.eye(3), "diagonal is not 1"),
+        (np.eye(3)[:2], "must be square"),
+    ])
+    def test_array_that_is_no_correlation_refused(self, corr, words):
+        # eigh would read one triangle of the asymmetric array, and a diagonal
+        # of 2 would double the draws' sd; both were drawn from silently.
+        for stats_arg in (None, StatVector(StatKind.FISHER, np.arange(3.0), 100)):
+            with pytest.raises(ValueError, match=words):
+                gauss_draw_matrix(corr, StatKind.FISHER, 100, make_rng(0), stats=stats_arg)
 
 
 class TestMaxRecordsPath:
-    """The builder's MaxRecords against its DrawMatrix, through run_procedure."""
+    """The builder's MaxRecords, through run_procedure, against a scan of its B x m draws."""
 
     @pytest.mark.parametrize("route", ["gaussian", "fourth-moment"])
     def test_procedures_match_draw_matrix(self, route):
@@ -392,12 +431,7 @@ class TestMaxRecordsPath:
             for stepdown in (False, True):
                 for alpha in (0.05, 0.2):
                     procedure = ProcedureKind(Method.MAX_T, stepdown)
-                    want = run_procedure(sv, alpha, procedure, dm)
-                    got = run_procedure(sv, alpha, procedure, rec)
-                    assert got.thresholds == want.thresholds
-                    assert got.iterations == want.iterations
-                    assert np.array_equal(got.pair_thresholds, want.pair_thresholds)
-                    assert np.array_equal(got.mask, want.mask)
+                    assert_matches_scan(run_procedure(sv, alpha, procedure, rec), sv, dm)
 
     @pytest.mark.parametrize("route", ["bootstrap", "gaussian", "fourth-moment"])
     def test_first_step_down_threshold_is_the_single_step_one(self, route):
@@ -423,6 +457,21 @@ class TestMaxRecordsPath:
                 single = run_procedure(sv, alpha, ProcedureKind(method), maxima)
                 stepped = run_procedure(sv, alpha, ProcedureKind(method, True), records)
                 assert stepped.thresholds[0] == single.thresholds[0], (sv.kind, alpha)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**31), b=st.integers(1, 300), m=st.integers(1, 40),
+           levels=st.integers(1, 6), alpha=st.sampled_from([0.05, 0.2, 0.5]))
+    def test_records_from_draws_match_the_scan(self, seed, b, m, levels, alpha):
+        # |T| on a few levels, so ties are common, and draws on a scale where
+        # a step-down takes several steps; both rules, every step.
+        rng = np.random.default_rng(seed)
+        sv = StatVector(StatKind.FISHER, rng.integers(-levels, levels + 1, size=m) * 1.5, 100)
+        draws = np.round(rng.normal(size=(b, m)) * 2.0, 1)
+        for stepdown in (False, True):
+            rec = MaxRecords.from_draws(draws, sv, stepdown)
+            for method in (Method.MAX_T, Method.BOOT_RW):
+                procedure = ProcedureKind(method, stepdown)
+                assert_matches_scan(run_procedure(sv, alpha, procedure, records=rec), sv, draws)
 
     def test_single_kind_matches_tuple(self):
         corr = CorrelationMatrix(random_correlation_matrix(9, make_rng(1)))
@@ -474,14 +523,12 @@ class TestRowMaxima:
         mats, maxima = build(), build(stats=svs, stepdown=False)
         for sv, dm, rec in zip(svs, mats, maxima):
             assert isinstance(rec, corrgraph.MaxRecords) and rec.order is None
-            assert (rec.b, rec.m) == (dm.b, sv.m)
+            assert (rec.b, rec.m) == (dm.shape[0], sv.m)
             for alpha in (0.05, 0.2, 0.5):
                 assert rec.quantile(alpha, sv.m) == quantile_from_draws(dm, alpha)
                 for method in (Method.MAX_T, Method.BOOT_RW):
-                    want = run_procedure(sv, alpha, ProcedureKind(method), dm)
-                    got = run_procedure(sv, alpha, ProcedureKind(method), rec)
-                    assert got.thresholds == want.thresholds
-                    assert np.array_equal(got.mask, want.mask)
+                    assert_matches_scan(run_procedure(sv, alpha, ProcedureKind(method), rec),
+                                        sv, dm)
 
     def test_row_maxima_refuse_a_shorter_prefix(self):
         corr = CorrelationMatrix(random_correlation_matrix(8, make_rng(1)))
@@ -558,13 +605,13 @@ class TestStepDown:
             assert lo.rejected <= hi.rejected
 
     def test_stepdown_resampled_shares_one_draw_matrix(self):
-        # Step-down with a shared DrawMatrix has weakly decreasing thresholds
-        # and contains the single-step rejections.
+        # Step-down with the records of shared draws has weakly decreasing
+        # thresholds and contains the single-step rejections.
         rng = np.random.default_rng(8)
         sv = StatVector(StatKind.EMPIRICAL, rng.normal(size=10) * 2.5, 100)
-        dm = DrawMatrix(rng.normal(size=(500, 10)), provenance="parametric-gaussian")
-        ss = run_procedure(sv, 0.05, ProcedureKind(Method.MAX_T), draw_matrix=dm)
-        sd = run_procedure(sv, 0.05, ProcedureKind(Method.MAX_T, True), draw_matrix=dm)
+        rec = MaxRecords.from_draws(rng.normal(size=(500, 10)), sv)
+        ss = run_procedure(sv, 0.05, ProcedureKind(Method.MAX_T), records=rec)
+        sd = run_procedure(sv, 0.05, ProcedureKind(Method.MAX_T, True), records=rec)
         assert ss.rejected <= sd.rejected
         assert all(a >= b for a, b in zip(sd.thresholds, sd.thresholds[1:]))
 
@@ -587,7 +634,8 @@ class TestStepDown:
         sv = StatVector(StatKind.EMPIRICAL, rng.normal(size=6) * 2.0, 50)
         a, b = (
             run_procedure(sv, 0.05, ProcedureKind(Method.MAX_T, True),
-                          draw_matrix=sigma_draw_matrix(np.eye(6), 500, make_rng(11)))
+                          records=MaxRecords.from_draws(
+                              sigma_draw_matrix(np.eye(6), 500, make_rng(11)), sv))
             for _ in range(2)
         )
         assert a.rejected == b.rejected and a.thresholds == b.thresholds
@@ -600,8 +648,8 @@ class TestStepDown:
         if method is Method.BH:
             rs = bh_fdr(p_values(sv), 0.05)
         else:
-            dm = DrawMatrix(rng.normal(size=(500, 15)), provenance="parametric-gaussian")
-            rs = run_procedure(sv, 0.05, ProcedureKind(method, stepdown), draw_matrix=dm)
+            rec = MaxRecords.from_draws(rng.normal(size=(500, 15)), sv)
+            rs = run_procedure(sv, 0.05, ProcedureKind(method, stepdown), records=rec)
         assert rs.mask.dtype == bool and rs.mask.shape == (15,)
         assert not rs.mask.flags.writeable
         assert rs.rejected == frozenset(np.flatnonzero(rs.mask).tolist())
@@ -673,7 +721,6 @@ def array_dataclasses():
     yield lambda: StatVector(sv.kind, sv.values, sv.n)
     yield lambda: PValueVector(p_values(sv).values)
     yield lambda: stats.PairCovariance(sigma.copy(), kind=StatKind.FISHER, source="oracle")
-    yield lambda: DrawMatrix(sigma.copy(), provenance="parametric-gaussian")
     yield lambda: gauss_draw_matrix(corr, sv.kind, 100, make_rng(0), stats=sv)
     yield lambda: run_procedure(sv, 0.05, ProcedureKind(Method.SIDAK, True))
     yield lambda: corrgraph.AdjacencyMatrix(adjacency.values)

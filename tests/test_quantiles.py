@@ -13,7 +13,6 @@ from scipy.stats import norm
 from corrgraph import (
     DegenerateInputError,
     MaxRecords,
-    DrawMatrix,
     NotPositiveDefiniteError,
     SampleMatrix,
     StatKind,
@@ -175,15 +174,13 @@ class TestCholeskyPsd:
 class TestQuantileFromDraws:
     def test_rank_convention(self):
         # B = 10 maxima 1..10; rank = ceil(0.95 * 10) = 10 -> value 10.
-        draws = np.arange(1.0, 11.0)[:, None]
-        dm = DrawMatrix(draws, provenance="parametric-gaussian")
+        dm = np.arange(1.0, 11.0)[:, None]
         assert quantile_from_draws(dm, 0.05) == 10.0
         assert quantile_from_draws(dm, 0.10) == 9.0
         assert quantile_from_draws(dm, 0.101) == 9.0
 
     def test_uses_abs_and_subset(self):
-        dm = DrawMatrix(np.array([[1.0, -5.0], [2.0, 0.5], [-3.0, 0.1], [0.0, 0.2]]),
-                        provenance="parametric-gaussian")
+        dm = np.array([[1.0, -5.0], [2.0, 0.5], [-3.0, 0.1], [0.0, 0.2]])
         # B = 4, alpha = 0.5: rank ceil(2) = 2nd smallest of the |.| maxima.
         assert quantile_from_draws(dm, 0.5, subset=[0]) == 1.0
         assert quantile_from_draws(dm, 0.5, subset=[1]) == 0.2
@@ -194,7 +191,7 @@ class TestQuantileFromDraws:
     def test_subset_monotone_exact(self, seed, data):
         rng = np.random.default_rng(seed)
         m = 6
-        dm = DrawMatrix(rng.normal(size=(40, m)), provenance="parametric-gaussian")
+        dm = rng.normal(size=(40, m))
         small = data.draw(st.sets(st.integers(0, m - 1), min_size=1, max_size=m))
         big = small | data.draw(st.sets(st.integers(0, m - 1), max_size=m))
         q_small = quantile_from_draws(dm, 0.1, sorted(small))
@@ -202,7 +199,7 @@ class TestQuantileFromDraws:
         assert q_small <= q_big
 
     def test_bad_subset(self):
-        dm = DrawMatrix(np.zeros((5, 2)) + 1.0, provenance="parametric-gaussian")
+        dm = np.zeros((5, 2)) + 1.0
         with pytest.raises(ValueError):
             quantile_from_draws(dm, 0.05, subset=[])
         with pytest.raises(IndexError):
@@ -210,12 +207,23 @@ class TestQuantileFromDraws:
         with pytest.raises(ValueError):
             quantile_from_draws(dm, 1.5)
 
+    def test_mask_and_float_subsets_refused(self):
+        # Read as indexes, the mask [F, F, F, T] would be the pairs {0, 1} and
+        # the float 1.7 pair 1; the pair the mask names gives 7.0 at alpha = 0.5.
+        dm = np.arange(12.0).reshape(3, 4)
+        mask = np.array([False, False, False, True])
+        assert quantile_from_draws(dm, 0.5, np.flatnonzero(mask)) == 7.0
+        for subset in (mask, [1.7], np.array([1.0])):
+            with pytest.raises(ValueError, match="integer pair indexes"):
+                quantile_from_draws(dm, 0.5, subset)
+        assert quantile_from_draws(dm, 0.5, np.array([3], dtype=np.uint8)) == 7.0
+
     @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.1, 0.37])
     def test_matches_sorted_order_statistic(self, alpha):
         rng = np.random.default_rng(21)
-        dm = DrawMatrix(rng.normal(size=(333, 12)), provenance="parametric-gaussian")
+        dm = rng.normal(size=(333, 12))
         subset = [7, 2, 2, 11, 0, 7]
-        maxima = np.abs(dm.draws[:, sorted(set(subset))]).max(axis=1)
+        maxima = np.abs(dm[:, sorted(set(subset))]).max(axis=1)
         want = np.sort(maxima)[int(np.ceil((1 - alpha) * 333)) - 1]
         assert quantile_from_draws(dm, alpha, subset) == want
 
@@ -223,16 +231,15 @@ class TestQuantileFromDraws:
         # The column-chunked running max equals the max of one gathered
         # B x |subset| copy, bit for bit, on subsets spanning many chunks.
         rng = np.random.default_rng(22)
-        dm = DrawMatrix(rng.normal(size=(1000, 700)), provenance="parametric-gaussian")
+        dm = rng.normal(size=(1000, 700))
         for size in (1, 65, 66, 300, 700):
             subset = np.sort(rng.choice(700, size=size, replace=False))
             for alpha in (0.05, 0.2):
-                want = _max_quantile(np.abs(dm.draws[:, subset]).max(axis=1), alpha)
+                want = _max_quantile(np.abs(dm[:, subset]).max(axis=1), alpha)
                 assert quantile_from_draws(dm, alpha, subset) == want
 
     def test_scan_holds_no_copy_of_the_draws(self):
-        dm = DrawMatrix(np.random.default_rng(23).normal(size=(1000, 4950)),
-                        provenance="parametric-gaussian")
+        dm = np.random.default_rng(23).normal(size=(1000, 4950))
         tracemalloc.start()
         try:
             quantile_from_draws(dm, 0.05, np.arange(0, 4950, 2))
@@ -240,7 +247,7 @@ class TestQuantileFromDraws:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 0.25 * dm.draws.nbytes
+        assert peak < 0.25 * dm.nbytes
 
 
 def fold_by_columns(draws, order, widths):
@@ -280,7 +287,7 @@ class TestMaxRecords:
         rng = np.random.default_rng(seed)
         t_abs = rng.integers(0, levels, size=m).astype(float)
         draws = np.round(rng.normal(size=(b, m)), 1)
-        dm = DrawMatrix(draws.copy(), provenance="parametric-gaussian")
+        dm = draws.copy()
         order = np.argsort(t_abs, kind="stable")
         widths = data.draw(st.lists(st.integers(1, 17), min_size=1, max_size=8))
         rows = data.draw(st.integers(1, b))
@@ -357,7 +364,7 @@ class TestReducer:
             stream += [(StatKind.FISHER, redo, None, None)] + data.draw(st.permutations(again))
         with mock.patch.object(quantiles, "_HELD_CANDIDATES", held):
             rec = _reduce_draws(iter(stream), (StatKind.FISHER,), True, b, m,
-                                "parametric-gaussian", stats=sv)
+                                stats=sv)
         order = np.argsort(np.abs(sv.values), kind="stable")
         prefix = np.maximum.accumulate(np.abs(draws[:, order]), axis=1)
         rise = np.ones((b, m), dtype=bool)
@@ -379,7 +386,7 @@ class TestReducer:
         blocks = [(StatKind.FISHER, slice(None), pairs, draws[:, pairs].copy())
                   for pairs in (slice(18, 40), slice(0, 18))]
         rec = _reduce_draws(iter(blocks), (StatKind.FISHER,), True, 1, 40,
-                            "parametric-gaussian", stats=sv)
+                            stats=sv)
         assert rec.positions.tolist() == [0, 16, 18]
         assert rec.values.tolist() == [0.1, 5.0, 9.0]
 
@@ -391,8 +398,8 @@ class TestReducer:
         sv = StatVector(StatKind.FISHER, np.arange(40.0), 100)
         blocks = cut_blocks(draws, np.arange(10), [5], [20])[::-1]
         with pytest.raises(ValueError, match="draw matrix contains non-finite entries"):
-            _reduce_draws(iter(blocks), (StatKind.FISHER,), True, 10, 40, "parametric-gaussian",
-                          stats=sv, stepdown=stepdown)
+            _reduce_draws(iter(blocks), (StatKind.FISHER,), True, 10, 40, stats=sv,
+                          stepdown=stepdown)
 
 
 class TestMemoryGuard:
@@ -470,18 +477,17 @@ class TestBootstrap:
     @pytest.mark.parametrize("kind", list(StatKind))
     def test_shape_and_centering(self, samples, kind):
         dm = bootstrap_draw_matrix(samples, kind, 200, make_rng(4))
-        assert dm.b == 200 and dm.m == samples.m
-        assert dm.provenance == "nonparametric-bootstrap"
+        assert dm.shape == (200, samples.m) and dm.dtype == np.float64
         # Centered at the full-sample estimate: means near 0 at scale
         # sd/sqrt(B) ~ 0.07.
-        assert np.max(np.abs(dm.draws.mean(axis=0))) < 0.5
+        assert np.max(np.abs(dm.mean(axis=0))) < 0.5
 
     def test_deterministic_in_seed(self, samples):
         a = bootstrap_draw_matrix(samples, StatKind.EMPIRICAL, 60, make_rng(5))
         b = bootstrap_draw_matrix(samples, StatKind.EMPIRICAL, 60, make_rng(5))
         c = bootstrap_draw_matrix(samples, StatKind.EMPIRICAL, 60, make_rng(6))
-        assert np.array_equal(a.draws, b.draws)
-        assert not np.array_equal(a.draws, c.draws)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     def test_minimum_draws(self, samples):
         with pytest.raises(ValueError):
@@ -500,7 +506,7 @@ class TestBootstrap:
     def test_matches_per_resample_loop(self, kind, n, p):
         data = np.random.default_rng(n * p).normal(size=(n, p)) @ (np.eye(p) + 0.2)
         samples = SampleMatrix(data)
-        got = bootstrap_draw_matrix(samples, kind, 100, make_rng(9)).draws
+        got = bootstrap_draw_matrix(samples, kind, 100, make_rng(9))
         want = loop_bootstrap_draws(samples, kind, 100, make_rng(9))
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
@@ -521,7 +527,7 @@ class TestBootstrap:
                 return out
 
         rng = FirstRowStuck()
-        got = bootstrap_draw_matrix(samples, kind, 60, rng).draws
+        got = bootstrap_draw_matrix(samples, kind, 60, rng)
         assert rng.sizes == [(60, samples.n), (1, samples.n)]
         assert np.all(np.isfinite(got))
         # The stream's 61st resample replaces row 0; rows 1..59 are unchanged.
@@ -540,8 +546,7 @@ class TestBootstrap:
             assert isinstance(got, tuple) and len(got) == len(kinds)
             for kind, dm in zip(kinds, got):
                 want = bootstrap_draw_matrix(samples, kind, 100, make_rng(9))
-                assert dm.provenance == "nonparametric-bootstrap"
-                assert np.array_equal(dm.draws, want.draws), kind
+                assert np.array_equal(dm, want), kind
 
     def test_degenerate_row_redrawn_for_every_kind(self, samples):
         class FirstRowStuck:
@@ -561,7 +566,7 @@ class TestBootstrap:
         assert rng.sizes == [(60, samples.n), (1, samples.n)]
         for kind, dm in zip(StatKind, got):
             want = bootstrap_draw_matrix(samples, kind, 60, FirstRowStuck())
-            assert np.array_equal(dm.draws, want.draws), kind
+            assert np.array_equal(dm, want), kind
 
 
 class FirstResampleStuck:
@@ -580,7 +585,7 @@ class FirstResampleStuck:
 
 
 class TestBootstrapRecords:
-    """Step-down bootstrap records against the scan of its DrawMatrix."""
+    """Step-down bootstrap records against the scan of its B x m draws."""
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 2**31), levels=st.integers(1, 6), shared=st.booleans())
@@ -629,21 +634,33 @@ class TestBootstrapRecords:
                                       stepdown=stepdown)
 
 
-def test_draw_matrix_takes_fresh_array():
-    fresh = np.random.default_rng(1).normal(size=(50, 6))
-    dm = DrawMatrix(fresh, provenance="parametric-gaussian")
-    assert np.shares_memory(dm.draws, fresh)
-    assert not fresh.flags.writeable and not dm.draws.flags.writeable
-    # A view or a non-float64 array is not the matrix's own: it is copied.
-    base = np.ones((50, 12))
-    for other in (base[:, ::2], np.ones((50, 6), dtype=np.float32)):
-        dm = DrawMatrix(other, provenance="parametric-gaussian")
-        assert not np.shares_memory(dm.draws, other) and other.flags.writeable
-        assert not dm.draws.flags.writeable
-
-
 def test_draw_matrix_validation():
-    with pytest.raises(ValueError):
-        DrawMatrix(np.zeros(5) + 1.0, provenance="parametric-gaussian")
-    with pytest.raises(ValueError):
-        DrawMatrix(np.array([[np.inf]]), provenance="parametric-gaussian")
+    # A draw matrix is B x m with B, m >= 1 and finite in what is read.
+    for draws, m in ((np.zeros(5) + 1.0, 5), (np.zeros((0, 5)), 5), (np.zeros((5, 0)), 0)):
+        with pytest.raises(ValueError, match="B x m"):
+            quantile_from_draws(draws, 0.05)
+        with pytest.raises(ValueError, match="B x m"):
+            MaxRecords.from_draws(draws, StatVector(StatKind.FISHER, np.arange(m * 1.0), 100))
+    sv = StatVector(StatKind.FISHER, np.arange(1.0, 6.0), 100)
+    for bad in (np.nan, np.inf, -np.inf):
+        draws = np.ones((4, 5))
+        draws[2, 3] = bad
+        with pytest.raises(ValueError, match="draw matrix contains non-finite entries"):
+            quantile_from_draws(draws, 0.05)
+        assert quantile_from_draws(draws, 0.05, [0, 4]) == 1.0  # only the subset is read
+        for stepdown in (True, False):
+            with pytest.raises(ValueError, match="draw matrix contains non-finite entries"):
+                MaxRecords.from_draws(draws, sv, stepdown)
+
+
+@pytest.mark.parametrize("stepdown", [True, False])
+def test_records_from_draws_copy_them(stepdown):
+    draws = -np.random.default_rng(3).random((50, 5))
+    before = draws.copy()
+    sv = StatVector(StatKind.FISHER, np.arange(5.0), 100)
+    rec = MaxRecords.from_draws(draws, sv, stepdown)
+    assert np.array_equal(draws, before)
+    assert (rec.b, rec.m) == (50, 5) and (rec.order is None) is not stepdown
+    assert rec.quantile(0.1, 5) == quantile_from_draws(draws, 0.1)
+    with pytest.raises(ValueError, match="do not match"):
+        MaxRecords.from_draws(draws[:, :4], sv)

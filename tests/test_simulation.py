@@ -13,6 +13,7 @@ from corrgraph import (
     AdjacencyMatrix,
     ConfigError,
     ExperimentConfig,
+    MaxRecords,
     Method,
     ModelError,
     ProcedureKind,
@@ -197,6 +198,18 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             ExperimentConfig(**field)
 
+    @pytest.mark.parametrize("field, message", [
+        ({"p_inter": 0.1}, "p_inter must be a list, got 0.1"),
+        ({"rho": 0.2}, "rho must be a list, got 0.2"),
+        ({"n": 100}, "n must be a list, got 100"),
+        ({"stats": "fisher"}, "stats must be a list, got 'fisher'"),
+        ({"procedures": "bonferroni"}, "procedures must be a list, got 'bonferroni'"),
+        ({"procedures": ProcedureKind(Method.SIDAK)}, "procedures must be a list, got "),
+    ])
+    def test_list_fields_refuse_scalars_and_strings(self, field, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+            ExperimentConfig(**field)
+
     def test_reals_accept_integers_and_numpy_scalars(self):
         cfg = ExperimentConfig(p_intra=1, p_inter=(0, np.float32(0.5)), rho=(np.float64(0.2),),
                                alpha=np.float64(0.05))
@@ -344,7 +357,8 @@ class TestSharedDraws:
 
     def test_max_records_rows_match_draw_matrix_rows(self, monkeypatch):
         # Four kinds with maxt, its step-down and oracle-maxt: the rows read
-        # from the builder's MaxRecords equal those read from its DrawMatrix.
+        # from the builder's MaxRecords equal those read from the records of
+        # its B x m draws, reduced in one block.
         config = ExperimentConfig(**{**SMALL, "stats": tuple(StatKind), "procedures": (
             ProcedureKind(Method.MAX_T), ProcedureKind(Method.MAX_T, True),
             ProcedureKind(Method.ORACLE_MAX_T), ProcedureKind(Method.ORACLE_MAX_T, True),
@@ -353,7 +367,7 @@ class TestSharedDraws:
         real = procedures.gauss_draw_matrix
 
         def draw_matrix(*args, stats, **kwargs):
-            return real(*args, **kwargs)
+            return tuple(map(MaxRecords.from_draws, real(*args, **kwargs), stats))
 
         monkeypatch.setattr(procedures, "gauss_draw_matrix", draw_matrix)
         assert run_experiment(config) == records
@@ -363,7 +377,7 @@ class TestSharedDraws:
         # Four kinds with bootrw and maxt, each also stepping down, and a
         # single-step oracle-maxt: the builders get one step-down flag per
         # method, and the rows read from their MaxRecords (records or row
-        # maxima) equal those read from their DrawMatrix.
+        # maxima) equal those read from the records of their B x m draws.
         config = ExperimentConfig(**{**SMALL, "stats": tuple(StatKind), "procedures": (
             ProcedureKind(Method.BOOT_RW), ProcedureKind(Method.BOOT_RW, True),
             ProcedureKind(Method.MAX_T), ProcedureKind(Method.MAX_T, True),
@@ -381,7 +395,7 @@ class TestSharedDraws:
         monkeypatch.undo()
         for name in ("bootstrap_draw_matrix", "gauss_draw_matrix"):
             def draw_matrix(*args, stats, stepdown, _real=getattr(procedures, name), **kwargs):
-                return _real(*args, **kwargs)
+                return tuple(map(MaxRecords.from_draws, _real(*args, **kwargs), stats))
 
             monkeypatch.setattr(procedures, name, draw_matrix)
         assert run_experiment(config) == reduced
@@ -532,19 +546,19 @@ def test_sampler_streams_are_pinned():
     assert threshold == pytest.approx(2.361321402, rel=1e-9) and jitter == 0.0
 
     samples = core.SampleMatrix(np.random.default_rng(0).standard_normal((30, 4)))
-    draws = quantiles.bootstrap_draw_matrix(samples, StatKind.FISHER, 100, make_rng(2)).draws
+    draws = quantiles.bootstrap_draw_matrix(samples, StatKind.FISHER, 100, make_rng(2))
     assert np.allclose(draws[0], [-0.4427921347752223, -1.7058232024194724, -1.8569453069594528,
                                   -0.22752411634077152, 0.13818047501151187, 0.5015264671639803],
                        rtol=1e-9, atol=0.0)
 
     # The Gaussian max-T routes: at the plug-in correlation and the fourth-moment plug-in.
     corr = empirical_correlation(samples)
-    draws = quantiles.gauss_draw_matrix(corr, StatKind.FISHER, 100, make_rng(3)).draws
+    draws = quantiles.gauss_draw_matrix(corr, StatKind.FISHER, 100, make_rng(3))
     assert np.allclose(draws[0], [1.5808991773592809, -1.0315381723291486, 0.7922859360382996,
                                   1.6836989733155678, -0.649351055535039, 0.8950331828484697],
                        rtol=1e-9, atol=0.0)
     draws = quantiles.gauss_draw_matrix(corr, StatKind.FISHER, 100, make_rng(3),
-                                        sample=samples).draws
+                                        sample=samples)
     assert np.allclose(draws[0], [1.3444125177592163, -0.47350289984553984, 0.7287520056995871,
                                   0.3212072372459328, -1.870737661870517, 2.035609458174528],
                        rtol=1e-9, atol=0.0)
