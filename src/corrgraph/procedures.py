@@ -19,8 +19,8 @@ rules read every threshold from the ``MaxRecords`` of their draws, built
 first by :func:`~corrgraph.quantiles.bootstrap_draw_matrix` or
 :func:`~corrgraph.quantiles.gauss_draw_matrix` given the statistic vectors
 (:mod:`corrgraph.quantiles` makes every draw), or by
-``MaxRecords.from_draws`` from a B x m array: the prefix maxima for a
-step-down, or each row's maximum over all pairs for a single-step rule.
+``MaxRecords.from_draws`` from a B x m array: the prefix maxima, which
+answer both rules, or a builder's row maxima for a single-step rule.
 ``corrgraph test`` and every simulation replicate go from a sample to its
 rejection sets through :func:`_decisions`, the one place that builds those
 draws.  The step-down loop re-applies the rule to the surviving index set
@@ -144,7 +144,7 @@ def run_procedure(
     if records is not None and not isinstance(records, MaxRecords):
         raise ValueError(f"thresholds are read from MaxRecords, got {type(records).__name__}; "
                          "build them with the draw builder's stats= or with "
-                         "MaxRecords.from_draws(draws, stats, stepdown=True)")
+                         "MaxRecords.from_draws(draws, stats)")
     if records is not None and records.m != m:
         raise ValueError("max records width does not match statistic vector")
     if records is not None and records.order is not None and \

@@ -157,15 +157,18 @@ class MaxRecords:
                 getattr(self, name).flags.writeable = False
 
     @classmethod
-    def from_draws(cls, draws, stats, stepdown: bool = True) -> MaxRecords:
-        """The MaxRecords of B x m ``draws`` (from any law) for the StatVector
-        ``stats``: a copy reduced as one block, as a builder given ``stats``
-        reduces its own; with ``stepdown`` false, the row maxima."""
-        draws = np.array(draws, dtype=float)
+    def from_draws(cls, draws, stats) -> MaxRecords:
+        """The prefix-max MaxRecords (for either rule) of B x m ``draws``, from any
+        law, for the StatVector ``stats``: read in copied column chunks of about
+        ``_SCAN_ENTRIES`` entries, so ``draws`` is neither copied whole nor changed."""
+        draws = np.asarray(draws, dtype=float)
         if draws.ndim != 2 or 0 in draws.shape:
             raise ValueError("draw matrix must be B x m with B, m >= 1")
-        return _reduce_draws(iter([(stats.kind, slice(None), slice(None), draws)]),
-                             (stats.kind,), True, *draws.shape, stats=stats, stepdown=stepdown)
+        b, m = draws.shape
+        cols = max(1, _SCAN_ENTRIES // b)
+        blocks = ((stats.kind, slice(None), slice(a, a + cols), draws[:, a : a + cols].copy())
+                  for a in range(0, m, cols))
+        return _reduce_draws(blocks, (stats.kind,), True, b, m, stats=stats)
 
     @property
     def b(self) -> int:

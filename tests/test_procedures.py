@@ -139,7 +139,7 @@ class TestSingleStep:
         wide = MaxRecords.from_draws(np.ones((100, 3)), stats_from_pvalues([0.01, 0.5, 0.2]))
         with pytest.raises(ValueError, match="width"):
             run_procedure(sv, 0.05, ProcedureKind(Method.MAX_T), records=wide)
-        named = re.escape("MaxRecords.from_draws(draws, stats, stepdown=True)")
+        named = re.escape("MaxRecords.from_draws(draws, stats)")
         with pytest.raises(ValueError, match=named):
             run_procedure(sv, 0.05, ProcedureKind(Method.MAX_T), records=np.ones((100, 2)))
 
@@ -467,8 +467,8 @@ class TestMaxRecordsPath:
         rng = np.random.default_rng(seed)
         sv = StatVector(StatKind.FISHER, rng.integers(-levels, levels + 1, size=m) * 1.5, 100)
         draws = np.round(rng.normal(size=(b, m)) * 2.0, 1)
+        rec = MaxRecords.from_draws(draws, sv)
         for stepdown in (False, True):
-            rec = MaxRecords.from_draws(draws, sv, stepdown)
             for method in (Method.MAX_T, Method.BOOT_RW):
                 procedure = ProcedureKind(method, stepdown)
                 assert_matches_scan(run_procedure(sv, alpha, procedure, records=rec), sv, draws)

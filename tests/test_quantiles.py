@@ -648,19 +648,54 @@ def test_draw_matrix_validation():
         with pytest.raises(ValueError, match="draw matrix contains non-finite entries"):
             quantile_from_draws(draws, 0.05)
         assert quantile_from_draws(draws, 0.05, [0, 4]) == 1.0  # only the subset is read
-        for stepdown in (True, False):
-            with pytest.raises(ValueError, match="draw matrix contains non-finite entries"):
-                MaxRecords.from_draws(draws, sv, stepdown)
+        with pytest.raises(ValueError, match="draw matrix contains non-finite entries"):
+            MaxRecords.from_draws(draws, sv)
 
 
-@pytest.mark.parametrize("stepdown", [True, False])
-def test_records_from_draws_copy_them(stepdown):
+def test_records_from_draws_copy_them():
+    # The draws are left as they were; the records answer every prefix,
+    # the single-step rule's over all m pairs among them.
     draws = -np.random.default_rng(3).random((50, 5))
     before = draws.copy()
     sv = StatVector(StatKind.FISHER, np.arange(5.0), 100)
-    rec = MaxRecords.from_draws(draws, sv, stepdown)
+    rec = MaxRecords.from_draws(draws, sv)
     assert np.array_equal(draws, before)
-    assert (rec.b, rec.m) == (50, 5) and (rec.order is None) is not stepdown
-    assert rec.quantile(0.1, 5) == quantile_from_draws(draws, 0.1)
+    assert (rec.b, rec.m) == (50, 5) and rec.order is not None
+    for length in range(1, 6):
+        assert rec.quantile(0.1, length) == quantile_from_draws(draws, 0.1, rec.order[:length])
     with pytest.raises(ValueError, match="do not match"):
         MaxRecords.from_draws(draws[:, :4], sv)
+
+
+def test_records_from_draws_any_chunk_width():
+    # Chunks of 1, 3 and 7 columns of draws on tied |T| give the records of
+    # one chunk, which answer every prefix as the scan does.
+    rng = np.random.default_rng(25)
+    draws = np.round(rng.normal(size=(40, 23)) * 2.0, 1)
+    sv = StatVector(StatKind.FISHER, rng.integers(-3, 4, size=23) * 1.5, 100)
+    whole = MaxRecords.from_draws(draws, sv)
+    for length in range(1, 24):
+        assert whole.quantile(0.1, length) == quantile_from_draws(draws, 0.1, whole.order[:length])
+    for cols in (1, 3, 7):
+        with mock.patch.object(quantiles, "_SCAN_ENTRIES", 40 * cols):
+            rec = MaxRecords.from_draws(draws, sv)
+        for name in ("order", "starts", "positions", "values"):
+            assert np.array_equal(getattr(rec, name), getattr(whole, name)), (cols, name)
+
+
+def test_records_from_draws_hold_no_copy_of_the_draws():
+    # Column chunks are copied one at a time: the peak stays well under the
+    # draws (B=1000, m=4950 in chunks of 65 columns), and the records match
+    # the scan.
+    rng = np.random.default_rng(24)
+    dm = rng.normal(size=(1000, 4950))
+    sv = StatVector(StatKind.FISHER, rng.normal(size=4950) * 3.0, 100)
+    tracemalloc.start()
+    try:
+        rec = MaxRecords.from_draws(dm, sv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * dm.nbytes
+    for length in (1, 100, 4950):
+        assert rec.quantile(0.05, length) == quantile_from_draws(dm, 0.05, rec.order[:length])

@@ -358,7 +358,10 @@ class TestSharedDraws:
     def test_max_records_rows_match_draw_matrix_rows(self, monkeypatch):
         # Four kinds with maxt, its step-down and oracle-maxt: the rows read
         # from the builder's MaxRecords equal those read from the records of
-        # its B x m draws, reduced in one block.
+        # its B x m draws, reduced by MaxRecords.from_draws in column chunks.
+        # Both sides run the same record fold, so this checks that the fold
+        # does not depend on the order and shape of its blocks; agreement with
+        # the scan is checked at the procedure level (assert_matches_scan).
         config = ExperimentConfig(**{**SMALL, "stats": tuple(StatKind), "procedures": (
             ProcedureKind(Method.MAX_T), ProcedureKind(Method.MAX_T, True),
             ProcedureKind(Method.ORACLE_MAX_T), ProcedureKind(Method.ORACLE_MAX_T, True),
@@ -378,6 +381,8 @@ class TestSharedDraws:
         # single-step oracle-maxt: the builders get one step-down flag per
         # method, and the rows read from their MaxRecords (records or row
         # maxima) equal those read from the records of their B x m draws.
+        # As above, the records side runs the same fold in other blocks, so
+        # this checks block-order independence, not agreement with the scan.
         config = ExperimentConfig(**{**SMALL, "stats": tuple(StatKind), "procedures": (
             ProcedureKind(Method.BOOT_RW), ProcedureKind(Method.BOOT_RW, True),
             ProcedureKind(Method.MAX_T), ProcedureKind(Method.MAX_T, True),
