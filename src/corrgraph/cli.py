@@ -34,6 +34,7 @@ import csv
 import enum
 import io
 import json
+import math
 import sys
 import warnings
 from dataclasses import fields, replace
@@ -149,10 +150,8 @@ def _scan_samples_csv(path: str) -> tuple[tuple[str, ...], np.ndarray]:
             raise _CliError(EXIT_BAD_CSV, f"{path}: line 1: empty file")
         names = tuple(name.strip() for name in header)
         rows = []
-        blank_lines = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
-                blank_lines.append(lineno)
                 continue
             if len(row) != len(names):
                 raise _CliError(
@@ -160,20 +159,15 @@ def _scan_samples_csv(path: str) -> tuple[tuple[str, ...], np.ndarray]:
                     f"{path}: line {lineno}: expected {len(names)} fields, got {len(row)}",
                 )
             try:
-                rows.append([float(cell) for cell in row])
+                values = [float(cell) for cell in row]
             except ValueError:
                 raise _CliError(EXIT_BAD_CSV, f"{path}: line {lineno}: non-numeric cell")
+            if not all(map(math.isfinite, values)):
+                raise _CliError(EXIT_BAD_CSV, f"{path}: line {lineno}: non-finite cell")
+            rows.append(values)
     if not rows:
         raise _CliError(EXIT_BAD_CSV, f"{path}: line 2: no data rows")
-    data = np.array(rows)
-    finite = np.isfinite(data).all(axis=1)
-    if not finite.all():
-        lineno = int(np.argmin(finite)) + 2
-        for blank in blank_lines:
-            if blank <= lineno:
-                lineno += 1
-        raise _CliError(EXIT_BAD_CSV, f"{path}: line {lineno}: non-finite cell")
-    return names, data
+    return names, np.array(rows)
 
 
 def _read_matrix_csv(path: str) -> np.ndarray:

@@ -94,8 +94,7 @@ class RejectionSet:
     mask: np.ndarray  # read-only copy, in flat pair order: True where a pair is rejected
     alpha: float
     procedure: ProcedureKind
-    iterations: int
-    thresholds: tuple
+    thresholds: tuple  # one per iteration
     pvalues: PValueVector | None = None
     # Per-pair threshold in force when the pair was decided: the threshold of
     # the iteration that rejected it, or the final one for survivors.  For
@@ -110,6 +109,10 @@ class RejectionSet:
     @property
     def m(self) -> int:
         return self.mask.size
+
+    @property
+    def iterations(self) -> int:
+        return len(self.thresholds)
 
     @functools.cached_property
     def rejected(self) -> frozenset:
@@ -154,9 +157,7 @@ def run_procedure(
     alive = np.ones(m, dtype=bool)
     thresholds = []
     pair_thr = np.empty(m)
-    iterations = 0
     while True:
-        iterations += 1
         subset = np.flatnonzero(alive)
         if method is Method.BONFERRONI:
             thr = alpha / subset.size
@@ -176,7 +177,6 @@ def run_procedure(
         mask=~alive,
         alpha=alpha,
         procedure=procedure,
-        iterations=iterations,
         thresholds=tuple(thresholds),
         pvalues=pvals,
         pair_thresholds=pair_thr,
@@ -236,7 +236,6 @@ def bh_fdr(pvalues: PValueVector, alpha: float) -> RejectionSet:
         mask=p <= thr if k_hat else np.zeros(m, dtype=bool),
         alpha=alpha,
         procedure=ProcedureKind(Method.BH, False),
-        iterations=1,
         thresholds=(float(thr),),
         pvalues=pvalues,
     )

@@ -5,7 +5,8 @@
 
 Every draw of the max statistic is made here.  B draws are B simulated
 statistic vectors, a B x m array whose rowwise sup-norm is the max
-statistic.  Three Monte Carlo routes make them:
+statistic.  Three Monte Carlo routes make them, each one generator of blocks
+of draws:
 
 - :func:`gauss_draw_matrix` draws from the Gaussian limit N_m(0, Omega) of
   the statistics without forming Omega.  At a plug-in or oracle correlation
@@ -23,7 +24,9 @@ statistic.  Three Monte Carlo routes make them:
   moment a GEMM of W against the standardized sample, with no loop over
   resamples.  A resample whose column variance is at most ``_DEGENERATE``
   times the full-sample variance (or, for the second-order kind, whose theta
-  is at most ``_DEGENERATE``) is redrawn from the same stream.
+  is at most ``_DEGENERATE``) is redrawn from the same stream: one generator
+  draws each batch of resamples, yields its pair blocks and then the
+  batch's degenerate rows to drop.
 
 Both builders take one StatKind, for one result, or a tuple of kinds, for
 one result per kind from one set of draws; each kind's draws are then those
@@ -44,11 +47,11 @@ ln m steps for exchangeable columns (the successive maxima of Westfall and
 Young, 1993; Romano and Wolf, 2005), and a single-step rule needs only its
 maximum over all m pairs.  :class:`MaxRecords` keeps those steps, or those
 row maxima, in place of the B x m draws; they are the one source of every
-resampled threshold.  Each draw route is one generator of blocks of draws,
-and :func:`_reduce_draws` reduces the blocks as they are made, into the B x m
-array, row maxima or prefix-max records, so a step-down and a single-step
-rule read the same draws, and :meth:`MaxRecords.quantile` returns what
-:func:`quantile_from_draws` returns on the same prefix.
+resampled threshold.  :func:`_reduce_draws` reduces a route's blocks as
+they are made, into the B x m array, row maxima or prefix-max records, so a
+step-down and a single-step rule read the same draws, and
+:meth:`MaxRecords.quantile` returns what :func:`quantile_from_draws` returns
+on the same prefix.
 :meth:`MaxRecords.from_draws` reduces a B x m array made elsewhere, and
 :func:`quantile_from_draws` reads any subset of one.
 
@@ -559,26 +562,30 @@ def bootstrap_draw_matrix(
     the same draws, with no B x m array held (see ``_reduce_draws``): the
     form :func:`~corrgraph.procedures.run_procedure` reads.  A degenerate
     resample's draws are dropped, and its redraw's take their place.
+
+    A sample of fewer than 4 rows is refused with a ValueError, as
+    :func:`~corrgraph.stats.statistic` refuses it.
     """
     kinds, single = _kind_tuple(kind)
     if draws < _MIN_BOOTSTRAP_DRAWS:
         raise ValueError(f"need at least {_MIN_BOOTSTRAP_DRAWS} bootstrap draws, got {draws}")
+    if samples.n < 4:
+        raise ValueError(f"need n >= 4 observations for statistics, got n={samples.n}")
     # Per draw row: W with its index matrix and bincount, and 4 B x (p - 1) block temporaries.
     return _reduce_draws(_bootstrap_blocks(samples, kinds, draws, rng), kinds, single, draws,
                          samples.m, stats, stepdown, "bootrw", 3 * samples.n + 4 * (samples.p - 1))
 
 
 def _bootstrap_blocks(samples: SampleMatrix, kinds: tuple, draws: int, rng: np.random.Generator):
-    """Yield the bootstrap's blocks of draws, in :func:`_reduce_draws` form: the
-    pair blocks of each batch of resamples, then its degenerate rows to drop."""
-    n = samples.n
+    """Yield the bootstrap's blocks of draws, in :func:`_reduce_draws` form: for
+    each batch of resamples, each kind's draws on every pair block x_c x_{c+1..p},
+    then the batch's degenerate rows to drop, which the next batch draws again."""
+    n, p = samples.n, samples.p
     # Standardized on the full sample, resample means are O(n^-1/2): E[x^2] - mu^2 cannot cancel.
     x = standardize(samples).data
     plain = [k for k in dict.fromkeys(kinds) if k is not StatKind.SECOND_ORDER]
-    t_hat = {}
-    if plain:
-        rho_hat = _correlation(samples).pair_values()
-        t_hat = {k: _transform(rho_hat, n, k) for k in plain}
+    rho_hat = _correlation(samples).pair_values() if plain else None
+    t_hat = {k: _transform(rho_hat, n, k) for k in plain}
     todo, redraws = np.arange(draws), 0
     while todo.size:
         w = _count_weights(rng, todo.size, n)
@@ -587,7 +594,23 @@ def _bootstrap_blocks(samples: SampleMatrix, kinds: tuple, draws: int, rng: np.r
         bad = np.any(var <= _DEGENERATE, axis=1)
         inv_sd = 1.0 / np.sqrt(np.maximum(var, _DEGENERATE))
         rows = slice(None) if todo.size == draws else todo  # all rows: a slice writes faster
-        yield from _block_draws(x, w, (mu, m2, inv_sd), kinds, t_hat, bad, rows)
+        for c in range(p - 1):
+            pairs = slice(c * (2 * p - c - 1) // 2, (c + 1) * (2 * p - c - 2) // 2)
+            xc, rest, mc, mr = x[:, c : c + 1], x[:, c + 1 :], mu[:, c : c + 1], mu[:, c + 1 :]
+            z = xc * rest
+            scale = inv_sd[:, c : c + 1] * inv_sd[:, c + 1 :]
+            if plain:
+                r = (w @ z - mc * mr) * scale
+                for k in plain:
+                    yield k, rows, pairs, _transform(r, n, k) - t_hat[k][pairs]
+            if StatKind.SECOND_ORDER in kinds:
+                # Its first block is not reused for the kinds above: it differs from
+                # w @ z in the last bits, and their draws must equal single-kind calls.
+                block, degenerate = _second_order_draws(
+                    np.split(w @ np.hstack([z, xc * z, z * rest, z * z]), 4, 1), mc, mr,
+                    m2[:, c : c + 1], m2[:, c + 1 :], scale, z.mean(axis=0), n)
+                bad |= degenerate.any(axis=1)
+                yield StatKind.SECOND_ORDER, rows, pairs, block
         todo = todo[bad]
         redraws += todo.size
         if redraws > draws:
@@ -602,35 +625,6 @@ def _count_weights(rng: np.random.Generator, draws: int, n: int) -> np.ndarray:
     take = rng.integers(0, n, size=(draws, n))
     take += n * np.arange(draws)[:, None]
     return np.bincount(take.ravel(), minlength=take.size).reshape(take.shape) / n
-
-
-def _block_draws(x, w, moments, kinds, t_hat, bad, rows):
-    """Yield (kind, rows, pairs, draws) for the pair blocks x_c x_{c+1..p}.
-
-    ``moments`` are the resamples' (mu, E x^2, 1/sd), each B x p; the draws
-    are B x (pairs in the block).  A degenerate second-order theta is or-ed
-    into ``bad``.
-    """
-    mu, m2, inv_sd = moments
-    n, p = x.shape
-    plain = [k for k in dict.fromkeys(kinds) if k is not StatKind.SECOND_ORDER]
-    for c in range(p - 1):
-        pairs = slice(c * (2 * p - c - 1) // 2, (c + 1) * (2 * p - c - 2) // 2)
-        xc, rest, mc, mr = x[:, c : c + 1], x[:, c + 1 :], mu[:, c : c + 1], mu[:, c + 1 :]
-        z = xc * rest
-        scale = inv_sd[:, c : c + 1] * inv_sd[:, c + 1 :]
-        if plain:
-            r = (w @ z - mc * mr) * scale
-            for k in plain:
-                yield k, rows, pairs, _transform(r, n, k) - t_hat[k][pairs]
-        if StatKind.SECOND_ORDER in kinds:
-            # Its first block is not reused for the kinds above: it differs from
-            # w @ z in the last bits, and their draws must equal single-kind calls.
-            block, degenerate = _second_order_draws(
-                np.split(w @ np.hstack([z, xc * z, z * rest, z * z]), 4, 1), mc, mr,
-                m2[:, c : c + 1], m2[:, c + 1 :], scale, z.mean(axis=0), n)
-            bad |= degenerate.any(axis=1)
-            yield StatKind.SECOND_ORDER, rows, pairs, block
 
 
 def _second_order_draws(moments, mc, mr, m2c, m2r, scale, zbar, n):
@@ -675,6 +669,8 @@ def gauss_draw_matrix(corr, kind: StatKind | tuple[StatKind, ...], draws: int,
 
     ``corr`` is a CorrelationMatrix, or an array that is made one, so an
     array that is not a correlation matrix is refused with a ValueError.
+    Given ``sample``, a ``corr`` that is not its correlation matrix (another
+    shape, or an entry off by more than 1e-10) is refused with a ValueError.
     """
     kinds, single = _kind_tuple(kind)
     if draws < _MIN_GAUSS_DRAWS:
@@ -682,6 +678,10 @@ def gauss_draw_matrix(corr, kind: StatKind | tuple[StatKind, ...], draws: int,
     corr = (corr if isinstance(corr, CorrelationMatrix) else CorrelationMatrix(corr)).values
     if corr.shape[0] < 2:
         raise ValueError(f"need at least 2 variables, got p={corr.shape[0]}")
+    if sample is not None:
+        own = _correlation(sample).values
+        if corr.shape != own.shape or np.abs(corr - own).max() > 1e-10:
+            raise ValueError("corr is not the correlation matrix of sample")
     blocks = (_perturbation_blocks(corr, kinds, draws, rng) if sample is None
               else _multiplier_blocks(corr, sample, kinds, draws, rng))
     with contextlib.closing(blocks):  # held per fourth-moment draw: xi and 4 chunk columns

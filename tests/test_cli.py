@@ -78,29 +78,23 @@ def oracle_read_samples_csv(path):
             raise cli._CliError(2, f"{path}: line 1: empty file")
         names = tuple(name.strip() for name in header)
         rows = []
-        blank_lines = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
-                blank_lines.append(lineno)
                 continue
             if len(row) != len(names):
                 raise cli._CliError(
                     2, f"{path}: line {lineno}: expected {len(names)} fields, got {len(row)}"
                 )
             try:
-                rows.append([float(cell) for cell in row])
+                values = [float(cell) for cell in row]
             except ValueError:
                 raise cli._CliError(2, f"{path}: line {lineno}: non-numeric cell")
+            if not all(math.isfinite(v) for v in values):
+                raise cli._CliError(2, f"{path}: line {lineno}: non-finite cell")
+            rows.append(values)
     if not rows:
         raise cli._CliError(2, f"{path}: line 2: no data rows")
     data = np.array(rows)
-    finite = np.isfinite(data).all(axis=1)
-    if not finite.all():
-        lineno = int(np.argmin(finite)) + 2
-        for blank in blank_lines:
-            if blank <= lineno:
-                lineno += 1
-        raise cli._CliError(2, f"{path}: line {lineno}: non-finite cell")
     try:
         return SampleMatrix(data, column_names=names)
     except DegenerateInputError as exc:
@@ -604,6 +598,7 @@ class TestReaderOracle:
         ("a,b\n1,2\n3,4,5\n", 2, "line 3: expected 2 fields, got 3"),
         ("a,b\r\n1,2\r\n\r\n3,inf\r\n", 2, "line 4: non-finite cell"),
         ("a,b,c\n1,2\n3,4\n", 2, "line 2: expected 3 fields, got 2"),
+        ("a,b,c\n1,2,3\n2,inf,5\n4,4,1\n0,x,2\n5,0,4\n", 2, "line 3: non-finite cell"),
     ])
     def test_error_lines(self, tmp_path, text, code, message):
         path = tmp_path / "bad.csv"

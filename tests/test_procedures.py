@@ -412,6 +412,25 @@ class TestGaussDrawMatrix:
             with pytest.raises(ValueError, match=words):
                 gauss_draw_matrix(corr, StatKind.FISHER, 100, make_rng(0), stats=stats_arg)
 
+    def test_corr_of_another_sample_refused(self):
+        # The fourth-moment route takes r from corr: np.eye(4) drew the pair
+        # (1, 2), r about 0.8, with sd 1.49 instead of 0.38.
+        x = np.random.default_rng(12).normal(size=(400, 4))
+        x[:, 2] = 0.8 * x[:, 1] + 0.6 * x[:, 2]
+        sample = SampleMatrix(x)
+        own = empirical_correlation(sample).values
+        near = own.copy()
+        near[1, 2] = near[2, 1] = own[1, 2] + 1e-9
+        sv = corrgraph.statistic(sample, StatKind.FISHER)
+        for corr in (np.eye(4), near, own[:3, :3]):
+            for stats_arg in (None, sv):
+                with pytest.raises(ValueError, match="not the correlation matrix of sample"):
+                    gauss_draw_matrix(corr, StatKind.FISHER, 100, make_rng(0), sample=sample,
+                                      stats=stats_arg)
+        for corr in (own, empirical_correlation(sample)):
+            assert gauss_draw_matrix(corr, StatKind.FISHER, 100, make_rng(0),
+                                     sample=sample).shape == (100, 6)
+
 
 class TestMaxRecordsPath:
     """The builder's MaxRecords, through run_procedure, against a scan of its B x m draws."""

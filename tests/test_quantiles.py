@@ -493,6 +493,16 @@ class TestBootstrap:
         with pytest.raises(ValueError):
             bootstrap_draw_matrix(samples, StatKind.EMPIRICAL, 49, make_rng(0))
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_fewer_than_four_rows_refused(self, n):
+        # At n=3 every Fisher draw was 0 (threshold 0.0, every pair rejected);
+        # at n=2 sqrt(n - 3) warned.
+        samples = SampleMatrix(np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 5.0], [2.0, 2.0, 0.0]])[:n])
+        for kind in (StatKind.FISHER, tuple(StatKind)):
+            with pytest.raises(ValueError, match=f"need n >= 4 observations for statistics, "
+                                                 f"got n={n}"):
+                bootstrap_draw_matrix(samples, kind, 100, make_rng(0))
+
     def test_degenerate_resamples_raise(self, samples):
         class StuckRng:
             def integers(self, low, high, size):
