@@ -16,7 +16,9 @@ of draws:
   of a serial loop, and the worker is joined before the builder returns;
 - given the sample, :func:`gauss_draw_matrix` draws the fourth-moment
   plug-in as multiplier draws xi @ Psi on the influence matrix Psi of
-  ``omega_general``, one chunk of pair columns at a time;
+  ``omega_general``.  It holds xi or Psi, whichever is smaller, and streams
+  the other: the B x n multipliers xi with Psi in chunks of pair columns,
+  or each kind's n x m Psi with xi in blocks of 64 rows from one stream;
 - :func:`bootstrap_draw_matrix` recomputes centered statistics on
   nonparametric resamples of the data.  The B resamples come from one
   ``integers(0, n, (B, n))`` draw, which yields the same indices, in order, as
@@ -107,10 +109,15 @@ _SCAN_ENTRIES = 1 << 16
 # Entries of the p x p perturbations per block of Gaussian max-T draws (256 kB).
 # A worker thread draws each block's normals one block ahead, with the calls
 # and from the stream of a serial loop, so the normals do not depend on it.
-# The GEMMs' last bits do, and on _PAIR_CHUNK, the pair columns per chunk of
-# fourth-moment draws, so both are part of the seed contract.
+# The GEMMs' last bits do, and on the blocks of fourth-moment draws: the
+# _PAIR_CHUNK pair columns per chunk when the B x n multipliers are held, and
+# the _MULTIPLIER_ROWS rows per block when the influence matrices are.  All
+# three are part of the seed contract.  _PSI_ENTRIES, the entries per chunk
+# that fills a held influence matrix, is not: the chunks do not change it.
 _PERTURBATION_ENTRIES = 1 << 15
 _PAIR_CHUNK = 128
+_MULTIPLIER_ROWS = 64
+_PSI_ENTRIES = 1 << 14
 
 # Positions per segment of the first pass of _fold_records.
 _SEGMENT = 16
@@ -349,8 +356,8 @@ def _reduce_draws(blocks, kinds: tuple, single: bool, draws: int, m: int, stats=
     maxima in ascending |T| order (a stable argsort).  Non-finite draws raise.
 
     Before it allocates or takes a block, it refuses, as ``label``, draws
-    that exceed physical memory: per draw the route's ``route_floats`` and,
-    per kind, a draw row of m floats, a row maximum, or about ln m + 1
+    that exceed physical memory: the route's ``route_floats`` and, per draw
+    and kind, a draw row of m floats, a row maximum, or about ln m + 1
     records of 3 words plus 4 fold peaks per octave of m.
     """
     if stats is None:
@@ -359,7 +366,7 @@ def _reduce_draws(blocks, kinds: tuple, single: bool, draws: int, m: int, stats=
         held = draws * (3 * (math.log(m) + 1) + 4 * math.log2(m) + 1) + 3 * _HELD_CANDIDATES
     else:
         held = draws
-    _check_memory(label, draws * route_floats + len(set(kinds)) * held,
+    _check_memory(label, route_floats + len(set(kinds)) * held,
                   f"for {draws} draws at m={m}", "use fewer draws")
     if stats is None:
         out = {k: np.empty((draws, m)) for k in kinds}
@@ -573,7 +580,8 @@ def bootstrap_draw_matrix(
         raise ValueError(f"need n >= 4 observations for statistics, got n={samples.n}")
     # Per draw row: W with its index matrix and bincount, and 4 B x (p - 1) block temporaries.
     return _reduce_draws(_bootstrap_blocks(samples, kinds, draws, rng), kinds, single, draws,
-                         samples.m, stats, stepdown, "bootrw", 3 * samples.n + 4 * (samples.p - 1))
+                         samples.m, stats, stepdown, "bootrw",
+                         draws * (3 * samples.n + 4 * (samples.p - 1)))
 
 
 def _bootstrap_blocks(samples: SampleMatrix, kinds: tuple, draws: int, rng: np.random.Generator):
@@ -655,17 +663,25 @@ def gauss_draw_matrix(corr, kind: StatKind | tuple[StatKind, ...], draws: int,
     Student/Fisher Delta derivative (S_ij / sqrt(1 + r_ij^2) for second-order),
     so Omega = ``omega_gaussian(corr, kind)``.  With ``sample`` (of correlation
     corr) a row is xi @ Psi, xi i.i.d. N(0, 1/n) multipliers and Psi the
-    influence matrix of ``omega_general``, so Omega = Psi^T Psi / n.
+    influence matrix of ``omega_general``, so Omega = Psi^T Psi / n.  That
+    route holds xi or Psi, whichever is smaller: while B is at most the
+    number of kinds times m, xi (B x n) whole and Psi in ``_PAIR_CHUNK``
+    pair chunks, else each kind's Psi (n x m) whole and xi in blocks of
+    ``_MULTIPLIER_ROWS`` (64) rows, whose consecutive draws are those of one
+    (B, n) call.  The 64-row block is part of the seed contract;
+    ``_PAIR_CHUNK`` is only on the side that holds xi.
 
     ``kind`` is one StatKind, which returns one result, or a tuple of kinds,
     which returns one result per kind, in that order, from one set of
     perturbations: each block's S (or the multipliers xi) is drawn once and
     mapped per kind, so each kind's draws, a tuple of one kind's too, equal
-    those of a single-kind call on the same stream.  The result is the
-    B x m float64 array of draws, or, given ``stats`` (the StatVector of each
-    kind, in the same form as ``kind``), a MaxRecords of the same draws, with
-    no B x m array held (see ``_reduce_draws``): the form
-    :func:`~corrgraph.procedures.run_procedure` reads.
+    those of a single-kind call on the same stream (on the fourth-moment
+    route, up to the GEMMs' last bits when the tuple holds the other of xi
+    and Psi).  The result is the B x m float64 array of draws, or, given
+    ``stats`` (the StatVector of each kind, in the same form as ``kind``), a
+    MaxRecords of the same draws, with no B x m array held (see
+    ``_reduce_draws``): the form :func:`~corrgraph.procedures.run_procedure`
+    reads.
 
     ``corr`` is a CorrelationMatrix, or an array that is made one, so an
     array that is not a correlation matrix is refused with a ValueError.
@@ -682,26 +698,53 @@ def gauss_draw_matrix(corr, kind: StatKind | tuple[StatKind, ...], draws: int,
         own = _correlation(sample).values
         if corr.shape != own.shape or np.abs(corr - own).max() > 1e-10:
             raise ValueError("corr is not the correlation matrix of sample")
-    blocks = (_perturbation_blocks(corr, kinds, draws, rng) if sample is None
-              else _multiplier_blocks(corr, sample, kinds, draws, rng))
-    with contextlib.closing(blocks):  # held per fourth-moment draw: xi and 4 chunk columns
-        return _reduce_draws(blocks, kinds, single, draws, num_pairs(corr.shape[0]),
-                             stats, stepdown, "maxt",
-                             0 if sample is None else sample.n + 4 * _PAIR_CHUNK)
+    m = num_pairs(corr.shape[0])
+    if sample is None:
+        blocks, held = _perturbation_blocks(corr, kinds, draws, rng), 0
+    else:
+        # Held: xi and 4 chunk columns per draw, or the kinds' Psi, a block of
+        # xi rows and of draws, and the 3 temporaries of a Psi chunk.
+        n, k = sample.n, len(kinds)
+        blocks = _multiplier_blocks(corr, sample, kinds, draws, rng)
+        held = (draws * (n + 4 * _PAIR_CHUNK) if draws <= k * m
+                else k * n * m + _MULTIPLIER_ROWS * (n + m) + 3 * (_PSI_ENTRIES + 3 * n))
+    with contextlib.closing(blocks):
+        return _reduce_draws(blocks, kinds, single, draws, m, stats, stepdown, "maxt", held)
 
 
 def _multiplier_blocks(corr, sample, kinds: tuple, draws: int, rng: np.random.Generator):
-    """Yield the fourth-moment draws xi @ Psi of each kind, all rows by
-    ``_PAIR_CHUNK`` pairs in flat order, in ``_reduce_draws`` form."""
+    """Yield the fourth-moment draws xi @ Psi of each kind in ``_reduce_draws``
+    form: all rows by ``_PAIR_CHUNK`` pairs with xi held, else blocks of
+    ``_MULTIPLIER_ROWS`` rows by all pairs with each kind's Psi held.
+
+    A held Psi is filled in chunks of about ``_PSI_ENTRIES`` entries and at
+    least 2 pairs, which do not change it: numpy sums the second-order
+    variance of a lone column of more than 8192 rows in another order.
+    """
     i, j = pair_indices(corr.shape[0])
     r = corr[i, j]
     xt = np.ascontiguousarray(standardize(sample).data.T)
-    xi = rng.standard_normal((draws, xt.shape[1]))
-    xi /= np.sqrt(xt.shape[1])
+    n = xt.shape[1]
+    if draws <= len(kinds) * i.size:
+        xi = rng.standard_normal((draws, n))
+        xi /= np.sqrt(n)
+        for kd in kinds:
+            for a in range(0, i.size, _PAIR_CHUNK):
+                pairs = slice(a, a + _PAIR_CHUNK)
+                yield kd, slice(None), pairs, xi @ _influence(xt, r[pairs], i[pairs], j[pairs], kd)
+        return
+    width = max(2, _PSI_ENTRIES // n)
+    bounds, psis = [0, *range(width, i.size - 1, width), i.size], []
     for kd in kinds:
-        for a in range(0, i.size, _PAIR_CHUNK):
-            pairs = slice(a, a + _PAIR_CHUNK)
-            yield kd, slice(None), pairs, xi @ _influence(xt, r[pairs], i[pairs], j[pairs], kd)
+        psi = np.empty((i.size, n))  # each pair's n values contiguous, as _influence lays them
+        for a, b in zip(bounds, bounds[1:]):
+            psi[a:b] = _influence(xt, r[a:b], i[a:b], j[a:b], kd).T
+        psis.append(psi.T)
+    for a in range(0, draws, _MULTIPLIER_ROWS):
+        xi = rng.standard_normal((min(_MULTIPLIER_ROWS, draws - a), n))
+        xi /= np.sqrt(n)
+        for kd, psi in zip(kinds, psis):
+            yield kd, slice(a, a + xi.shape[0]), slice(None), xi @ psi
 
 
 def _perturbation_blocks(corr, kinds: tuple, draws: int, rng: np.random.Generator):

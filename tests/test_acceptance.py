@@ -79,7 +79,7 @@ def test_criterion_01_covariance_monte_carlo():
     for start in range(0, reps, chunk):
         r_chunk = min(chunk, reps - start)
         x = rng.standard_normal((r_chunk, n, p)) @ factor.T
-        xc = x - x.mean(axis=1, keepdims=True)
+        xc = x - np.einsum("rnp->rp", x)[:, None, :] / n
         cross = np.matmul(xc.transpose(0, 2, 1), xc) / n
         sd = np.sqrt(np.einsum("rii->ri", cross))
         corr = cross / (sd[:, :, None] * sd[:, None, :])

@@ -228,6 +228,26 @@ def psi_reference(corr, kind, normals):
     return np.array(rows)
 
 
+def influence_reference(sample, kind):
+    """Plain-numpy n x m influence matrix of ``omega_general``.
+
+    On the columns standardized with divisor n: x_i x_j - r (x_i^2 + x_j^2)/2
+    over the Delta derivative, or for second-order x_i x_j - r scaled to unit
+    variance.
+    """
+    x = sample.data - sample.data.mean(axis=0)
+    x /= x.std(axis=0)
+    i, j = np.triu_indices(x.shape[1], k=1)
+    prod = x[:, i] * x[:, j]
+    r = prod.mean(axis=0)
+    if kind is StatKind.SECOND_ORDER:
+        centred = prod - r
+        return centred / np.sqrt((centred**2).mean(axis=0))
+    return (prod - r * (x[:, i] ** 2 + x[:, j] ** 2) / 2.0) / {
+        StatKind.EMPIRICAL: 1.0, StatKind.STUDENT: (1.0 - r * r) ** 1.5,
+        StatKind.FISHER: 1.0 - r * r}[kind]
+
+
 def route_omega(route, corr, sample, kind):
     if route == "gaussian":
         return omega_gaussian(corr, kind).values
@@ -265,15 +285,55 @@ class TestGaussDrawMatrix:
 
     @pytest.mark.parametrize("route", ["gaussian", "fourth-moment"])
     def test_independent_of_block_size(self, monkeypatch, route):
-        corr, sample = draw_law(route, 12, seed=3)
-        want = [_gauss_draw_matrix(corr, kind, 500, make_rng(5), sample=sample)
+        # 150 fourth-moment draws at m = 190 hold the multipliers and chunk the pairs.
+        p, draws = (12, 500) if route == "gaussian" else (20, 150)
+        corr, sample = draw_law(route, p, seed=3)
+        want = [_gauss_draw_matrix(corr, kind, draws, make_rng(5), sample=sample)
                 for kind in StatKind]
         # 6 perturbations per block (84 blocks) and 7 pair columns per chunk.
         monkeypatch.setattr(quantiles, "_PERTURBATION_ENTRIES", 1000)
         monkeypatch.setattr(quantiles, "_PAIR_CHUNK", 7)
         for kind, expect in zip(StatKind, want):
-            got = _gauss_draw_matrix(corr, kind, 500, make_rng(5), sample=sample)
+            got = _gauss_draw_matrix(corr, kind, draws, make_rng(5), sample=sample)
             np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("p, n, draws", [(6, 3000, 500), (40, 300, 200)])
+    def test_multipliers_match_plain_numpy_reference(self, p, n, draws):
+        # Four kinds at p = 6 hold their n x 15 influence matrices, at p = 40
+        # the B x n multipliers.  The reference draws xi in one call and
+        # multiplies in another order: agreement to 1e-12.  The step-down
+        # records of the same draws are those of the draw matrix.
+        sample = tdata(n, p, seed=p)
+        corr = empirical_correlation(sample)
+        rng = make_rng(31)
+        got = _gauss_draw_matrix(corr, tuple(StatKind), draws, rng, sample=sample)
+        serial = make_rng(31)
+        xi = serial.standard_normal((draws, n)) / np.sqrt(n)
+        for kind, dm in zip(StatKind, got):
+            np.testing.assert_allclose(dm, xi @ influence_reference(sample, kind),
+                                       rtol=0, atol=1e-12)
+        assert np.array_equal(rng.random(3), serial.random(3))
+        svs = tuple(corrgraph.statistic(sample, kind) for kind in StatKind)
+        recs = _gauss_draw_matrix(corr, tuple(StatKind), draws, make_rng(31), sample=sample,
+                                  stats=svs)
+        for sv, dm, rec in zip(svs, got, recs):
+            want = MaxRecords.from_draws(dm, sv)
+            for field in ("starts", "positions", "values"):
+                assert np.array_equal(getattr(rec, field), getattr(want, field)), field
+
+    def test_influence_matrix_held_in_place_of_multipliers(self):
+        # 1000 draws at n = 20000, m = 15: the 160 MB of multipliers are drawn
+        # in blocks of rows, and the 2.4 MB influence matrix is held.
+        sample = tdata(20_000, 6, seed=8)
+        corr = empirical_correlation(sample)
+        tracemalloc.start()
+        try:
+            dm = _gauss_draw_matrix(corr, StatKind.FISHER, 1000, make_rng(1), sample=sample)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dm.shape == (1000, 15)
+        assert peak < 0.25 * 1000 * 20_000 * 8
 
     @pytest.mark.parametrize("p, entries", [(5, 100), (12, 1000)])
     def test_blocks_match_plain_numpy_reference(self, monkeypatch, p, entries):

@@ -417,6 +417,7 @@ class TestMemoryGuard:
 
         monkeypatch.setattr(quantiles, "_bootstrap_blocks", first_block)
         monkeypatch.setattr(quantiles, "_perturbation_blocks", first_block)
+        monkeypatch.setattr(quantiles, "_multiplier_blocks", first_block)
         monkeypatch.setattr(quantiles.os, "sysconf",
                             lambda name: 4096 if name == "SC_PAGE_SIZE" else (1 << 26) // 4096)
 
@@ -430,6 +431,20 @@ class TestMemoryGuard:
                                              r"more than the 0\.1 GB of physical memory"):
             gauss_draw_matrix(np.eye(4), tuple(StatKind), 3_000_000, make_rng(1), stats=svs,
                               stepdown=False)
+
+    def test_fourth_moment_counts_the_operand_it_holds(self):
+        # 1000 draws of a 20000 x 4 sample hold its 1 MB influence matrix, not
+        # the 160 MB of multipliers, so they reach the route's first block.
+        sample = SampleMatrix(np.random.default_rng(3).normal(size=(20_000, 4)))
+        with pytest.raises(self.Reached):
+            gauss_draw_matrix(empirical_correlation(sample), StatKind.FISHER, 1000, make_rng(1),
+                              sample=sample)
+        # 500 draws at m = 780 hold the 80 MB of multipliers, the smaller operand.
+        sample = SampleMatrix(np.random.default_rng(4).normal(size=(20_000, 40)))
+        with pytest.raises(ValueError, match=r"^maxt needs about 0\.1 GB for 500 draws at m=780, "
+                                             r"more than the 0\.1 GB of physical memory"):
+            gauss_draw_matrix(empirical_correlation(sample), StatKind.FISHER, 500, make_rng(1),
+                              sample=sample)
 
     def test_bootstrap_draw_matrices_of_four_kinds(self):
         # 150k resamples of n = 10 rows: 42 floats of count weights and block
